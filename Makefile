@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: all build test race bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke staticcheck govulncheck ci
+.PHONY: all build test race bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
 
 all: build
 
@@ -36,6 +36,7 @@ bench-smoke:
 fuzz-smoke:
 	$(GO) test ./internal/orbit/ -run '^$$' -fuzz FuzzParseTLE -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s
+	$(GO) test ./internal/service/ -run '^$$' -fuzz FuzzJobSpec -fuzztime 10s
 
 # serve-smoke proves the daemon end to end: start sinetd on a random port
 # with the cache disabled, submit a small passive job over HTTP, poll it to
@@ -68,6 +69,12 @@ trace-smoke: cluster-smoke
 	$(GO) test ./internal/cluster/ -run 'TestClusterStitchedShardTrace|TestClusterProxiedTrace' -count=1 -v
 	$(GO) test ./internal/service/ -run 'TestJobTraceEndpoint|TestDebugTracesEndpoint|TestTraceparentPropagation' -count=1 -v
 
+# servebench-check compiles and tests the serving benchmark, which is its
+# own Go module (servebench/go.mod) and so outside the root `./...`; it
+# imports internal/service and must keep building as that API moves.
+servebench-check:
+	cd servebench && $(GO) vet ./... && $(GO) test ./...
+
 # staticcheck / govulncheck run only when installed, so `make ci` stays usable
 # in hermetic environments; the GitHub workflow installs both.
 staticcheck:
@@ -90,3 +97,4 @@ ci:
 	$(MAKE) serve-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) cluster-smoke
+	$(MAKE) servebench-check

@@ -440,20 +440,22 @@ func BenchmarkPassPredictionParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		orbit.ResetSGP4Calls()
 		ephs := make([]*sinet.Ephemeris, len(cons.Sats))
-		sim.ForEach(len(cons.Sats), func(si int) {
+		sim.ForEach(len(cons.Sats), func(si int) error {
 			prop, err := sinet.NewPropagator(cons.Sats[si])
 			if err != nil {
 				b.Error(err)
-				return
+				return nil
 			}
 			ephs[si] = sinet.NewEphemeris(prop, start, end, 30*time.Second)
-		})
+			return nil
+		}, nil)
 		counts := make([]int, len(sites))
-		sim.ForEach(len(sites), func(gi int) {
+		sim.ForEach(len(sites), func(gi int) error {
 			for _, eph := range ephs {
 				counts[gi] += len(sinet.NewEphemerisPredictor(eph).Passes(sites[gi], start, end, 0))
 			}
-		})
+			return nil
+		}, nil)
 		total := 0
 		for _, c := range counts {
 			total += c
@@ -516,10 +518,10 @@ func BenchmarkMegaConstellation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				orbit.ResetSGP4Calls()
 				grid := orbit.NewEphemerisGrid(props, start, end, orbit.EphemerisConfig{ScanStep: time.Minute})
-				sim.ForEach(grid.Sats(), func(si int) { grid.Propagate(si) })
+				sim.ForEach(grid.Sats(), func(si int) error { grid.Propagate(si); return nil }, nil)
 				grid.Finish()
 				counts := make([]int, len(sites))
-				sim.ForEach(len(sites), func(gi int) {
+				sim.ForEach(len(sites), func(gi int) error {
 					pp := orbit.NewEphemerisPredictor(grid.Sat(0))
 					passes := make([]orbit.Pass, 0, 4096)
 					for si := 0; si < grid.Sats(); si++ {
@@ -527,7 +529,8 @@ func BenchmarkMegaConstellation(b *testing.B) {
 						passes = pp.PassesAppend(passes[:0], sites[gi], start, end, 0)
 						counts[gi] += len(passes)
 					}
-				})
+					return nil
+				}, nil)
 				total := 0
 				for _, c := range counts {
 					total += c

@@ -71,7 +71,7 @@ func (g GroundSegment) NextDownlink(prop *orbit.Propagator, after, horizon time.
 // booking search.
 func (g GroundSegment) NextDownlinkUp(prop *orbit.Propagator, after, horizon time.Time, up func(station int, at time.Time) bool) (time.Time, bool, error) {
 	firsts := make([]time.Time, len(g.Stations))
-	if err := sim.ForEach(len(g.Stations), func(i int) {
+	if err := sim.ForEach(len(g.Stations), func(i int) error {
 		pp := orbit.NewPassPredictor(prop.Clone())
 		for _, pass := range pp.Passes(g.Stations[i], after, horizon, g.MinElevationRad) {
 			if up != nil && !up(i, pass.AOS) {
@@ -80,7 +80,8 @@ func (g GroundSegment) NextDownlinkUp(prop *orbit.Propagator, after, horizon tim
 			firsts[i] = pass.AOS
 			break
 		}
-	}); err != nil {
+		return nil
+	}, nil); err != nil {
 		return time.Time{}, false, err
 	}
 	best := time.Time{}

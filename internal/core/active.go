@@ -83,27 +83,12 @@ type ActiveConfig struct {
 	// MaxInterpErrorKm bounds the interpolation position error when
 	// ExactEphemeris is false (0 = orbit.DefaultMaxInterpErrorKm).
 	MaxInterpErrorKm float64
-	// Progress observes the campaign's phases ("ephemeris" as the shared
-	// grid samples, "plan" as per-satellite schedules build, then
-	// "simulate" per elapsed campaign day); nil observes nothing. It
-	// never influences results and is excluded from serialization.
-	Progress ProgressFunc `json:"-"`
-	// Checkpoint receives each completed "plan" unit (one satellite's
-	// beacon/wake/drain schedule) for durable snapshotting; Resume
-	// restores such a snapshot, skipping the pass and downlink-window
-	// searches it covers. The ephemeris grid and the serial event-driven
-	// "simulate" phase always rebuild — their state is not a pure
-	// per-unit value. Both fields are observe-only, excluded from
-	// serialization and config keys; a resumed run is byte-identical to
-	// an uninterrupted one (see core.Checkpoint).
-	Checkpoint CheckpointFunc `json:"-"`
-	Resume     *Checkpoint    `json:"-"`
-	// Shard restricts the "plan" fan-out to a window of its per-satellite
-	// units and returns right after that phase — the serial "simulate"
-	// phase never runs; only the merge node, resuming from every shard's
-	// folded plan units, simulates (see core.ShardWindow). A shard
-	// parameterizes the run, so derived content keys must include it.
-	Shard *ShardWindow `json:"-"`
+	// RunContext observes the "ephemeris", "plan" and "simulate" phases
+	// (the last per elapsed campaign day). "plan" — one unit per
+	// satellite: its beacon/wake/drain schedule — is the phase that
+	// checkpoints and shards; a shard run returns before "simulate",
+	// which only the merge node runs from every shard's folded plans.
+	RunContext `json:"-"`
 }
 
 func (c *ActiveConfig) setDefaults() {
@@ -394,16 +379,9 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		Exact:            cfg.ExactEphemeris,
 		MaxInterpErrorKm: cfg.MaxInterpErrorKm,
 	})
-	if err := sim.ForEachPhaseCtx(ctx, "ephemeris", len(props), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		grid.Propagate(i)
-		return nil
-	}, cfg.Progress.phase("ephemeris")); err != nil {
+	if err := propagate(ctx, cfg.Progress, grid); err != nil {
 		return nil, err
 	}
-	grid.Finish()
 
 	// The plan phase's units are pure serializable schedules, so they
 	// checkpoint: a resumed campaign restores completed satellites'
@@ -411,7 +389,7 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	// fault schedules rebuild serially below — both are cheap and
 	// deterministic (named RNG streams), only the searches are expensive.
 	plans := make([]satPlan, len(props))
-	if err := forEachCheckpointed(ctx, "plan", plans, cfg.Shard, cfg.Resume, cfg.Checkpoint, cfg.Progress, func(i int) (satPlan, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "plan", plans, func(i int) (satPlan, error) {
 		if err := ctx.Err(); err != nil {
 			return satPlan{}, err
 		}

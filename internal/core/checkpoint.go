@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/sinet-io/sinet/internal/sim"
 	"github.com/sinet-io/sinet/internal/tracing"
@@ -16,8 +15,8 @@ import (
 // neither computed nor restored — their output slots stay zero — and the
 // campaign returns right after the sharded phase instead of assembling a
 // full result. A shard run therefore only produces unit snapshots (via
-// the config's CheckpointFunc); folding every shard's snapshots into one
-// Checkpoint and re-running the campaign with it as Resume reassembles
+// the RunContext's CheckpointFunc); folding every shard's snapshots into
+// one Checkpoint and re-running the campaign with it as Resume reassembles
 // the exact bytes an unsharded run would have produced, because restored
 // units are byte-exact by the resume contract above. This is the
 // primitive the serving cluster's deterministic campaign splitting is
@@ -61,7 +60,7 @@ func (w *ShardWindow) contains(i int) bool {
 //
 // Only phases whose units are pure serializable values checkpoint:
 // "contacts" (passive), "plan" (active), "latitudes" (coverage),
-// "packets" (routing) and the service's "satellites" (backhaul). Shared
+// "packets" (routing) and "satellites" (backhaul). Shared
 // setup phases ("ephemeris", "topology") rebuild from the config on
 // resume — their outputs are large in-memory structures that every
 // resumed unit reads anyway.
@@ -142,24 +141,19 @@ func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
 }
 
 // forEachCheckpointed fans one checkpointable phase across the worker
-// pool: out's length is the unit count, fn(i) computes unit i. Units
-// present in resume are restored by JSON decode instead of recomputed;
-// newly computed units are serialized and handed to save. Progress spans
-// the whole phase (restored units count as already complete), preserving
-// the strictly-increasing contract. A non-nil shard narrows the phase to
-// its window: only in-window units restore or compute (save still
-// reports the full phase size, so shard snapshots fold directly into a
-// full-phase resume point), and progress totals cover the window.
-//
-// When ctx carries a tracer the phase is additionally recorded as a
-// "phase:<name>" span annotated with restored/computed unit counts (and
-// the shard window, when sharded) — richer than the plain span
-// sim.ForEachPhaseCtx would emit, so this wrapper records the span
-// itself and leaves the inner fan-out histogram-only. The clock is only
-// read when a tracer is present, and the span is recorded after the
-// fan-out completes: tracing never parameterizes the run.
-func forEachCheckpointed[T any](ctx context.Context, phase string, out []T, shard *ShardWindow, resume *Checkpoint, save CheckpointFunc, progress ProgressFunc, fn func(i int) (T, error)) error {
+// pool under the phase instrument (sim.Phase): out's length is the unit
+// count, fn(i) computes unit i. Units present in rc.Resume are restored by
+// JSON decode instead of recomputed; newly computed units are serialized
+// and handed to rc.Checkpoint. Progress spans the whole phase (restored
+// units count as already complete), preserving the strictly-increasing
+// contract. A non-nil rc.Shard narrows the phase to its window: only
+// in-window units restore or compute (saves still report the full phase
+// size, so shard snapshots fold directly into a full-phase resume point),
+// and progress totals cover the window. The phase span is annotated with
+// the restored/computed unit counts and, when sharded, the window.
+func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, fn func(i int) (T, error)) error {
 	n := len(out)
+	shard, progress, save := rc.Shard, rc.Progress, rc.Checkpoint
 	if err := shard.validate(n); err != nil {
 		return err
 	}
@@ -169,7 +163,7 @@ func forEachCheckpointed[T any](ctx context.Context, phase string, out []T, shar
 	}
 	restored := make([]bool, n)
 	nRestored := 0
-	if ps := resume.snapshot(phase, n); ps != nil {
+	if ps := rc.Resume.snapshot(phase, n); ps != nil {
 		for idx, raw := range ps.Units {
 			if idx < 0 || idx >= n || !shard.contains(idx) {
 				continue
@@ -196,48 +190,31 @@ func forEachCheckpointed[T any](ctx context.Context, phase string, out []T, shar
 	if progress != nil {
 		onDone = func(completed, total int) { progress(phase, nRestored+completed, span) }
 	}
+	attrs := []tracing.Attr{
+		tracing.Int("units", span),
+		tracing.Int("restored", nRestored),
+		tracing.Int("computed", len(pending)),
+	}
+	if shard != nil {
+		attrs = append(attrs, tracing.Int("shard_lo", shard.Lo), tracing.Int("shard_hi", shard.Hi))
+	}
 	var mu sync.Mutex
-	tr, parent := tracing.FromContext(ctx)
-	var start time.Time
-	if tr != nil {
-		start = time.Now()
-	}
-	err := sim.ForEachPhase(phase, len(pending), func(k int) error {
-		i := pending[k]
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		if save != nil {
-			if raw, err := json.Marshal(v); err == nil {
-				mu.Lock()
-				save(phase, i, n, raw)
-				mu.Unlock()
+	return sim.Phase(ctx, phase, func() error {
+		return sim.ForEach(len(pending), func(k int) error {
+			i := pending[k]
+			v, err := fn(i)
+			if err != nil {
+				return err
 			}
-		}
-		return nil
-	}, onDone)
-	if tr != nil {
-		attrs := []tracing.Attr{
-			tracing.Int("units", span),
-			tracing.Int("restored", nRestored),
-			tracing.Int("computed", len(pending)),
-		}
-		if shard != nil {
-			attrs = append(attrs, tracing.Int("shard_lo", shard.Lo), tracing.Int("shard_hi", shard.Hi))
-		}
-		if err != nil {
-			attrs = append(attrs, tracing.String("error", err.Error()))
-		}
-		tr.Record(parent, "phase:"+phase, start, time.Now(), attrs...)
-	}
-	return err
-}
-
-// ForEachCheckpointed is the exported fan-out for callers outside core
-// (the service's backhaul campaign) that thread checkpointing through
-// their own phases with the same restore/compute/save/shard contract.
-func ForEachCheckpointed[T any](ctx context.Context, phase string, out []T, shard *ShardWindow, resume *Checkpoint, save CheckpointFunc, progress ProgressFunc, fn func(i int) (T, error)) error {
-	return forEachCheckpointed(ctx, phase, out, shard, resume, save, progress, fn)
+			out[i] = v
+			if save != nil {
+				if raw, err := json.Marshal(v); err == nil {
+					mu.Lock()
+					save(phase, i, n, raw)
+					mu.Unlock()
+				}
+			}
+			return nil
+		}, onDone)
+	}, attrs...)
 }

@@ -201,13 +201,13 @@ func TestCoverageResumeByteIdentical(t *testing.T) {
 	want := mustJSON(t, baseline)
 
 	cp, save := captureCheckpoint()
-	if _, err := RevisitAnalysisOpts(context.Background(), cons, lats, campaignStart, 1, CoverageOptions{Checkpoint: save}); err != nil {
+	if _, err := RevisitAnalysisCtx(context.Background(), cons, lats, campaignStart, 1, RunContext{Checkpoint: save}); err != nil {
 		t.Fatal(err)
 	}
 	if got := cp.Len(); got != len(lats) {
 		t.Fatalf("checkpointed %d units, want %d", got, len(lats))
 	}
-	res, err := RevisitAnalysisOpts(context.Background(), cons, lats, campaignStart, 1, CoverageOptions{Resume: partial(cp)})
+	res, err := RevisitAnalysisCtx(context.Background(), cons, lats, campaignStart, 1, RunContext{Resume: partial(cp)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestCheckpointStaleSnapshotIgnored(t *testing.T) {
 	// A bogus unit recorded against a 2-unit phase must not restore into
 	// the 3-latitude run.
 	stale.Add("latitudes", 0, 2, []byte(`{"LatitudeDeg":-999}`))
-	res, err := RevisitAnalysisOpts(context.Background(), cons, lats, campaignStart, 1, CoverageOptions{Resume: stale})
+	res, err := RevisitAnalysisCtx(context.Background(), cons, lats, campaignStart, 1, RunContext{Resume: stale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestCheckpointCorruptUnitRecomputed(t *testing.T) {
 	}
 	cp := NewCheckpoint()
 	cp.Add("latitudes", 0, len(lats), []byte(`{"LatitudeDeg": not json`))
-	res, err := RevisitAnalysisOpts(context.Background(), cons, lats, campaignStart, 1, CoverageOptions{Resume: cp})
+	res, err := RevisitAnalysisCtx(context.Background(), cons, lats, campaignStart, 1, RunContext{Resume: cp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestCheckpointProgressSpansWholePhase(t *testing.T) {
 	cons := constellation.Tianqi(campaignStart)
 	lats := []float64{-25, 0, 25, 50}
 	cp, save := captureCheckpoint()
-	if _, err := RevisitAnalysisOpts(context.Background(), cons, lats, campaignStart, 1, CoverageOptions{Checkpoint: save}); err != nil {
+	if _, err := RevisitAnalysisCtx(context.Background(), cons, lats, campaignStart, 1, RunContext{Checkpoint: save}); err != nil {
 		t.Fatal(err)
 	}
 	half := partial(cp)
@@ -285,7 +285,7 @@ func TestCheckpointProgressSpansWholePhase(t *testing.T) {
 		}
 		reports = append(reports, completed)
 	}
-	if _, err := RevisitAnalysisOpts(context.Background(), cons, lats, campaignStart, 1, CoverageOptions{Progress: progress, Resume: half}); err != nil {
+	if _, err := RevisitAnalysisCtx(context.Background(), cons, lats, campaignStart, 1, RunContext{Progress: progress, Resume: half}); err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) == 0 || reports[0] != restored {

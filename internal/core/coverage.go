@@ -7,7 +7,6 @@ import (
 
 	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/orbit"
-	"github.com/sinet-io/sinet/internal/sim"
 )
 
 // RevisitStats answers the §3.1 question "can a constellation offer IoT
@@ -35,37 +34,18 @@ func (r RevisitStats) String() string {
 // the given number of days. It is purely geometric — the optimistic bound
 // that §3.1 then shows collapsing once real link budgets apply.
 func RevisitAnalysis(cons constellation.Constellation, latitudesDeg []float64, start time.Time, days int) ([]RevisitStats, error) {
-	return RevisitAnalysisCtx(context.Background(), cons, latitudesDeg, start, days, nil)
+	return RevisitAnalysisCtx(context.Background(), cons, latitudesDeg, start, days, RunContext{})
 }
 
 // RevisitAnalysisCtx is RevisitAnalysis with cooperative cancellation (the
 // context is checked per satellite while ephemerides build and per latitude
-// while gaps compute) and optional progress reporting over the "ephemeris"
-// and "latitudes" phases.
-func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, latitudesDeg []float64, start time.Time, days int, progress ProgressFunc) ([]RevisitStats, error) {
-	return RevisitAnalysisOpts(ctx, cons, latitudesDeg, start, days, CoverageOptions{Progress: progress})
-}
-
-// CoverageOptions carries the observe-only execution hooks of a revisit
-// analysis: progress reporting plus checkpoint capture/resume for the
-// "latitudes" phase (each RevisitStats is a pure serializable value).
-// The shared ephemeris grid always rebuilds on resume.
-type CoverageOptions struct {
-	Progress   ProgressFunc
-	Checkpoint CheckpointFunc
-	Resume     *Checkpoint
-	// Shard restricts the "latitudes" fan-out to a window of its units;
-	// out-of-window slots stay zero and the returned slice is a shard
-	// fragment (see core.ShardWindow). A shard parameterizes the run, so
-	// derived content keys must include it.
-	Shard *ShardWindow
-}
-
-// RevisitAnalysisOpts is RevisitAnalysisCtx with checkpoint/resume
-// threading; a resumed analysis restores completed latitudes and is
-// byte-identical to an uninterrupted one.
-func RevisitAnalysisOpts(ctx context.Context, cons constellation.Constellation, latitudesDeg []float64, start time.Time, days int, opts CoverageOptions) ([]RevisitStats, error) {
-	progress := opts.Progress
+// while gaps compute) and the RunContext hooks: progress over the
+// "ephemeris" and "latitudes" phases, and checkpoint, resume and shard
+// over "latitudes", whose units (one RevisitStats each) are pure
+// serializable values. A resumed analysis restores completed latitudes and
+// is byte-identical to an uninterrupted one; a shard run leaves
+// out-of-window slots zero and returns a shard fragment.
+func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, latitudesDeg []float64, start time.Time, days int, rc RunContext) ([]RevisitStats, error) {
 	props, err := cons.Propagators()
 	if err != nil {
 		return nil, err
@@ -74,22 +54,14 @@ func RevisitAnalysisOpts(ctx context.Context, cons constellation.Constellation, 
 
 	// Sample the whole constellation once into a shared struct-of-arrays
 	// grid; every latitude's pass search then reads the grid instead of
-	// re-propagating. Workers each fill their own row index, so the
-	// fan-out never races.
+	// re-propagating.
 	grid := orbit.NewEphemerisGrid(props, start, end, orbit.EphemerisConfig{ScanStep: time.Minute})
-	if err := sim.ForEachPhaseCtx(ctx, "ephemeris", grid.Sats(), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		grid.Propagate(i)
-		return nil
-	}, progress.phase("ephemeris")); err != nil {
+	if err := propagate(ctx, rc.Progress, grid); err != nil {
 		return nil, err
 	}
-	grid.Finish()
 
 	out := make([]RevisitStats, len(latitudesDeg))
-	if err := forEachCheckpointed(ctx, "latitudes", out, opts.Shard, opts.Resume, opts.Checkpoint, progress, func(li int) (RevisitStats, error) {
+	if err := forEachCheckpointed(ctx, rc, "latitudes", out, func(li int) (RevisitStats, error) {
 		if err := ctx.Err(); err != nil {
 			return RevisitStats{}, err
 		}

@@ -64,24 +64,10 @@ type PassiveConfig struct {
 	// available infrastructure and reproduces pre-fault results
 	// byte-identically.
 	Faults *fault.Config
-	// Progress observes the campaign's phases ("ephemeris", then
-	// "contacts") as their fan-outs complete; nil observes nothing. It
-	// never influences results and is excluded from serialization.
-	Progress ProgressFunc `json:"-"`
-	// Checkpoint receives each completed "contacts" unit for durable
-	// snapshotting; Resume restores such a snapshot, skipping the units
-	// it holds. Both observe-only fields are excluded from serialization
-	// and config keys, and a resumed run is byte-identical to an
-	// uninterrupted one (see core.Checkpoint).
-	Checkpoint CheckpointFunc `json:"-"`
-	Resume     *Checkpoint    `json:"-"`
-	// Shard restricts the "contacts" fan-out to a window of its
-	// (site × constellation) units and returns right after that phase
-	// with only the windowed units filled — the result is a shard
-	// fragment, not a full campaign (see core.ShardWindow). Unlike the
-	// observe-only fields above, a shard DOES parameterize the run, so
-	// callers must fold shard identity into any derived content key.
-	Shard *ShardWindow `json:"-"`
+	// RunContext observes the "ephemeris" and "contacts" phases;
+	// "contacts" — one unit per (site × constellation) pair — is the
+	// phase that checkpoints and shards.
+	RunContext `json:"-"`
 }
 
 func (c *PassiveConfig) setDefaults() {
@@ -254,6 +240,7 @@ func RunPassiveCtx(ctx context.Context, cfg PassiveConfig) (*PassiveResult, erro
 		MaxInterpErrorKm: cfg.MaxInterpErrorKm,
 	}
 	consCtxs := make([]consCtx, len(cfg.Constellations))
+	grids := make([]*orbit.EphemerisGrid, len(cfg.Constellations))
 	for ci, cons := range cfg.Constellations {
 		props, err := cons.Propagators()
 		if err != nil {
@@ -265,30 +252,10 @@ func RunPassiveCtx(ctx context.Context, cfg PassiveConfig) (*PassiveResult, erro
 			gateways[p.Elements().NoradID] = satellite.NewGateway(grid.Sat(i), cons.BeaconInterval, 0)
 		}
 		consCtxs[ci] = consCtx{cons: cons, props: props, grid: grid, gateways: gateways}
+		grids[ci] = grid
 	}
-	type satRef struct{ ci, si int }
-	nSats := 0
-	for ci := range consCtxs {
-		nSats += len(consCtxs[ci].props)
-	}
-	sats := make([]satRef, 0, nSats)
-	for ci := range consCtxs {
-		for si := range consCtxs[ci].props {
-			sats = append(sats, satRef{ci, si})
-		}
-	}
-	if err := sim.ForEachPhaseCtx(ctx, "ephemeris", len(sats), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ref := sats[i]
-		consCtxs[ref.ci].grid.Propagate(ref.si)
-		return nil
-	}, cfg.Progress.phase("ephemeris")); err != nil {
+	if err := propagate(ctx, cfg.Progress, grids...); err != nil {
 		return nil, err
-	}
-	for ci := range consCtxs {
-		consCtxs[ci].grid.Finish()
 	}
 
 	// Fan the (site × constellation) pairs across workers.
@@ -303,7 +270,7 @@ func RunPassiveCtx(ctx context.Context, cfg PassiveConfig) (*PassiveResult, erro
 		}
 	}
 	units := make([]passiveUnit, len(pairs))
-	if err := forEachCheckpointed(ctx, "contacts", units, cfg.Shard, cfg.Resume, cfg.Checkpoint, cfg.Progress, func(i int) (passiveUnit, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "contacts", units, func(i int) (passiveUnit, error) {
 		p := pairs[i]
 		return runPassiveSiteConstellation(ctx, cfg, p.s.site, p.s.stations, p.c, p.s.weather, p.s.start, end, p.s.outages)
 	}); err != nil {

@@ -9,9 +9,7 @@ import (
 	"github.com/sinet-io/sinet/internal/fault"
 	"github.com/sinet-io/sinet/internal/netgraph"
 	"github.com/sinet-io/sinet/internal/orbit"
-	"github.com/sinet-io/sinet/internal/sim"
 	"github.com/sinet-io/sinet/internal/stats"
-	"github.com/sinet-io/sinet/internal/tracing"
 )
 
 // Delivery policies of the routing campaign.
@@ -60,23 +58,11 @@ type RoutingConfig struct {
 	// Faults injects drain-station churn (DrainMTBF/MTTR) and ISL link
 	// churn (LinkMTBF/MTTR); nil simulates perfect infrastructure.
 	Faults *fault.Config
-	// Progress observes the campaign's phases ("ephemeris", "topology",
-	// "packets"); nil observes nothing. Excluded from serialization.
-	Progress ProgressFunc `json:"-"`
-	// Checkpoint receives each completed "packets" unit (one satellite's
-	// routed packets) for durable snapshotting; Resume restores such a
-	// snapshot. Both are observe-only, excluded from serialization and
-	// config keys; a resumed run is byte-identical to an uninterrupted
-	// one (see core.Checkpoint). The "ephemeris" and "topology" phases
-	// rebuild on resume — their outputs are the shared in-memory
-	// structures every packet unit reads.
-	Checkpoint CheckpointFunc `json:"-"`
-	Resume     *Checkpoint    `json:"-"`
-	// Shard restricts the "packets" fan-out to a window of its
-	// per-satellite units and returns right after that phase with the
-	// delivery summaries left empty (see core.ShardWindow). A shard
-	// parameterizes the run, so derived content keys must include it.
-	Shard *ShardWindow `json:"-"`
+	// RunContext observes the "ephemeris", "topology" and "packets"
+	// phases. "packets" — one unit per satellite: its routed packets — is
+	// the phase that checkpoints and shards; a shard run leaves the
+	// delivery summaries empty.
+	RunContext `json:"-"`
 }
 
 func (c *RoutingConfig) setDefaults() {
@@ -195,7 +181,6 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	if err != nil {
 		return nil, err
 	}
-	progress := cfg.Progress
 	segment := backhaul.TianqiGroundSegment()
 	end := cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 	horizon := end.Add(graceAfterEnd)
@@ -257,34 +242,17 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	}
 
 	// Phase 1: propagate the shared ephemeris rows.
-	if err := sim.ForEachPhaseCtx(ctx, "ephemeris", len(props), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		grid.Propagate(i)
-		return nil
-	}, progress.phase("ephemeris")); err != nil {
+	if err := propagate(ctx, cfg.Progress, grid); err != nil {
 		return nil, err
 	}
-	grid.Finish()
 
 	// Phase 2: build the topology snapshots (parallel when the ephemeris
-	// is pure-read; see netgraph.Graph.ParallelBuildSafe). netgraph has no
-	// context plumbing, so the span is recorded here rather than inside.
+	// is pure-read; see netgraph.Graph.ParallelBuildSafe).
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tr, parentSC := tracing.FromContext(ctx)
-	var topoStart time.Time
-	if tr != nil {
-		topoStart = time.Now()
-	}
-	if err := graph.BuildAll(progress.phase("topology")); err != nil {
+	if err := graph.BuildAll(ctx, cfg.Progress.phase("topology")); err != nil {
 		return nil, err
-	}
-	if tr != nil {
-		tr.Record(parentSC, "phase:topology", topoStart, time.Now(),
-			tracing.Int("snapshots", graph.Snapshots()))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -311,7 +279,7 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	wantRelay := cfg.Policy == PolicyRelay || cfg.Policy == PolicyCompare
 	perSat := make([][]RoutedPacket, len(props))
 	nSats := len(props)
-	if err := forEachCheckpointed(ctx, "packets", perSat, cfg.Shard, cfg.Resume, cfg.Checkpoint, progress, func(i int) ([]RoutedPacket, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "packets", perSat, func(i int) ([]RoutedPacket, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -8,8 +8,31 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/fault"
+	"github.com/sinet-io/sinet/internal/obs"
+	"github.com/sinet-io/sinet/internal/sim"
 )
+
+// TestRoutingExactModeRecordsTopologyPhase runs a routing campaign on
+// exact ephemerides, whose topology snapshots build serially, under the
+// sim instruments: the serial build must record its topology phase like
+// the parallel one does, exactly once.
+func TestRoutingExactModeRecordsTopologyPhase(t *testing.T) {
+	r := obs.New()
+	sim.SetMetrics(r)
+	defer sim.SetMetrics(nil)
+	phase := r.HistogramVec("sinet_sim_phase_seconds", "", "phase", obs.DurationBuckets)
+	pico := constellation.PICO(campaignStart)
+	if _, err := RunRouting(RoutingConfig{Seed: 1, Days: 1, Constellation: &pico, ExactEphemeris: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"ephemeris", "topology", "packets"} {
+		if got := phase.With(name).Count(); got != 1 {
+			t.Errorf("%s phase samples = %d, want 1", name, got)
+		}
+	}
+}
 
 func TestRoutingParallelBitIdenticalToSerial(t *testing.T) {
 	cfg := RoutingConfig{Seed: 42, Start: time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC), Days: 1}

@@ -16,6 +16,7 @@
 package netgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -23,6 +24,7 @@ import (
 
 	"github.com/sinet-io/sinet/internal/orbit"
 	"github.com/sinet-io/sinet/internal/sim"
+	"github.com/sinet-io/sinet/internal/tracing"
 )
 
 // SpeedOfLightKmPerSec is c in the units the delay weights use.
@@ -234,27 +236,29 @@ func (g *Graph) ParallelBuildSafe() bool {
 	return !g.grid.Sat(0).Exact() && g.grid.ExactRows() == 0
 }
 
-// BuildAll fills every snapshot, fanning out across workers when the
-// ephemeris allows it (see ParallelBuildSafe) and building serially
-// otherwise. Each snapshot writes only its own slot and reads only shared
-// immutable samples, so the parallel build is bit-identical to the serial
-// one. onDone (may be nil) observes completion counts, serialized and
-// strictly increasing.
-func (g *Graph) BuildAll(onDone func(completed, total int)) error {
+// BuildAll fills every snapshot as the "topology" phase (see sim.Phase),
+// fanning out across workers when the ephemeris allows it (see
+// ParallelBuildSafe) and building serially otherwise. Each snapshot
+// writes only its own slot and reads only shared immutable samples, so
+// the parallel build is bit-identical to the serial one. onDone (may be
+// nil) observes completion counts, serialized and strictly increasing.
+func (g *Graph) BuildAll(ctx context.Context, onDone func(completed, total int)) error {
 	n := len(g.snaps)
-	if g.ParallelBuildSafe() {
-		return sim.ForEachPhase("topology", n, func(k int) error {
-			g.Build(k)
-			return nil
-		}, onDone)
-	}
-	for k := 0; k < n; k++ {
-		g.Build(k)
-		if onDone != nil {
-			onDone(k+1, n)
+	return sim.Phase(ctx, "topology", func() error {
+		if g.ParallelBuildSafe() {
+			return sim.ForEach(n, func(k int) error {
+				g.Build(k)
+				return nil
+			}, onDone)
 		}
-	}
-	return nil
+		for k := 0; k < n; k++ {
+			g.Build(k)
+			if onDone != nil {
+				onDone(k+1, n)
+			}
+		}
+		return nil
+	}, tracing.Int("snapshots", n))
 }
 
 // Build fills snapshot k: evaluates every candidate ISL and every

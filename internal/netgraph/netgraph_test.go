@@ -1,6 +1,7 @@
 package netgraph
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -38,7 +39,7 @@ func buildTestGraph(t *testing.T, sats int, span time.Duration, cfg Config) *Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.BuildAll(nil); err != nil {
+	if err := g.BuildAll(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return g
@@ -209,7 +210,7 @@ func TestParallelBuildBitIdenticalToSerial(t *testing.T) {
 		if !g.ParallelBuildSafe() {
 			t.Fatal("interpolated grid should allow parallel builds")
 		}
-		if err := g.BuildAll(nil); err != nil {
+		if err := g.BuildAll(context.Background(), nil); err != nil {
 			t.Fatal(err)
 		}
 		return g

@@ -51,8 +51,8 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 	for _, state := range []State{StateDone, StateFailed, StateCanceled} {
 		m.finished.With(string(state))
 	}
-	for _, kind := range supportedKinds {
-		m.campaign.With(kind)
+	for _, k := range kinds {
+		m.campaign.With(k.name)
 	}
 
 	r.GaugeFunc("sinet_jobs_queued", "Jobs waiting for a worker.", func() float64 {

@@ -31,16 +31,13 @@ var (
 	ErrQueueFull = errors.New("service: job queue full")
 )
 
-// RunContext carries the observe-only execution hooks of one job attempt:
-// progress reporting, checkpoint capture (each completed work unit is
-// appended to the job journal) and the resume point restored from an
-// earlier attempt or an earlier process. The zero value runs the campaign
-// plain; none of the hooks parameterize results.
-type RunContext struct {
-	Progress   core.ProgressFunc
-	Checkpoint core.CheckpointFunc
-	Resume     *core.Checkpoint
-}
+// RunContext carries the execution hooks of one job attempt: progress
+// reporting, checkpoint capture (each completed work unit is appended to
+// the job journal) and the resume point restored from an earlier attempt
+// or an earlier process. It is the campaigns' own core.RunContext; Run
+// sets its Shard from the spec. The zero value runs the campaign plain;
+// none of the hooks parameterize results.
+type RunContext = core.RunContext
 
 // RunnerFunc executes a normalized spec. The default is Run; tests inject
 // controllable fakes to exercise queueing, cancellation, retry and
@@ -51,7 +48,7 @@ type RunnerFunc func(ctx context.Context, spec *JobSpec, rc RunContext) (any, er
 type Config struct {
 	// Workers is the simulation worker-pool size (default GOMAXPROCS).
 	// Each worker runs one campaign at a time; the campaign itself fans
-	// out internally via sim.ForEach.
+	// out internally on the sim.ForEach worker pool.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker
 	// (default 64). A full queue rejects submissions with ErrQueueFull.
@@ -565,8 +562,7 @@ func (s *Server) execute(j *Job) {
 	}
 	// Trace the attempt: a retrospective queue.wait span covering queue
 	// entry to this pickup, then a live "attempt" span injected into ctx
-	// so campaign phases (sim.ForEachPhaseCtx, core checkpointed fan-outs)
-	// nest under it.
+	// so campaign phases (recorded by sim.Phase) nest under it.
 	if s.tracer != nil {
 		if sc := j.TraceContext(); sc.Valid() {
 			s.tracer.Record(sc, "queue.wait", j.enqueuedAt(), time.Now(),

@@ -566,9 +566,9 @@ func TestUnknownKindResponseEnumeratesKinds(t *testing.T) {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
 	}
 	body, _ := io.ReadAll(resp.Body)
-	for _, kind := range supportedKinds {
-		if !bytes.Contains(body, []byte(kind)) {
-			t.Errorf("400 body %q does not list kind %q", body, kind)
+	for _, k := range kinds {
+		if !bytes.Contains(body, []byte(k.name)) {
+			t.Errorf("400 body %q does not list kind %q", body, k.name)
 		}
 	}
 

@@ -34,35 +34,14 @@ type ShardResult struct {
 	Units *core.Checkpoint `json:"units"`
 }
 
-// shardUnitCount reports how many units the spec's checkpointable phase
-// fans out — the quantity shard windows partition. The spec must be
-// normalized.
-func shardUnitCount(s *JobSpec) (int, error) {
-	switch s.Kind {
-	case KindPassive:
-		return len(s.Passive.Sites) * len(s.Passive.Constellations), nil
-	case KindActive:
-		cons, err := constellationByName(s.Active.Constellation, s.Active.Start)
-		if err != nil {
-			return 0, err
-		}
-		return len(cons.Sats), nil
-	case KindCoverage:
-		return len(s.Coverage.LatitudesDeg), nil
-	case KindBackhaul:
-		cons, err := constellationByName(s.Backhaul.Constellation, s.Backhaul.Start)
-		if err != nil {
-			return 0, err
-		}
-		return len(cons.Sats), nil
-	case KindRouting:
-		cons, err := constellationByName(s.Routing.Constellation, s.Routing.Start)
-		if err != nil {
-			return 0, err
-		}
-		return len(cons.Sats), nil
+// units reports how many units the spec's checkpointable phase fans out —
+// the quantity shard windows partition. The spec must be normalized.
+func (s *JobSpec) units() (int, error) {
+	k, err := s.kindOf()
+	if err != nil {
+		return 0, err
 	}
-	return 0, specErr("unknown kind %q", s.Kind)
+	return k.section(s, false).units()
 }
 
 // shardWindow is the contiguous unit range [lo, hi) shard i of n covers
@@ -84,7 +63,7 @@ func (s *JobSpec) validateShard() error {
 	if sh.Index < 0 || sh.Index >= sh.Count {
 		return specErr("shard index %d out of [0, %d)", sh.Index, sh.Count)
 	}
-	u, err := shardUnitCount(s)
+	u, err := s.units()
 	if err != nil {
 		return err
 	}
@@ -102,7 +81,7 @@ func ShardCount(spec *JobSpec, threshold, maxShards int) int {
 	if threshold <= 0 || maxShards < 2 || spec.Shard != nil {
 		return 0
 	}
-	u, err := shardUnitCount(spec)
+	u, err := spec.units()
 	if err != nil || u <= threshold {
 		return 0
 	}
@@ -169,18 +148,18 @@ func FoldShards(blobs [][]byte) (*core.Checkpoint, error) {
 	return cp, nil
 }
 
-// runShard executes a shard sub-spec: the parent campaign restricted to
-// the shard's unit window, with every in-window unit captured into the
-// returned ShardResult. Units already present in rc.Resume (a worker
-// crash mid-shard replays its journal like any other job) seed the
-// result and are restored, not recomputed; rc.Checkpoint still observes
-// newly computed units so the shard journals durably.
-func runShard(ctx context.Context, spec *JobSpec, rc RunContext) (*ShardResult, error) {
-	u, err := shardUnitCount(spec)
+// runShard executes a shard sub-spec: the parent campaign's section
+// restricted to the shard's unit window, with every in-window unit
+// captured into the returned ShardResult. Units already present in
+// rc.Resume (a worker crash mid-shard replays its journal like any other
+// job) seed the result and are restored, not recomputed; rc.Checkpoint
+// still observes newly computed units so the shard journals durably.
+func runShard(ctx context.Context, sh *ShardSpec, sec section, rc RunContext) (*ShardResult, error) {
+	u, err := sec.units()
 	if err != nil {
 		return nil, err
 	}
-	lo, hi := shardWindow(u, spec.Shard.Index, spec.Shard.Count)
+	lo, hi := shardWindow(u, sh.Index, sh.Count)
 	cp := core.NewCheckpoint()
 	if rc.Resume != nil {
 		// Restored units never re-enter the CheckpointFunc, so carry the
@@ -201,8 +180,9 @@ func runShard(ctx context.Context, spec *JobSpec, rc RunContext) (*ShardResult, 
 			rc.Checkpoint(phase, index, total, unit)
 		}
 	}
-	if _, err := runKind(ctx, spec, inner, &core.ShardWindow{Lo: lo, Hi: hi}); err != nil {
+	inner.Shard = &core.ShardWindow{Lo: lo, Hi: hi}
+	if _, err := sec.run(ctx, inner); err != nil {
 		return nil, err
 	}
-	return &ShardResult{Index: spec.Shard.Index, Count: spec.Shard.Count, Units: cp}, nil
+	return &ShardResult{Index: sh.Index, Count: sh.Count, Units: cp}, nil
 }

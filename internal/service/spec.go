@@ -11,11 +11,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"github.com/sinet-io/sinet/internal/backhaul"
 	"github.com/sinet-io/sinet/internal/channel"
 	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/core"
@@ -23,7 +21,6 @@ import (
 	"github.com/sinet-io/sinet/internal/groundstation"
 	"github.com/sinet-io/sinet/internal/netgraph"
 	"github.com/sinet-io/sinet/internal/orbit"
-	"github.com/sinet-io/sinet/internal/sim"
 )
 
 // ErrBadSpec is the sentinel wrapped by every spec validation failure, so
@@ -43,9 +40,70 @@ const (
 	KindRouting  = "routing"
 )
 
-// supportedKinds is the one list every kind-related error enumerates, so a
-// newly added kind cannot be served but missing from the 400 message.
-var supportedKinds = []string{KindPassive, KindActive, KindCoverage, KindBackhaul, KindRouting}
+// section is one job kind's parameter section of a JobSpec. The kind's
+// whole serving behaviour lives on it: how it normalizes, how many units
+// its checkpointable phase fans out (the quantity shard windows
+// partition), and how it runs. units and run require a normalized spec.
+type section interface {
+	normalize() error
+	units() (int, error)
+	run(ctx context.Context, rc core.RunContext) (any, error)
+}
+
+// kind is one entry of the job-kind registry.
+type kind struct {
+	name string
+	// section returns the spec's parameter section for this kind, nil when
+	// unset; with alloc, an unset section is first set to its zero value.
+	section func(s *JobSpec, alloc bool) section
+}
+
+// kinds is the job-kind registry, the one place a kind is wired into the
+// serving layer: Normalize, Run, shard unit counting, every kind-related
+// 400 message and the campaign-duration metric all read it. Adding a kind
+// is one core campaign, one JobSpec section and one entry here.
+var kinds = []kind{
+	{KindPassive, sectionOf(func(s *JobSpec) **PassiveSpec { return &s.Passive })},
+	{KindActive, sectionOf(func(s *JobSpec) **ActiveSpec { return &s.Active })},
+	{KindCoverage, sectionOf(func(s *JobSpec) **CoverageSpec { return &s.Coverage })},
+	{KindBackhaul, sectionOf(func(s *JobSpec) **BackhaulSpec { return &s.Backhaul })},
+	{KindRouting, sectionOf(func(s *JobSpec) **RoutingSpec { return &s.Routing })},
+}
+
+// sectionOf builds a registry section accessor from the JobSpec field that
+// holds the kind's section.
+func sectionOf[T any, P interface {
+	*T
+	section
+}](field func(*JobSpec) *P) func(*JobSpec, bool) section {
+	return func(s *JobSpec, alloc bool) section {
+		p := field(s)
+		if *p == nil && alloc {
+			*p = new(T)
+		}
+		if *p == nil {
+			return nil
+		}
+		return *p
+	}
+}
+
+// kindOf looks the spec's kind up in the registry.
+func (s *JobSpec) kindOf() (kind, error) {
+	for _, k := range kinds {
+		if k.name == s.Kind {
+			return k, nil
+		}
+	}
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	if s.Kind == "" {
+		return kind{}, specErr("kind is required (%s)", strings.Join(names, ", "))
+	}
+	return kind{}, specErr("unknown kind %q (%s)", s.Kind, strings.Join(names, ", "))
+}
 
 // Serving-side admission bounds: a daemon serving many clients must bound
 // the work one request can demand. These are generous for every workload
@@ -213,25 +271,6 @@ type BackhaulSpec struct {
 	MinDrainGap   Duration  `json:"min_drain_gap,omitempty"`
 }
 
-// BackhaulResult is a completed backhaul sweep: per satellite, the drain
-// opportunities the ground segment offers over the span.
-type BackhaulResult struct {
-	Constellation string        `json:"constellation"`
-	Start         time.Time     `json:"start"`
-	Days          int           `json:"days"`
-	Satellites    []SatBackhaul `json:"satellites"`
-}
-
-// SatBackhaul summarizes one satellite's downlink opportunities.
-type SatBackhaul struct {
-	NoradID      int           `json:"norad_id"`
-	Name         string        `json:"name"`
-	Windows      int           `json:"windows"`
-	WindowTime   time.Duration `json:"window_time"`
-	Drains       int           `json:"drains"`
-	MeanDrainGap time.Duration `json:"mean_drain_gap"`
-}
-
 var constellationNames = []string{"Tianqi", "FOSSA", "PICO", "CSTP"}
 
 func constellationByName(name string, epoch time.Time) (constellation.Constellation, error) {
@@ -246,6 +285,13 @@ func constellationByName(name string, epoch time.Time) (constellation.Constellat
 		return constellation.CSTP(epoch), nil
 	}
 	return constellation.Constellation{}, specErr("unknown constellation %q (one of %s)", name, strings.Join(constellationNames, ", "))
+}
+
+// satCount is the satellite count of the named constellation: the unit
+// count of every per-satellite checkpointable phase.
+func satCount(name string, epoch time.Time) (int, error) {
+	cons, err := constellationByName(name, epoch)
+	return len(cons.Sats), err
 }
 
 func weatherProvider(name string) (core.WeatherProvider, error) {
@@ -266,75 +312,76 @@ func weatherProvider(name string) (core.WeatherProvider, error) {
 
 // Normalize validates the spec and rewrites every defaulted field to its
 // explicit value, the canonical form ConfigKey hashes. It is idempotent.
+// A spec may set only its own kind's parameter section.
 func (s *JobSpec) Normalize() error {
-	sections := 0
-	for _, present := range []bool{s.Passive != nil, s.Active != nil, s.Coverage != nil, s.Backhaul != nil, s.Routing != nil} {
-		if present {
-			sections++
-		}
-	}
-	if sections > 1 {
-		return specErr("exactly one parameter section may be set, got %d", sections)
-	}
-	var err error
-	switch s.Kind {
-	case KindPassive:
-		if s.Passive == nil {
-			s.Passive = &PassiveSpec{}
-		}
-		err = s.Passive.normalize()
-	case KindActive:
-		if s.Active == nil {
-			s.Active = &ActiveSpec{}
-		}
-		err = s.Active.normalize()
-	case KindCoverage:
-		if s.Coverage == nil {
-			s.Coverage = &CoverageSpec{}
-		}
-		err = s.Coverage.normalize()
-	case KindBackhaul:
-		if s.Backhaul == nil {
-			s.Backhaul = &BackhaulSpec{}
-		}
-		err = s.Backhaul.normalize()
-	case KindRouting:
-		if s.Routing == nil {
-			s.Routing = &RoutingSpec{}
-		}
-		err = s.Routing.normalize()
-	case "":
-		return specErr("kind is required (%s)", strings.Join(supportedKinds, ", "))
-	default:
-		return specErr("unknown kind %q (%s)", s.Kind, strings.Join(supportedKinds, ", "))
-	}
+	k, err := s.kindOf()
 	if err != nil {
+		return err
+	}
+	for _, other := range kinds {
+		if other.name != k.name && other.section(s, false) != nil {
+			return specErr("exactly one parameter section may be set, the kind's own: kind %q cannot take the %q section", k.name, other.name)
+		}
+	}
+	if err := k.section(s, true).normalize(); err != nil {
 		return err
 	}
 	return s.validateShard()
 }
 
-func checkDays(days int) error {
-	if days < 0 {
-		return specErr("days must be non-negative, got %d", days)
+// validConfig checks the core config a section builds, mapping a config
+// validation failure to ErrBadSpec.
+func validConfig[C interface{ Validate() error }](cfg C, err error) error {
+	if err != nil {
+		return err
 	}
-	if days > maxDays {
-		return specErr("days %d exceeds the serving limit %d", days, maxDays)
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	return nil
 }
 
-func (p *PassiveSpec) normalize() error {
-	if err := checkDays(p.Days); err != nil {
+// servingEpoch is the default campaign start of every kind but active.
+var servingEpoch = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
+
+// normalizeSpan validates days against the serving limit and makes a
+// campaign span explicit: days defaults to 1 and start to the kind's
+// default epoch, in UTC.
+func normalizeSpan(days *int, start *time.Time, epoch time.Time) error {
+	if *days < 0 {
+		return specErr("days must be non-negative, got %d", *days)
+	}
+	if *days > maxDays {
+		return specErr("days %d exceeds the serving limit %d", *days, maxDays)
+	}
+	if *days == 0 {
+		*days = 1
+	}
+	if start.IsZero() {
+		*start = epoch
+	}
+	*start = start.UTC()
+	return nil
+}
+
+// normalizeConstellation defaults an empty constellation name to Tianqi
+// and rewrites it to the catalog's canonical spelling.
+func normalizeConstellation(name *string, epoch time.Time) error {
+	if *name == "" {
+		*name = "Tianqi"
+	}
+	cons, err := constellationByName(*name, epoch)
+	if err != nil {
 		return err
 	}
-	if p.Days == 0 {
-		p.Days = 1
+	*name = cons.Name
+	return nil
+}
+
+func (p *PassiveSpec) normalize() error {
+	if err := normalizeSpan(&p.Days, &p.Start, servingEpoch); err != nil {
+		return err
 	}
-	if p.Start.IsZero() {
-		p.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	p.Start = p.Start.UTC()
 	if len(p.Sites) == 0 {
 		p.Sites = []string{"HK", "SYD", "LDN", "PGH"}
 	}
@@ -373,14 +420,7 @@ func (p *PassiveSpec) normalize() error {
 	if _, err := weatherProvider(p.Weather); err != nil {
 		return err
 	}
-	cfg, err := p.config()
-	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	return nil
+	return validConfig(p.config())
 }
 
 // config builds the core campaign config the spec denotes. Only Normalize-d
@@ -426,17 +466,21 @@ func (p *PassiveSpec) config() (core.PassiveConfig, error) {
 	return cfg, nil
 }
 
+func (p *PassiveSpec) units() (int, error) { return len(p.Sites) * len(p.Constellations), nil }
+
+func (p *PassiveSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
+	cfg, err := p.config()
+	if err != nil {
+		return nil, err
+	}
+	cfg.RunContext = rc
+	return core.RunPassiveCtx(ctx, cfg)
+}
+
 func (a *ActiveSpec) normalize() error {
-	if err := checkDays(a.Days); err != nil {
+	if err := normalizeSpan(&a.Days, &a.Start, time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
 		return err
 	}
-	if a.Days == 0 {
-		a.Days = 1
-	}
-	if a.Start.IsZero() {
-		a.Start = time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
-	}
-	a.Start = a.Start.UTC()
 	if a.Nodes < 0 {
 		return specErr("nodes must be non-negative, got %d", a.Nodes)
 	}
@@ -466,26 +510,14 @@ func (a *ActiveSpec) normalize() error {
 	default:
 		return specErr("unknown antenna %q (quarter, fiveeighths)", a.Antenna)
 	}
-	if a.Constellation == "" {
-		a.Constellation = "Tianqi"
-	}
-	cons, err := constellationByName(a.Constellation, a.Start)
-	if err != nil {
+	if err := normalizeConstellation(&a.Constellation, a.Start); err != nil {
 		return err
 	}
-	a.Constellation = cons.Name
 	a.Weather = strings.ToLower(a.Weather)
 	if _, err := weatherProvider(a.Weather); err != nil {
 		return err
 	}
-	cfg, err := a.config()
-	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	return nil
+	return validConfig(a.config())
 }
 
 func (a *ActiveSpec) config() (core.ActiveConfig, error) {
@@ -524,25 +556,24 @@ func (a *ActiveSpec) config() (core.ActiveConfig, error) {
 	return cfg, nil
 }
 
-func (c *CoverageSpec) normalize() error {
-	if err := checkDays(c.Days); err != nil {
-		return err
-	}
-	if c.Days == 0 {
-		c.Days = 1
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	c.Start = c.Start.UTC()
-	if c.Constellation == "" {
-		c.Constellation = "Tianqi"
-	}
-	cons, err := constellationByName(c.Constellation, c.Start)
+func (a *ActiveSpec) units() (int, error) { return satCount(a.Constellation, a.Start) }
+
+func (a *ActiveSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
+	cfg, err := a.config()
 	if err != nil {
+		return nil, err
+	}
+	cfg.RunContext = rc
+	return core.RunActiveCtx(ctx, cfg)
+}
+
+func (c *CoverageSpec) normalize() error {
+	if err := normalizeSpan(&c.Days, &c.Start, servingEpoch); err != nil {
 		return err
 	}
-	c.Constellation = cons.Name
+	if err := normalizeConstellation(&c.Constellation, c.Start); err != nil {
+		return err
+	}
 	if len(c.LatitudesDeg) == 0 {
 		c.LatitudesDeg = []float64{-60, -45, -30, -15, 0, 15, 30, 45, 60}
 	}
@@ -557,25 +588,23 @@ func (c *CoverageSpec) normalize() error {
 	return nil
 }
 
-func (r *RoutingSpec) normalize() error {
-	if err := checkDays(r.Days); err != nil {
-		return err
-	}
-	if r.Days == 0 {
-		r.Days = 1
-	}
-	if r.Start.IsZero() {
-		r.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	r.Start = r.Start.UTC()
-	if r.Constellation == "" {
-		r.Constellation = "Tianqi"
-	}
-	cons, err := constellationByName(r.Constellation, r.Start)
+func (c *CoverageSpec) units() (int, error) { return len(c.LatitudesDeg), nil }
+
+func (c *CoverageSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
+	cons, err := constellationByName(c.Constellation, c.Start)
 	if err != nil {
+		return nil, err
+	}
+	return core.RevisitAnalysisCtx(ctx, cons, c.LatitudesDeg, c.Start, c.Days, rc)
+}
+
+func (r *RoutingSpec) normalize() error {
+	if err := normalizeSpan(&r.Days, &r.Start, servingEpoch); err != nil {
 		return err
 	}
-	r.Constellation = cons.Name
+	if err := normalizeConstellation(&r.Constellation, r.Start); err != nil {
+		return err
+	}
 	if r.SnapshotStep < 0 || r.HopProcessing < 0 || r.PacketInterval < 0 {
 		return specErr("snapshot_step, hop_processing and packet_interval must be non-negative")
 	}
@@ -604,14 +633,7 @@ func (r *RoutingSpec) normalize() error {
 	default:
 		return specErr("unknown policy %q (%s, %s, %s)", r.Policy, core.PolicyStore, core.PolicyRelay, core.PolicyCompare)
 	}
-	cfg, err := r.config()
-	if err != nil {
-		return err
-	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	return nil
+	return validConfig(r.config())
 }
 
 func (r *RoutingSpec) config() (core.RoutingConfig, error) {
@@ -636,25 +658,24 @@ func (r *RoutingSpec) config() (core.RoutingConfig, error) {
 	return cfg, nil
 }
 
-func (b *BackhaulSpec) normalize() error {
-	if err := checkDays(b.Days); err != nil {
-		return err
-	}
-	if b.Days == 0 {
-		b.Days = 1
-	}
-	if b.Start.IsZero() {
-		b.Start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	b.Start = b.Start.UTC()
-	if b.Constellation == "" {
-		b.Constellation = "Tianqi"
-	}
-	cons, err := constellationByName(b.Constellation, b.Start)
+func (r *RoutingSpec) units() (int, error) { return satCount(r.Constellation, r.Start) }
+
+func (r *RoutingSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
+	cfg, err := r.config()
 	if err != nil {
+		return nil, err
+	}
+	cfg.RunContext = rc
+	return core.RunRoutingCtx(ctx, cfg)
+}
+
+func (b *BackhaulSpec) normalize() error {
+	if err := normalizeSpan(&b.Days, &b.Start, servingEpoch); err != nil {
 		return err
 	}
-	b.Constellation = cons.Name
+	if err := normalizeConstellation(&b.Constellation, b.Start); err != nil {
+		return err
+	}
 	if b.Step < 0 || b.MinDrainGap < 0 {
 		return specErr("step and min_drain_gap must be non-negative")
 	}
@@ -667,137 +688,44 @@ func (b *BackhaulSpec) normalize() error {
 	return nil
 }
 
+func (b *BackhaulSpec) units() (int, error) { return satCount(b.Constellation, b.Start) }
+
+func (b *BackhaulSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
+	cons, err := constellationByName(b.Constellation, b.Start)
+	if err != nil {
+		return nil, err
+	}
+	return core.RunBackhaulCtx(ctx, core.BackhaulConfig{
+		Constellation: cons,
+		Start:         b.Start,
+		Days:          b.Days,
+		Step:          time.Duration(b.Step),
+		MinDrainGap:   time.Duration(b.MinDrainGap),
+		RunContext:    rc,
+	})
+}
+
 const deg2Rad = 3.14159265358979323846 / 180
 
 // Run executes the spec and returns its result struct — the value the
 // serving layer marshals with MarshalResult. The spec must be Normalize-d.
 // The RunContext hooks (all optional) observe the campaign's phases and
 // thread checkpoint capture/resume through it; a cancelled context aborts
-// the run with ctx.Err(). A shard sub-spec returns a *ShardResult of its
-// window's unit snapshots instead of a campaign result.
+// the run with ctx.Err(). rc.Shard is ignored: shard identity is part of
+// the content key, so only spec.Shard shards a run, and a shard sub-spec
+// returns a *ShardResult of its window's unit snapshots instead of a
+// campaign result.
 func Run(ctx context.Context, spec *JobSpec, rc RunContext) (any, error) {
+	k, err := spec.kindOf()
+	if err != nil {
+		return nil, err
+	}
+	sec := k.section(spec, false)
+	rc.Shard = nil
 	if spec.Shard != nil {
-		return runShard(ctx, spec, rc)
+		return runShard(ctx, spec.Shard, sec, rc)
 	}
-	return runKind(ctx, spec, rc, nil)
-}
-
-// runKind dispatches a normalized spec to its campaign with the
-// RunContext hooks — and, for a shard run, the unit window — threaded
-// into the kind's config.
-func runKind(ctx context.Context, spec *JobSpec, rc RunContext, shard *core.ShardWindow) (any, error) {
-	switch spec.Kind {
-	case KindPassive:
-		cfg, err := spec.Passive.config()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Progress = rc.Progress
-		cfg.Checkpoint = rc.Checkpoint
-		cfg.Resume = rc.Resume
-		cfg.Shard = shard
-		return core.RunPassiveCtx(ctx, cfg)
-	case KindActive:
-		cfg, err := spec.Active.config()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Progress = rc.Progress
-		cfg.Checkpoint = rc.Checkpoint
-		cfg.Resume = rc.Resume
-		cfg.Shard = shard
-		return core.RunActiveCtx(ctx, cfg)
-	case KindCoverage:
-		c := spec.Coverage
-		cons, err := constellationByName(c.Constellation, c.Start)
-		if err != nil {
-			return nil, err
-		}
-		return core.RevisitAnalysisOpts(ctx, cons, c.LatitudesDeg, c.Start, c.Days, core.CoverageOptions{
-			Progress:   rc.Progress,
-			Checkpoint: rc.Checkpoint,
-			Resume:     rc.Resume,
-			Shard:      shard,
-		})
-	case KindBackhaul:
-		return runBackhaul(ctx, spec.Backhaul, rc, shard)
-	case KindRouting:
-		cfg, err := spec.Routing.config()
-		if err != nil {
-			return nil, err
-		}
-		cfg.Progress = rc.Progress
-		cfg.Checkpoint = rc.Checkpoint
-		cfg.Resume = rc.Resume
-		cfg.Shard = shard
-		return core.RunRoutingCtx(ctx, cfg)
-	}
-	return nil, specErr("unknown kind %q (%s)", spec.Kind, strings.Join(supportedKinds, ", "))
-}
-
-// runBackhaul sweeps the operator ground segment for each satellite's
-// downlink opportunities: the serving-layer view of the store-and-forward
-// drain capacity PR 1 fans out inside the active campaign. The per-sat
-// results checkpoint under the "satellites" phase; the shared ephemeris
-// grid always rebuilds (its samples are inputs, not outputs).
-func runBackhaul(ctx context.Context, b *BackhaulSpec, rc RunContext, shard *core.ShardWindow) (*BackhaulResult, error) {
-	cons, err := constellationByName(b.Constellation, b.Start)
-	if err != nil {
-		return nil, err
-	}
-	props, err := cons.Propagators()
-	if err != nil {
-		return nil, err
-	}
-	segment := backhaul.TianqiGroundSegment()
-	end := b.Start.Add(time.Duration(b.Days) * 24 * time.Hour)
-
-	res := &BackhaulResult{Constellation: cons.Name, Start: b.Start, Days: b.Days}
-	res.Satellites = make([]SatBackhaul, len(props))
-	// One shared struct-of-arrays grid: workers fill their own rows (no
-	// races) and the 12-station window sweep reads the shared samples. The
-	// propagation runs as its own phase so a resumed campaign still has
-	// every row a restored satellite's neighbors would have filled.
-	grid := orbit.NewEphemerisGrid(props, b.Start, end, orbit.EphemerisConfig{ScanStep: time.Duration(b.Step)})
-	if err := sim.ForEachPhaseCtx(ctx, "ephemeris", len(props), func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		grid.Propagate(i)
-		return nil
-	}, rc.Progress.Phase("ephemeris")); err != nil {
-		return nil, err
-	}
-	grid.Finish()
-	if err := core.ForEachCheckpointed(ctx, "satellites", res.Satellites, shard, rc.Resume, rc.Checkpoint, rc.Progress, func(i int) (SatBackhaul, error) {
-		if err := ctx.Err(); err != nil {
-			return SatBackhaul{}, err
-		}
-		windows := segment.DownlinkWindows(grid.Sat(i), b.Start, end, time.Duration(b.Step))
-		drains := backhaul.ScheduleDrains(windows, time.Duration(b.MinDrainGap))
-		sat := SatBackhaul{
-			NoradID: props[i].Elements().NoradID,
-			Name:    props[i].Elements().Name,
-			Windows: len(windows),
-			Drains:  len(drains),
-		}
-		for _, w := range windows {
-			sat.WindowTime += w.Duration()
-		}
-		if len(drains) > 1 {
-			sat.MeanDrainGap = drains[len(drains)-1].Sub(drains[0]) / time.Duration(len(drains)-1)
-		}
-		return sat, nil
-	}); err != nil {
-		return nil, err
-	}
-	if shard != nil {
-		// Shard run: the windowed units are with rc.Checkpoint; only the
-		// merge node, holding every satellite, sorts and assembles.
-		return res, nil
-	}
-	sort.Slice(res.Satellites, func(i, j int) bool { return res.Satellites[i].NoradID < res.Satellites[j].NoradID })
-	return res, nil
+	return sec.run(ctx, rc)
 }
 
 // MarshalResult is the canonical result serialization: every path that

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -79,6 +80,7 @@ func TestNormalizeRejections(t *testing.T) {
 		{"missing kind", &JobSpec{}, "kind is required"},
 		{"unknown kind", &JobSpec{Kind: "teleport"}, "unknown kind"},
 		{"two sections", &JobSpec{Kind: KindPassive, Passive: &PassiveSpec{}, Coverage: &CoverageSpec{}}, "exactly one parameter section"},
+		{"section of another kind", &JobSpec{Kind: KindPassive, Active: &ActiveSpec{Seed: 1}}, `kind "passive" cannot take the "active" section`},
 		{"negative days", &JobSpec{Kind: KindPassive, Passive: &PassiveSpec{Days: -1}}, "days must be non-negative"},
 		{"days over limit", &JobSpec{Kind: KindCoverage, Coverage: &CoverageSpec{Days: maxDays + 1}}, "exceeds the serving limit"},
 		{"unknown site", &JobSpec{Kind: KindPassive, Passive: &PassiveSpec{Sites: []string{"ATLANTIS"}}}, "unknown site"},
@@ -232,12 +234,44 @@ func TestUnknownKindErrorEnumeratesKinds(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	for _, kind := range supportedKinds {
-		if !strings.Contains(err.Error(), kind) {
-			t.Errorf("unknown-kind error %q does not list %q", err, kind)
+	for _, k := range kinds {
+		if !strings.Contains(err.Error(), k.name) {
+			t.Errorf("unknown-kind error %q does not list %q", err, k.name)
 		}
 	}
 	if !strings.Contains(err.Error(), KindRouting) {
 		t.Errorf("unknown-kind error %q does not list routing", err)
+	}
+}
+
+// TestRegistryCoversEverySection pins the registry to JobSpec: every
+// parameter section a spec can carry belongs to exactly one registered
+// kind, named like the section's JSON field. A section missing from the
+// registry would slip past Normalize's other-kind check.
+func TestRegistryCoversEverySection(t *testing.T) {
+	sectionType := reflect.TypeOf((*section)(nil)).Elem()
+	typ := reflect.TypeOf(JobSpec{})
+	sections := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !f.Type.Implements(sectionType) {
+			continue
+		}
+		sections++
+		spec := &JobSpec{}
+		reflect.ValueOf(spec).Elem().Field(i).Set(reflect.New(f.Type.Elem()))
+		var owners []string
+		for _, k := range kinds {
+			if k.section(spec, false) != nil {
+				owners = append(owners, k.name)
+			}
+		}
+		jsonName, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if len(owners) != 1 || owners[0] != jsonName {
+			t.Errorf("section %s (json %q) is registered under kinds %v, want exactly [%s]", f.Name, jsonName, owners, jsonName)
+		}
+	}
+	if sections != len(kinds) {
+		t.Errorf("JobSpec has %d sections, registry has %d kinds", sections, len(kinds))
 	}
 }

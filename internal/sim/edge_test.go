@@ -13,12 +13,13 @@ import (
 
 func TestForEachRecoversPanicIntoError(t *testing.T) {
 	var ran int32
-	err := ForEach(8, func(i int) {
+	err := ForEach(8, func(i int) error {
 		if i == 5 {
 			panic("boom")
 		}
 		atomic.AddInt32(&ran, 1)
-	})
+		return nil
+	}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
@@ -38,12 +39,12 @@ func TestForEachRecoversPanicIntoError(t *testing.T) {
 }
 
 func TestForEachErrLowestIndexPanicWins(t *testing.T) {
-	err := ForEachErr(10, func(i int) error {
+	err := ForEach(10, func(i int) error {
 		if i == 2 || i == 8 {
 			panic(i)
 		}
 		return nil
-	})
+	}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("got %v, want *PanicError", err)
@@ -55,7 +56,7 @@ func TestForEachErrLowestIndexPanicWins(t *testing.T) {
 
 func TestForEachErrPanicBeatsLaterError(t *testing.T) {
 	sentinel := errors.New("plain failure")
-	err := ForEachErr(6, func(i int) error {
+	err := ForEach(6, func(i int) error {
 		switch i {
 		case 1:
 			panic("early")
@@ -63,7 +64,7 @@ func TestForEachErrPanicBeatsLaterError(t *testing.T) {
 			return sentinel
 		}
 		return nil
-	})
+	}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 1 {
 		t.Fatalf("got %v, want the index-1 panic", err)

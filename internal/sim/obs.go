@@ -24,12 +24,12 @@ var metrics atomic.Pointer[simMetrics]
 //
 //	sinet_sim_tasks_total    ForEach work items executed
 //	sinet_sim_panics_total   worker panics recovered into *PanicError
-//	sinet_sim_phase_seconds  wall time of named campaign phases (histogram)
+//	sinet_sim_phase_seconds  wall time of Phase runs, by phase (histogram)
 //
 // The installation is process-wide, matching orbit.SetMetrics. A nil r
 // uninstalls. Telemetry never perturbs execution: counters are bumped
 // after each work item completes and phase timing wraps the whole
-// fan-out, so index assignment, RNG streams and merge order are
+// phase, so index assignment, RNG streams and merge order are
 // untouched — the uninstrumented and instrumented runs are byte-identical.
 func SetMetrics(r *obs.Registry) {
 	if r == nil {
@@ -43,41 +43,36 @@ func SetMetrics(r *obs.Registry) {
 	})
 }
 
-// ForEachPhase is ForEachErrProgress with the fan-out attributed to a
-// named campaign phase: when telemetry is installed the whole fan-out's
-// wall time is observed into sinet_sim_phase_seconds{phase=...}. With no
-// registry installed it degrades to exactly ForEachErrProgress — not even
-// the clock is read.
-func ForEachPhase(phase string, n int, fn func(i int) error, onDone func(completed, total int)) error {
-	return ForEachPhaseCtx(context.Background(), phase, n, fn, onDone)
-}
+// now is the phase instrument's clock, a variable so tests can count reads.
+var now = time.Now
 
-// ForEachPhaseCtx is ForEachPhase with distributed tracing: when ctx
-// carries a tracer (tracing.NewContext, injected by the service layer
-// once per job attempt), the fan-out is also recorded as a "phase:<name>"
-// child span of ctx's current span, so phase timings appear on the job's
-// assembled timeline and not just as histogram samples. Tracing, like
-// metrics, observes after the fact — the span is recorded once the
-// fan-out has fully completed, with the clock read only when either
-// instrument is live — so traced and untraced runs stay byte-identical.
-func ForEachPhaseCtx(ctx context.Context, phase string, n int, fn func(i int) error, onDone func(completed, total int)) error {
+// Phase is the phase instrument: it runs one named campaign phase and, when
+// telemetry is installed, observes its wall time into
+// sinet_sim_phase_seconds{phase=name}; when ctx carries a tracer
+// (tracing.NewContext, injected by the service layer once per job
+// attempt) it also records the phase as a "phase:<name>" child span of
+// ctx's current span, annotated with attrs plus the error, if any. Both
+// observe after the fact: with neither instrument live, run is called
+// directly and not even the clock is read, so instrumented and
+// uninstrumented runs stay byte-identical. Every phase span and phase
+// sample in the codebase is recorded here.
+func Phase(ctx context.Context, name string, run func() error, attrs ...tracing.Attr) error {
 	m := metrics.Load()
 	tr, parent := tracing.FromContext(ctx)
-	if (m == nil && tr == nil) || phase == "" {
-		return ForEachErrProgress(n, fn, onDone)
+	if m == nil && tr == nil {
+		return run()
 	}
-	start := time.Now()
-	err := ForEachErrProgress(n, fn, onDone)
-	end := time.Now()
+	start := now()
+	err := run()
+	end := now()
 	if m != nil {
-		m.phase.With(phase).Observe(end.Sub(start).Seconds())
+		m.phase.With(name).Observe(end.Sub(start).Seconds())
 	}
 	if tr != nil {
-		attrs := []tracing.Attr{tracing.Int("units", n)}
 		if err != nil {
 			attrs = append(attrs, tracing.String("error", err.Error()))
 		}
-		tr.Record(parent, "phase:"+phase, start, end, attrs...)
+		tr.Record(parent, "phase:"+name, start, end, attrs...)
 	}
 	return err
 }

@@ -23,37 +23,27 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: worker panicked on index %d: %v", e.Index, e.Value)
 }
 
-// ForEach runs fn(i) for every i in [0, n) across up to GOMAXPROCS
-// goroutines, returning once all calls complete. Indices are handed out by
-// an atomic counter, so work-stealing balances uneven jobs.
+// ForEach is the worker pool: it runs fn(i) for every i in [0, n) across
+// up to GOMAXPROCS goroutines, returning once all calls complete. Indices
+// are handed out by an atomic counter, so work-stealing balances uneven
+// jobs.
 //
-// A panicking fn does not crash the fan-out: the panic is recovered into a
-// *PanicError and every other index still runs; the lowest-index panic is
-// returned so the reported failure does not depend on goroutine scheduling.
+// Every index runs regardless of other indices' failures. A panicking fn
+// does not crash the fan-out: the panic is recovered into a *PanicError.
+// The lowest-index error (a recovered panic counts as one) is returned, so
+// the reported failure does not depend on goroutine scheduling.
+//
+// After each fn(i) returns, onDone(completed, n) is called with the number
+// of indices finished so far. Completion order is unspecified under
+// parallel execution, but onDone calls are serialized (never concurrent)
+// and completed is strictly increasing from 1 to n, so callers can publish
+// progress without their own locking. A nil onDone reports nothing.
 //
 // Determinism is the caller's contract: fn must write its result into an
 // index-addressed slot (results[i] = ...) and the caller merges the slots in
 // a fixed order afterwards. Execution order across indices is unspecified;
 // with GOMAXPROCS=1 (or n ≤ 1) fn runs inline in index order.
-func ForEach(n int, fn func(i int)) error {
-	return ForEachErr(n, func(i int) error { fn(i); return nil })
-}
-
-// ForEachErr is ForEach for fallible jobs. Every index runs regardless of
-// other indices' failures; the lowest-index error (a recovered panic counts
-// as one) is returned so the reported failure does not depend on goroutine
-// scheduling.
-func ForEachErr(n int, fn func(i int) error) error {
-	return ForEachErrProgress(n, fn, nil)
-}
-
-// ForEachErrProgress is ForEachErr with completion reporting: after each
-// fn(i) returns, onDone(completed, n) is called with the number of indices
-// finished so far. Completion order is unspecified under parallel
-// execution, but onDone calls are serialized (never concurrent) and
-// completed is strictly increasing from 1 to n, so callers can publish
-// progress without their own locking. A nil onDone reports nothing.
-func ForEachErrProgress(n int, fn func(i int) error, onDone func(completed, total int)) error {
+func ForEach(n int, fn func(i int) error, onDone func(completed, total int)) error {
 	if n <= 0 {
 		return nil
 	}

@@ -173,8 +173,9 @@ type EnergyComparison = core.EnergyComparison
 // StationAvailability is one station's availability-under-churn summary.
 type StationAvailability = core.StationAvailability
 
-// ProgressFunc observes campaign phase progress. Set it on a campaign
-// config's Progress field; it is called with strictly increasing completed
+// ProgressFunc observes campaign phase progress. Assign it to a campaign
+// config's Progress field (cfg.Progress = f, promoted from the config's
+// embedded run context); it is called with strictly increasing completed
 // counts per phase and never concurrently.
 type ProgressFunc = core.ProgressFunc
 
