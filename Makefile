@@ -25,11 +25,11 @@ bench:
 	@echo "wrote BENCH_$$(date +%F).json"
 
 # bench-smoke runs one iteration of the pass-prediction benches, the 1k
-# mega-constellation sweep, the zero-alloc ephemeris query benches, and the
-# smallest topology-build case as a compile-and-run check; real measurements
-# use `go test -bench . -benchtime 5s`.
+# mega-constellation sweep, the zero-alloc ephemeris query benches, the
+# ground-segment downlink sweep, and the smallest topology-build case as a
+# compile-and-run check; real measurements use `go test -bench . -benchtime 5s`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkTopologyBuild/16sats' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats' -benchtime 1x -benchmem .
 
 # fuzz-smoke briefly exercises each fuzz target; the committed corpora under
 # testdata/fuzz/ already run as regression cases in plain `make test`.

@@ -602,6 +602,35 @@ func BenchmarkPassesAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkDownlinkWindows measures the ground-segment downlink sweep that
+// the active plan phase, the routing store/compare policies and the
+// backhaul campaign run once per satellite: every Tianqi satellite swept
+// against the 12-station segment over one shared 28 h ephemeris grid at
+// the campaigns' 1-minute step.
+func BenchmarkDownlinkWindows(b *testing.B) {
+	start := time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)
+	end := start.Add(28 * time.Hour)
+	props, err := constellation.Tianqi(start).Propagators()
+	if err != nil {
+		b.Fatal(err)
+	}
+	grid := orbit.NewEphemerisGrid(props, start, end, orbit.EphemerisConfig{ScanStep: time.Minute})
+	grid.PropagateAll()
+	segment := backhaul.TianqiGroundSegment()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		windows := 0
+		for si := 0; si < grid.Sats(); si++ {
+			windows += len(segment.DownlinkWindows(grid.Sat(si), start, end, time.Minute))
+		}
+		if windows == 0 {
+			b.Fatal("no downlink windows")
+		}
+		b.ReportMetric(float64(windows), "windows")
+	}
+}
+
 // BenchmarkTopologyBuild measures time-varying network-graph snapshot
 // construction — candidate ISL discovery plus per-snapshot visibility,
 // range and occlusion predicates — over a 1-hour window at the default

@@ -7,8 +7,15 @@
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH_2026-08-05.json
 //
 // The output is a single JSON object with context (goos, goarch, cpu, Go
-// version) and one entry per benchmark result line: name, package,
-// iterations, ns/op, and — when -benchmem was used — B/op and allocs/op.
+// version) and one entry per benchmark: name, package, iterations, ns/op,
+// and — when -benchmem was used — B/op and allocs/op.
+//
+// Output of `go test -count N` repeats each benchmark's line N times. The
+// lines of one benchmark (same package and name) fold into one entry: n is
+// the number of lines, ns_per_op their median and ns_per_op_iqr the
+// distance between their quartiles, iterations the total over the lines,
+// and B/op and allocs/op the medians. A benchmark run once gets n = 1 and
+// an interquartile range of 0.
 package main
 
 import (
@@ -16,18 +23,24 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"strconv"
 	"strings"
+
+	"github.com/sinet-io/sinet/internal/stats"
 )
 
-// Result is one parsed benchmark line.
+// Result is one benchmark: a parsed result line, or the fold of its
+// repeated lines under -count.
 type Result struct {
 	Name        string  `json:"name"`
 	Package     string  `json:"package,omitempty"`
+	N           int     `json:"n"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpIQR  float64 `json:"ns_per_op_iqr"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
@@ -51,8 +64,11 @@ func main() {
 // run parses benchmark output from r and writes the JSON report to w.
 // Non-benchmark lines (test PASS/ok lines, progress output) are ignored,
 // so the whole `go test -bench` stream can be piped through unfiltered.
+// Results are listed in the order each benchmark first appears.
 func run(r io.Reader, w io.Writer) error {
 	rep := Report{Results: []Result{}}
+	var runs [][]Result // runs[i] holds every line of rep.Results[i]
+	index := map[[2]string]int{}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -70,12 +86,22 @@ func run(r io.Reader, w io.Writer) error {
 		case strings.HasPrefix(line, "Benchmark"):
 			if res, ok := parseLine(line); ok {
 				res.Package = pkg
-				rep.Results = append(rep.Results, res)
+				key := [2]string{pkg, res.Name}
+				i, seen := index[key]
+				if !seen {
+					i = len(runs)
+					index[key] = i
+					runs = append(runs, nil)
+				}
+				runs[i] = append(runs[i], res)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
+	}
+	for _, lines := range runs {
+		rep.Results = append(rep.Results, fold(lines))
 	}
 	rep.GoVersion = runtime.Version()
 	enc := json.NewEncoder(w)
@@ -119,4 +145,24 @@ func parseLine(line string) (Result, bool) {
 		}
 	}
 	return res, seen
+}
+
+// fold merges the result lines of one benchmark into one Result.
+func fold(lines []Result) Result {
+	res := Result{Name: lines[0].Name, Package: lines[0].Package, N: len(lines)}
+	ns := make([]float64, len(lines))
+	bytesPerOp := make([]float64, len(lines))
+	allocsPerOp := make([]float64, len(lines))
+	for i, l := range lines {
+		res.Iterations += l.Iterations
+		ns[i] = l.NsPerOp
+		bytesPerOp[i] = float64(l.BytesPerOp)
+		allocsPerOp[i] = float64(l.AllocsPerOp)
+	}
+	q := stats.Quantiles(ns, 0.25, 0.5, 0.75)
+	res.NsPerOp = q[1]
+	res.NsPerOpIQR = q[2] - q[0]
+	res.BytesPerOp = int64(math.Round(stats.Median(bytesPerOp)))
+	res.AllocsPerOp = int64(math.Round(stats.Median(allocsPerOp)))
+	return res
 }

@@ -89,3 +89,56 @@ func TestParseLineRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// sampleBenchCount3 is `go test -count 3` output: each benchmark's line
+// repeats three times, and BenchmarkGrid has a namesake in another
+// package that must not fold into it.
+const sampleBenchCount3 = `goos: linux
+goarch: amd64
+pkg: github.com/sinet-io/sinet
+cpu: AMD EPYC 7B13
+BenchmarkGrid-2   	       1	 300 ns/op	 1000 B/op	    10 allocs/op
+BenchmarkGrid-2   	       1	 100 ns/op	 1000 B/op	    10 allocs/op
+BenchmarkOnce-2   	       5	 7 ns/op	 0 B/op	    0 allocs/op
+BenchmarkGrid-2   	       2	 120 ns/op	 1016 B/op	    11 allocs/op
+PASS
+ok  	github.com/sinet-io/sinet	3.456s
+pkg: github.com/sinet-io/sinet/internal/orbit
+BenchmarkGrid-2   	      10	 50 ns/op	 0 B/op	    0 allocs/op
+BenchmarkGrid-2   	      10	 52 ns/op	 0 B/op	    0 allocs/op
+BenchmarkGrid-2   	      10	 60 ns/op	 0 B/op	    0 allocs/op
+PASS
+ok  	github.com/sinet-io/sinet/internal/orbit	1.234s
+`
+
+func TestRunFoldsRepeatedRuns(t *testing.T) {
+	var out strings.Builder
+	if err := run(strings.NewReader(sampleBenchCount3), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
+	}
+	want := []Result{
+		// Sorted ns: 100, 120, 300; quartiles 110 and 210.
+		{Name: "BenchmarkGrid-2", Package: "github.com/sinet-io/sinet", N: 3, Iterations: 4,
+			NsPerOp: 120, NsPerOpIQR: 100, BytesPerOp: 1000, AllocsPerOp: 10},
+		{Name: "BenchmarkOnce-2", Package: "github.com/sinet-io/sinet", N: 1, Iterations: 5,
+			NsPerOp: 7, NsPerOpIQR: 0, BytesPerOp: 0, AllocsPerOp: 0},
+		// Sorted ns: 50, 52, 60; quartiles 51 and 56.
+		{Name: "BenchmarkGrid-2", Package: "github.com/sinet-io/sinet/internal/orbit", N: 3, Iterations: 30,
+			NsPerOp: 52, NsPerOpIQR: 5, BytesPerOp: 0, AllocsPerOp: 0},
+	}
+	if len(rep.Results) != len(want) {
+		t.Fatalf("results = %d, want %d:\n%s", len(rep.Results), len(want), out.String())
+	}
+	for i, w := range want {
+		if rep.Results[i] != w {
+			t.Errorf("result %d = %+v, want %+v", i, rep.Results[i], w)
+		}
+	}
+	if !strings.Contains(out.String(), `"n": 1,`) || !strings.Contains(out.String(), `"ns_per_op_iqr": 100,`) {
+		t.Errorf("JSON lacks the n / ns_per_op_iqr fields:\n%s", out.String())
+	}
+}

@@ -98,16 +98,18 @@ func (g GroundSegment) NextDownlinkUp(prop *orbit.Propagator, after, horizon tim
 	return best, found, nil
 }
 
-// DownlinkWindows returns the merged time windows within [start, end)
-// during which the satellite can reach any station of the segment, using
-// sub-satellite-point stepping (much cheaper than per-station pass
-// prediction: one propagation per step instead of one per station). A
-// window is a span where the ground distance to the nearest station is
-// below the mask-limited horizon distance for the satellite's altitude.
+// DownlinkWindows returns the time windows within [start, end) during
+// which the satellite can reach any station of the segment, found by
+// stepping the sub-satellite point over start + k·step (one position
+// query per step instead of a pass search per station). The satellite is
+// in reach at a step when its haversine ground distance to some station
+// is within the mask-limited horizon distance for its altitude. A window
+// opens at the first in-reach step and closes at the last one; a window
+// still open at the end of the sweep closes at end. A step whose position
+// query fails counts as out of reach, and step <= 0 means one minute.
 //
-// src may be a raw propagator or a shared Ephemeris; the stepping visits
-// only instants of the form start + k·step, so an aligned ephemeris serves
-// the whole sweep from its samples.
+// src may be a raw propagator or a shared Ephemeris; an aligned ephemeris
+// serves the whole sweep from its samples.
 func (g GroundSegment) DownlinkWindows(src orbit.StateSource, start, end time.Time, step time.Duration) []orbit.Window {
 	return g.DownlinkWindowsUp(src, start, end, step, nil)
 }
@@ -115,7 +117,9 @@ func (g GroundSegment) DownlinkWindows(src orbit.StateSource, start, end time.Ti
 // DownlinkWindowsUp is DownlinkWindows restricted to stations that are up:
 // a station contributes reachability at instant t only when up(i, t) is
 // true, so outages of the operator's teleports thin the downlink windows.
-// A nil predicate treats every station as always up.
+// A nil predicate treats every station as always up. up must be a pure
+// function of its arguments: it is asked only about stations near the
+// satellite, so how often it is called is not part of the contract.
 func (g GroundSegment) DownlinkWindowsUp(src orbit.StateSource, start, end time.Time, step time.Duration, up func(station int, at time.Time) bool) []orbit.Window {
 	if !end.After(start) || len(g.Stations) == 0 {
 		return nil
@@ -123,26 +127,17 @@ func (g GroundSegment) DownlinkWindowsUp(src orbit.StateSource, start, end time.
 	if step <= 0 {
 		step = time.Minute
 	}
+	dirs := make([]orbit.Vec3, len(g.Stations))
+	for i, st := range g.Stations {
+		dirs[i] = sphereDir(st)
+	}
 	var windows []orbit.Window
 	var open bool
 	var winStart time.Time
 	prev := start
 	for t := start; t.Before(end); t = t.Add(step) {
 		rECEF, _, err := src.PositionECEF(t)
-		in := false
-		if err == nil {
-			sub := orbit.GeodeticFromECEF(rECEF)
-			maxGround := g.maxGroundDistanceKm(sub.Alt)
-			for i, st := range g.Stations {
-				if up != nil && !up(i, t) {
-					continue
-				}
-				if orbit.HaversineKm(sub, st) <= maxGround {
-					in = true
-					break
-				}
-			}
-		}
+		in := err == nil && g.reaches(rECEF, t, dirs, up)
 		switch {
 		case in && !open:
 			open = true
@@ -159,19 +154,106 @@ func (g GroundSegment) DownlinkWindowsUp(src orbit.StateSource, start, end time.
 	return windows
 }
 
+const (
+	// meanEarthRadiusKm is the sphere HaversineKm measures on.
+	meanEarthRadiusKm = 6371.0
+	// polarRadiusKm is the WGS-84 polar radius (6356.7523 km), rounded
+	// down so that |r| − polarRadiusKm never undershoots the geodetic
+	// altitude of a point r.
+	polarRadiusKm = 6356.752
+	// coneMarginRad widens the downlink cone; reaches derives its size.
+	coneMarginRad = 0.005
+)
+
+// reaches reports whether a satellite at ECEF position r (km) is in reach
+// of a station that is up at t: the haversine distance from its geodetic
+// sub-point to the station is at most maxGroundDistanceKm(sub.Alt).
+// dirs[i] is sphereDir(g.Stations[i]).
+//
+// A satellite is near the segment for a small part of its orbit, so a
+// cone test that needs neither Bowring's conversion nor a haversine runs
+// first, and the exact test runs, in index order with early exit, only
+// over the stations the cone admits. Station i is admitted when
+//
+//	dirs[i]·r ≥ |r|·cos(λ(|r| − b) + m),
+//
+// with λ = maxGroundAngle, b = polarRadiusKm and m = coneMarginRad: the
+// angle between dirs[i] and r is at most λ(|r| − b) + m (both angles lie
+// in [0, π], where cos falls monotonically, as λ < π/2). The cone admits
+// every station the exact test accepts, so the answer is the exact
+// test's, bit for bit. Let θ be the haversine angle from the sub-point to
+// station i and h = sub.Alt:
+//
+//   - The exact test accepts only when θ ≤ λ(h), and θ is the angle
+//     between dirs[i] and sphereDir(sub), because HaversineKm reads
+//     geodetic latitude and longitude as spherical angles.
+//   - λ(h) ≤ λ(|r| − b). λ never falls as altitude rises (for any mask
+//     above −90°), and h ≤ |r| − b: r = p + h·n̂ for the point p below r
+//     on the ellipsoid, with n̂ its outward normal, so |r| ≥ r·n̂ =
+//     p·n̂ + h ≥ b + h, since the tangent plane at p stays outside the
+//     inscribed sphere of radius b.
+//   - r points along the satellite's geocentric latitude and
+//     sphereDir(sub) along its geodetic latitude at the same longitude.
+//     With h > 0, r points between p and n̂, so the gap is at most the
+//     surface gap, whose WGS-84 maximum is 0.1924° (0.00336 rad), at 45°.
+//
+// So the angle between dirs[i] and r is at most θ + 0.00336 ≤
+// λ(|r| − b) + 0.00336. m = 0.005 rad covers that and leaves 0.00164 rad
+// of slack for rounding, which is about 1e-8 rad even where cos is flat.
+//
+// up is called only for admitted stations; it is pure, so skipping the
+// others changes nothing.
+func (g GroundSegment) reaches(r orbit.Vec3, t time.Time, dirs []orbit.Vec3, up func(station int, at time.Time) bool) bool {
+	minDot := g.coneMinDot(r)
+	converted := false
+	var sub orbit.Geodetic
+	var maxGround float64
+	for i, d := range dirs {
+		if d.Dot(r) < minDot || (up != nil && !up(i, t)) {
+			continue
+		}
+		if !converted {
+			sub, converted = orbit.GeodeticFromECEF(r), true
+			maxGround = g.maxGroundDistanceKm(sub.Alt)
+		}
+		if orbit.HaversineKm(sub, g.Stations[i]) <= maxGround {
+			return true
+		}
+	}
+	return false
+}
+
+// coneMinDot returns |r|·cos(λ(|r| − b) + m), the least dirs[i]·r of a
+// station the downlink cone around r admits (see reaches).
+func (g GroundSegment) coneMinDot(r orbit.Vec3) float64 {
+	norm := r.Norm()
+	return norm * math.Cos(g.maxGroundAngle(norm-polarRadiusKm)+coneMarginRad)
+}
+
+// sphereDir is the unit vector with p's latitude and longitude read as
+// spherical angles, as HaversineKm reads them.
+func sphereDir(p orbit.Geodetic) orbit.Vec3 {
+	cosLat := math.Cos(p.Lat)
+	return orbit.Vec3{X: cosLat * math.Cos(p.Lon), Y: cosLat * math.Sin(p.Lon), Z: math.Sin(p.Lat)}
+}
+
 // maxGroundDistanceKm returns the ground-track distance at which a
 // satellite at altKm sits exactly at the segment's elevation mask.
 func (g GroundSegment) maxGroundDistanceKm(altKm float64) float64 {
-	const r = 6371.0
+	return meanEarthRadiusKm * g.maxGroundAngle(altKm)
+}
+
+// maxGroundAngle is maxGroundDistanceKm as an Earth-central angle (rad).
+func (g GroundSegment) maxGroundAngle(altKm float64) float64 {
 	if altKm <= 0 {
 		return 0
 	}
 	eps := g.MinElevationRad
-	lambda := math.Acos(r*math.Cos(eps)/(r+altKm)) - eps
+	lambda := math.Acos(meanEarthRadiusKm*math.Cos(eps)/(meanEarthRadiusKm+altKm)) - eps
 	if lambda < 0 {
 		return 0
 	}
-	return r * lambda
+	return lambda
 }
 
 // ScheduleDrains selects the actual drain sessions from the available

@@ -1,6 +1,7 @@
 package backhaul
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -86,8 +87,13 @@ func TestDownlinkWindowsDegenerate(t *testing.T) {
 		t.Error("station-less segment produced windows")
 	}
 	// Zero step falls back to a minute.
-	if w := g.DownlinkWindows(prop, epoch, epoch.Add(2*time.Hour), 0); w == nil {
-		_ = w // may legitimately be empty in two hours; only must not hang
+	end := epoch.Add(6 * time.Hour)
+	want := g.DownlinkWindows(prop, epoch, end, time.Minute)
+	if len(want) == 0 {
+		t.Fatal("no one-minute windows in six hours to compare the zero step against")
+	}
+	if got := g.DownlinkWindows(prop, epoch, end, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("step 0 windows %v, want the one-minute windows %v", got, want)
 	}
 }
 
