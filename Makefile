@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: all build test race bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
+.PHONY: all build test race fmt-check bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
 
 all: build
 
@@ -14,12 +14,18 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# bench runs every benchmark with -benchmem and converts the output into a
-# machine-readable BENCH_<date>.json via cmd/benchjson, so runs are easy to
-# diff over time. Raise BENCHTIME (e.g. BENCHTIME=5s) for real measurements;
-# the 1x default is a fast everything-still-compiles-and-runs pass.
+# fmt-check fails, listing the offenders, when any Go file under the repo
+# (servebench included) is not gofmt-formatted.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
+# bench runs every benchmark five times with -benchmem and converts the
+# output into a machine-readable BENCH_<date>.json via cmd/benchjson, which
+# folds the repeated samples of each benchmark into a median and IQR, so
+# runs are easy to diff over time. Raise BENCHTIME (e.g. BENCHTIME=5s) for
+# longer samples; `make bench-smoke` is the fast everything-still-runs pass.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... > bench.raw.txt
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count 5 ./... > bench.raw.txt
 	$(GO) run ./cmd/benchjson < bench.raw.txt > BENCH_$$(date +%F).json
 	@rm -f bench.raw.txt
 	@echo "wrote BENCH_$$(date +%F).json"
@@ -88,6 +94,7 @@ govulncheck:
 		|| echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"
 
 ci:
+	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...   # includes the internal/obs concurrent-scrape tests

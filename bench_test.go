@@ -399,6 +399,17 @@ func benchSites() []sinet.Geodetic {
 	}
 }
 
+// sgp4CallsOf runs fn once with an orbit telemetry registry installed and
+// returns the SGP4 propagations it made. The propagation-count benches call
+// it before b.ResetTimer, so their timed loops run uninstrumented.
+func sgp4CallsOf(fn func()) float64 {
+	r := obs.New()
+	orbit.SetMetrics(r)
+	defer orbit.SetMetrics(nil)
+	fn()
+	return float64(r.Counter("sinet_sgp4_calls_total", "").Value())
+}
+
 // BenchmarkPassPredictionSerial is the seed pipeline's shape: one
 // propagator per satellite, re-propagated once per (site × step).
 func BenchmarkPassPredictionSerial(b *testing.B) {
@@ -406,9 +417,7 @@ func BenchmarkPassPredictionSerial(b *testing.B) {
 	cons := sinet.Tianqi(start)
 	sites := benchSites()
 	end := start.Add(24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		orbit.ResetSGP4Calls()
+	run := func() int {
 		total := 0
 		for _, els := range cons.Sats {
 			prop, err := sinet.NewPropagator(els)
@@ -423,9 +432,14 @@ func BenchmarkPassPredictionSerial(b *testing.B) {
 		if total == 0 {
 			b.Fatal("no passes")
 		}
-		b.ReportMetric(float64(total), "passes")
-		b.ReportMetric(float64(orbit.SGP4Calls()), "sgp4-calls")
+		return total
 	}
+	calls := sgp4CallsOf(func() { run() })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.ReportMetric(float64(run()), "passes")
+	}
+	b.ReportMetric(calls, "sgp4-calls")
 }
 
 // BenchmarkPassPredictionParallel is the optimized shape: one shared
@@ -436,9 +450,7 @@ func BenchmarkPassPredictionParallel(b *testing.B) {
 	cons := sinet.Tianqi(start)
 	sites := benchSites()
 	end := start.Add(24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		orbit.ResetSGP4Calls()
+	run := func() int {
 		ephs := make([]*sinet.Ephemeris, len(cons.Sats))
 		sim.ForEach(len(cons.Sats), func(si int) error {
 			prop, err := sinet.NewPropagator(cons.Sats[si])
@@ -463,9 +475,14 @@ func BenchmarkPassPredictionParallel(b *testing.B) {
 		if total == 0 {
 			b.Fatal("no passes")
 		}
-		b.ReportMetric(float64(total), "passes")
-		b.ReportMetric(float64(orbit.SGP4Calls()), "sgp4-calls")
+		return total
 	}
+	calls := sgp4CallsOf(func() { run() })
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.ReportMetric(float64(run()), "passes")
+	}
+	b.ReportMetric(calls, "sgp4-calls")
 }
 
 func BenchmarkTLEParse(b *testing.B) {
@@ -514,9 +531,7 @@ func BenchmarkMegaConstellation(b *testing.B) {
 				b.Fatal(err)
 			}
 			sites := megaSites(100)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				orbit.ResetSGP4Calls()
+			run := func() (total, exactRows int) {
 				grid := orbit.NewEphemerisGrid(props, start, end, orbit.EphemerisConfig{ScanStep: time.Minute})
 				sim.ForEach(grid.Sats(), func(si int) error { grid.Propagate(si); return nil }, nil)
 				grid.Finish()
@@ -531,17 +546,22 @@ func BenchmarkMegaConstellation(b *testing.B) {
 					}
 					return nil
 				}, nil)
-				total := 0
 				for _, c := range counts {
 					total += c
 				}
 				if total == 0 {
 					b.Fatal("no passes")
 				}
-				b.ReportMetric(float64(total), "passes")
-				b.ReportMetric(float64(orbit.SGP4Calls()), "sgp4-calls")
-				b.ReportMetric(float64(grid.ExactRows()), "exact-rows")
+				return total, grid.ExactRows()
 			}
+			calls := sgp4CallsOf(func() { run() })
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				total, exactRows := run()
+				b.ReportMetric(float64(total), "passes")
+				b.ReportMetric(float64(exactRows), "exact-rows")
+			}
+			b.ReportMetric(calls, "sgp4-calls")
 		})
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	sinet "github.com/sinet-io/sinet"
+	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/obs"
 	"github.com/sinet-io/sinet/internal/orbit"
 )
@@ -132,17 +133,8 @@ func loadPropagators(tlePath, consName string, epoch time.Time) ([]*sinet.Propag
 		}
 		return parseTLEFile(string(data))
 	}
-	var cons sinet.Constellation
-	switch strings.ToLower(consName) {
-	case "tianqi":
-		cons = sinet.Tianqi(epoch)
-	case "fossa":
-		cons = sinet.FOSSA(epoch)
-	case "pico":
-		cons = sinet.PICO(epoch)
-	case "cstp":
-		cons = sinet.CSTP(epoch)
-	default:
+	cons, ok := constellation.ByName(consName, epoch)
+	if !ok {
 		return nil, fmt.Errorf("unknown constellation %q", consName)
 	}
 	props := make([]*sinet.Propagator, 0, cons.Size())

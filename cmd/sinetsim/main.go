@@ -21,11 +21,13 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	sinet "github.com/sinet-io/sinet"
+	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/groundstation"
 	"github.com/sinet-io/sinet/internal/netgraph"
 	"github.com/sinet-io/sinet/internal/obs"
@@ -127,22 +129,16 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	all := sinet.AllConstellations(start)
 	if *consArg == "" {
-		cfg.Constellations = all
+		cfg.Constellations = sinet.AllConstellations(start)
 	} else {
 		for _, name := range strings.Split(*consArg, ",") {
 			name = strings.TrimSpace(name)
-			found := false
-			for _, c := range all {
-				if strings.EqualFold(c.Name, name) {
-					cfg.Constellations = append(cfg.Constellations, c)
-					found = true
-				}
-			}
-			if !found {
+			c, ok := constellation.ByName(name, start)
+			if !ok {
 				return fmt.Errorf("unknown constellation %q", name)
 			}
+			cfg.Constellations = append(cfg.Constellations, c)
 		}
 	}
 
@@ -195,8 +191,14 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-6s %10d\n", sc.Site.Code, sc.Traces)
 	}
 	fmt.Fprintln(stdout)
-	for name, n := range res.Dataset.CountByConstellation() {
-		fmt.Fprintf(stdout, "%-8s %8d traces", name, n)
+	counts := res.Dataset.CountByConstellation()
+	names := make([]string, 0, len(counts))
+	for name := range counts {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		fmt.Fprintf(stdout, "%-8s %8d traces", name, counts[name])
 		sh := res.Shrinkage(name, "")
 		if sh.Contacts > 0 {
 			fmt.Fprintf(stdout, "  window shrink %.1f%% over %d contacts", sh.ShrinkFraction*100, sh.Contacts)
@@ -255,13 +257,9 @@ func runRouting(stdout io.Writer, days int, seed int64, consArg string, islRange
 			return fmt.Errorf("-isl routes one constellation at a time, got %d", len(names))
 		}
 		name := strings.TrimSpace(names[0])
-		found := false
-		for _, c := range sinet.AllConstellations(start) {
-			if strings.EqualFold(c.Name, name) {
-				cons := c
-				cfg.Constellation = &cons
-				found = true
-			}
+		cons, found := constellation.ByName(name, start)
+		if found {
+			cfg.Constellation = &cons
 		}
 		// "MegaN" (e.g. Mega256) synthesizes a Starlink-class Walker shell
 		// for beyond-the-paper scale sweeps.

@@ -52,52 +52,6 @@ func TianqiGroundSegment() GroundSegment {
 	}
 }
 
-// NextDownlink returns the first time at or after `after` when the
-// satellite rises above the segment's mask over any station, searching up
-// to `horizon`. ok=false when no opportunity exists in the horizon. The
-// per-station pass searches are independent, so they fan out across
-// workers (each on its own propagator clone) and merge by scanning the
-// station-indexed slots in order, which keeps the result deterministic.
-// A worker failure (a panic in the propagator surfaces as an attributed
-// error) is reported instead of crashing the fan-out.
-func (g GroundSegment) NextDownlink(prop *orbit.Propagator, after, horizon time.Time) (time.Time, bool, error) {
-	return g.NextDownlinkUp(prop, after, horizon, nil)
-}
-
-// NextDownlinkUp is NextDownlink restricted to stations that are up: a
-// pass over station i counts only when up(i, AOS) is true at acquisition.
-// A nil predicate treats every station as always up. This is how fault
-// injection makes a downed drain station invisible to the operator's
-// booking search.
-func (g GroundSegment) NextDownlinkUp(prop *orbit.Propagator, after, horizon time.Time, up func(station int, at time.Time) bool) (time.Time, bool, error) {
-	firsts := make([]time.Time, len(g.Stations))
-	if err := sim.ForEach(len(g.Stations), func(i int) error {
-		pp := orbit.NewPassPredictor(prop.Clone())
-		for _, pass := range pp.Passes(g.Stations[i], after, horizon, g.MinElevationRad) {
-			if up != nil && !up(i, pass.AOS) {
-				continue
-			}
-			firsts[i] = pass.AOS
-			break
-		}
-		return nil
-	}, nil); err != nil {
-		return time.Time{}, false, err
-	}
-	best := time.Time{}
-	found := false
-	for _, t := range firsts {
-		if t.IsZero() {
-			continue
-		}
-		if !found || t.Before(best) {
-			best = t
-			found = true
-		}
-	}
-	return best, found, nil
-}
-
 // DownlinkWindows returns the time windows within [start, end) during
 // which the satellite can reach any station of the segment, found by
 // stepping the sub-satellite point over start + k·step (one position

@@ -28,81 +28,6 @@ func TestTianqiGroundSegmentShape(t *testing.T) {
 	}
 }
 
-func TestNextDownlinkFound(t *testing.T) {
-	g := TianqiGroundSegment()
-	c := constellation.Tianqi(epoch)
-	prop, err := orbit.NewPropagator(c.Sats[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A 49.97°-inclination satellite overflies China many times per day:
-	// the next downlink must be within a few hours.
-	at, ok, err := g.NextDownlink(prop, epoch, epoch.Add(24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no downlink opportunity within a day")
-	}
-	if at.Before(epoch) {
-		t.Error("downlink before the query time")
-	}
-	if at.Sub(epoch) > 6*time.Hour {
-		t.Errorf("first downlink %v after query — too sparse for 12 stations", at.Sub(epoch))
-	}
-}
-
-func TestNextDownlinkHorizonRespected(t *testing.T) {
-	g := TianqiGroundSegment()
-	c := constellation.Tianqi(epoch)
-	prop, err := orbit.NewPropagator(c.Sats[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A one-minute horizon almost surely contains no pass start.
-	if _, ok, err := g.NextDownlink(prop, epoch, epoch.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Skip("rare alignment: a pass started in the first minute")
-	}
-}
-
-func TestNextDownlinkUpSkipsDownedStations(t *testing.T) {
-	g := TianqiGroundSegment()
-	c := constellation.Tianqi(epoch)
-	prop, err := orbit.NewPropagator(c.Sats[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	horizon := epoch.Add(24 * time.Hour)
-	base, ok, err := g.NextDownlink(prop, epoch, horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("no baseline downlink within a day")
-	}
-	// Every station down: no opportunity at all.
-	if _, ok, err := g.NextDownlinkUp(prop, epoch, horizon, func(int, time.Time) bool { return false }); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Fatal("downlink found with the whole ground segment down")
-	}
-	// Stations down until after the baseline pass: the next opportunity
-	// must slip strictly past it.
-	cutoff := base.Add(time.Minute)
-	at, ok, err := g.NextDownlinkUp(prop, epoch, horizon, func(_ int, t time.Time) bool { return t.After(cutoff) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok && !at.After(cutoff) {
-		t.Fatalf("downlink %v not after outage cutoff %v", at, cutoff)
-	}
-	if ok && !at.After(base) {
-		t.Fatalf("outage did not delay the downlink: %v vs baseline %v", at, base)
-	}
-}
-
 func TestDownlinkWindowsUpThinsWindows(t *testing.T) {
 	g := TianqiGroundSegment()
 	c := constellation.Tianqi(epoch)

@@ -10,6 +10,7 @@ package constellation
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"github.com/sinet-io/sinet/internal/orbit"
@@ -226,9 +227,49 @@ func CSTP(epoch time.Time) Constellation {
 	}
 }
 
+// catalog lists the constructors of the four measured constellations, in
+// the paper's order.
+var catalog = []struct {
+	name  string
+	build func(epoch time.Time) Constellation
+}{
+	{"Tianqi", Tianqi},
+	{"FOSSA", FOSSA},
+	{"PICO", PICO},
+	{"CSTP", CSTP},
+}
+
 // All returns the four measured constellations in the paper's order.
 func All(epoch time.Time) []Constellation {
-	return []Constellation{Tianqi(epoch), FOSSA(epoch), PICO(epoch), CSTP(epoch)}
+	out := make([]Constellation, len(catalog))
+	for i, c := range catalog {
+		out[i] = c.build(epoch)
+	}
+	return out
+}
+
+// Names returns the names of the four measured constellations in the
+// paper's order.
+func Names() []string {
+	out := make([]string, len(catalog))
+	for i, c := range catalog {
+		out[i] = c.name
+	}
+	return out
+}
+
+// ByName returns the measured constellation whose name matches name after
+// strings.ToLower on both sides, building only that fleet. ok is false for
+// any other name. Unicode case folding is deliberately not used: it would
+// also admit spellings such as "FOſſA" (U+017F long s).
+func ByName(name string, epoch time.Time) (c Constellation, ok bool) {
+	lower := strings.ToLower(name)
+	for _, entry := range catalog {
+		if strings.ToLower(entry.name) == lower {
+			return entry.build(epoch), true
+		}
+	}
+	return Constellation{}, false
 }
 
 // FootprintKm2 returns the instantaneous coverage area of a satellite at

@@ -2,6 +2,8 @@ package constellation
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +110,27 @@ func TestSatellitesPhased(t *testing.T) {
 			t.Errorf("two PICO sats share phasing %v", k)
 		}
 		seen[k] = true
+	}
+}
+
+func TestByNameMatchesAll(t *testing.T) {
+	var names []string
+	for _, want := range All(epoch) {
+		names = append(names, want.Name)
+		for _, name := range []string{want.Name, strings.ToLower(want.Name), strings.ToUpper(want.Name)} {
+			got, ok := ByName(name, epoch)
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Errorf("ByName(%q) = %v, %v; want the catalog's %s", name, got, ok, want)
+			}
+		}
+	}
+	if !reflect.DeepEqual(Names(), names) {
+		t.Errorf("Names() = %v, want %v", Names(), names)
+	}
+	for _, name := range []string{"", "Starlink", "Tianqi[12]", "Mega256", "FOſſA", "CſTP"} {
+		if _, ok := ByName(name, epoch); ok {
+			t.Errorf("ByName(%q) found a constellation", name)
+		}
 	}
 }
 

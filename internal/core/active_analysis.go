@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"time"
 
 	"github.com/sinet-io/sinet/internal/energy"
@@ -166,33 +167,34 @@ func CompareEnergy(sat *ActiveResult, terr *TerrestrialResult, battery energy.Ba
 	return out
 }
 
-// AverageMeters returns the mean average power across node meters and a
-// representative per-mode breakdown, for report rendering.
+// AverageMeters returns the mean average power across node meters and the
+// per-mode breakdown of the first node by ID, for report rendering.
 func AverageMeters(meters map[string]*energy.Meter) (float64, []energy.Breakdown) {
 	return averageMeters(meters)
 }
 
-// averageMeters returns the mean average power over the meters and the
-// breakdown of the first meter (nodes are symmetric; one is
-// representative).
+// averageMeters returns the mean average power over the meters, summed in
+// node-ID order, and the breakdown of the first node by ID (nodes are
+// symmetric; one is representative). Both are independent of map order.
 func averageMeters(meters map[string]*energy.Meter) (float64, []energy.Breakdown) {
 	if len(meters) == 0 {
 		return 0, nil
 	}
-	var sum float64
-	var anyBreakdown []energy.Breakdown
-	for _, m := range meters {
-		sum += m.AveragePowerMW()
-		if anyBreakdown == nil {
-			anyBreakdown = m.Breakdown()
-		}
+	ids := make([]string, 0, len(meters))
+	for id := range meters {
+		ids = append(ids, id)
 	}
-	return sum / float64(len(meters)), anyBreakdown
+	sort.Strings(ids)
+	var sum float64
+	for _, id := range ids {
+		sum += meters[id].AveragePowerMW()
+	}
+	return sum / float64(len(meters)), meters[ids[0]].Breakdown()
 }
 
 // PerGroupReliability buckets packets by (node, day) and returns each
-// bucket's delivery fraction — the unit behind Fig. 12a's "fraction of
-// transmissions reaching 90% reliability".
+// bucket's delivery fraction in (node, day) order — the unit behind
+// Fig. 12a's "fraction of transmissions reaching 90% reliability".
 func (r *ActiveResult) PerGroupReliability() []float64 {
 	type key struct {
 		node string
@@ -207,9 +209,19 @@ func (r *ActiveResult) PerGroupReliability() []float64 {
 			okCount[k]++
 		}
 	}
-	out := make([]float64, 0, len(total))
-	for k, n := range total {
-		out = append(out, float64(okCount[k])/float64(n))
+	keys := make([]key, 0, len(total))
+	for k := range total {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].node != keys[j].node {
+			return keys[i].node < keys[j].node
+		}
+		return keys[i].day < keys[j].day
+	})
+	out := make([]float64, len(keys))
+	for i, k := range keys {
+		out[i] = float64(okCount[k]) / float64(total[k])
 	}
 	return out
 }

@@ -300,4 +300,3 @@ func TestCheckpointProgressSpansWholePhase(t *testing.T) {
 		t.Fatalf("final progress %d, want %d", last, len(lats))
 	}
 }
-

@@ -9,8 +9,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
+	"github.com/sinet-io/sinet/internal/channel"
 	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/core"
 	"github.com/sinet-io/sinet/internal/mac"
@@ -170,11 +172,6 @@ func (r *Runner) Terrestrial() (*core.TerrestrialResult, error) {
 	return res, nil
 }
 
-// constellationNames lists the four fleets in the paper's order.
-func constellationNames() []string {
-	return []string{"Tianqi", "FOSSA", "PICO", "CSTP"}
-}
-
 // Table1Result is the dataset overview (Table 1).
 type Table1Result struct {
 	Counts      []core.SiteCount
@@ -227,7 +224,7 @@ func (r *Runner) Fig3a() (Fig3aResult, error) {
 	out := Fig3aResult{DailyHours: map[string]map[string]float64{}}
 	_ = report.Section(r.Out, "F3a", "Daily presence duration per constellation/site (Fig. 3a)")
 	tab := report.NewTable("", "Constellation", "HK", "SYD", "LDN", "PGH")
-	for _, cons := range constellationNames() {
+	for _, cons := range constellation.Names() {
 		out.DailyHours[cons] = map[string]float64{}
 		row := []any{cons}
 		for _, site := range []string{"HK", "SYD", "LDN", "PGH"} {
@@ -276,7 +273,7 @@ func (r *Runner) Fig3b() (Fig3bResult, error) {
 	out := Fig3bResult{Mean: map[string]float64{}, P5: map[string]float64{}, P95: map[string]float64{}}
 	_ = report.Section(r.Out, "F3b", "Signal strength by constellation (Fig. 3b)")
 	tab := report.NewTable("", "Constellation", "mean dBm", "p5 dBm", "p95 dBm", "n")
-	for _, cons := range constellationNames() {
+	for _, cons := range constellation.Names() {
 		s := passive.RSSISummary(cons)
 		out.Mean[cons] = s.Mean
 		out.P5[cons] = s.P25 // conservative lower band marker
@@ -341,7 +338,13 @@ func (r *Runner) Fig3d() (Fig3dResult, error) {
 	out := Fig3dResult{OverallLoss: passive.OverallBeaconLoss("Tianqi")}
 	_ = report.Section(r.Out, "F3d", "Beacon reception per contact by weather (Fig. 3d)")
 	tab := report.NewTable("", "Weather", "mean reception", "median", "contacts")
-	for w, s := range byWeather {
+	weathers := make([]channel.Weather, 0, len(byWeather))
+	for w := range byWeather {
+		weathers = append(weathers, w)
+	}
+	slices.Sort(weathers)
+	for _, w := range weathers {
+		s := byWeather[w]
 		tab.AddRow(w.String(), s.Mean, s.Median, s.N)
 		switch w.String() {
 		case "sunny":
@@ -378,7 +381,7 @@ func (r *Runner) Fig4() (Fig4Result, error) {
 	out := Fig4Result{Shrink: map[string]float64{}, Stretch: map[string]float64{}}
 	_ = report.Section(r.Out, "F4", "Contact windows: theoretical vs effective (Fig. 4a/4b)")
 	tab := report.NewTable("", "Constellation", "mean theo", "mean eff", "shrink %", "interval stretch")
-	for _, cons := range constellationNames() {
+	for _, cons := range constellation.Names() {
 		sh := passive.Shrinkage(cons, "")
 		iv := passive.Intervals(cons, "HK")
 		out.Shrink[cons] = sh.ShrinkFraction

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -209,6 +210,37 @@ func TestActiveExperimentsQuick(t *testing.T) {
 	for _, id := range []string{"F5a", "F5c/F5d", "F6", "F11"} {
 		if !strings.Contains(out, "== "+id) {
 			t.Errorf("missing section %s", id)
+		}
+	}
+}
+
+// TestFigureReportsRenderIdentically renders F3d and F6 ten times each
+// from one runner's cached campaigns: the bytes must not depend on map
+// iteration order.
+func TestFigureReportsRenderIdentically(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign experiments skipped in -short")
+	}
+	r := New(QuickScale(), nil)
+	for _, fig := range []struct {
+		id     string
+		render func() error
+	}{
+		{"F3d", func() error { _, err := r.Fig3d(); return err }},
+		{"F6", func() error { _, err := r.Fig6(); return err }},
+	} {
+		var first string
+		for i := 0; i < 10; i++ {
+			var buf bytes.Buffer
+			r.Out = &buf
+			if err := fig.render(); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				first = buf.String()
+			} else if buf.String() != first {
+				t.Fatalf("%s render %d differs from the first:\n%s\nvs\n%s", fig.id, i, buf.String(), first)
+			}
 		}
 	}
 }

@@ -24,9 +24,9 @@ func FuzzJournalReplay(f *testing.F) {
 		}
 	}
 	f.Add(clean)
-	f.Add(clean[:len(clean)-3])       // torn payload
-	f.Add(clean[:frameHeaderLen-2])   // torn header
-	f.Add([]byte{})                   // empty file
+	f.Add(clean[:len(clean)-3])                       // torn payload
+	f.Add(clean[:frameHeaderLen-2])                   // torn header
+	f.Add([]byte{})                                   // empty file
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length
 	corrupted := append([]byte(nil), clean...)
 	corrupted[len(corrupted)-1] ^= 0x01

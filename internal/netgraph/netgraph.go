@@ -11,8 +11,8 @@
 // propagation plus per-hop processing delay. Snapshots depend only on the
 // shared (immutable once propagated) ephemeris samples and write only
 // their own slot, so they build in parallel with bit-identical results to
-// a serial build. On top of the snapshots, route.go answers per-snapshot
-// shortest-path queries and time-expanded earliest-delivery searches.
+// a serial build. On top of the snapshots, route.go answers time-expanded
+// earliest-delivery searches.
 package netgraph
 
 import (
@@ -32,12 +32,16 @@ const SpeedOfLightKmPerSec = 299792.458
 
 // Defaults for Config's zero values.
 const (
-	DefaultSnapshotStep   = time.Minute
-	DefaultMaxISLRangeKm  = 5000.0
-	DefaultOcclusionAltKm = 80.0
-	DefaultHopProcessing  = 10 * time.Millisecond
-	defaultMinElevation   = 5 * math.Pi / 180
+	DefaultSnapshotStep  = time.Minute
+	DefaultMaxISLRangeKm = 5000.0
+	DefaultHopProcessing = 10 * time.Millisecond
+	defaultMinElevation  = 5 * math.Pi / 180
 )
+
+// occlusionAltKm is the grazing altitude of the Earth-limb occlusion test:
+// an ISL whose line of sight dips below EarthRadiusKm + occlusionAltKm is
+// blocked, which keeps links out of the bulk atmosphere.
+const occlusionAltKm = 80.0
 
 // Config parameterizes graph construction. The zero value is usable: every
 // field defaults as documented.
@@ -52,12 +56,6 @@ type Config struct {
 	// longer than this are down regardless of visibility. Defaults to
 	// 5000 km, a typical optical crosslink figure.
 	MaxISLRangeKm float64
-
-	// OcclusionAltKm is the grazing altitude of the Earth-limb occlusion
-	// test: an ISL whose line of sight dips below EarthRadiusKm +
-	// OcclusionAltKm is blocked. The default 80 km keeps links out of the
-	// bulk atmosphere.
-	OcclusionAltKm float64
 
 	// HopProcessing is the per-hop switching/processing delay added to
 	// every edge's propagation delay. Defaults to 10 ms.
@@ -85,9 +83,6 @@ func (c *Config) setDefaults() {
 	if c.MaxISLRangeKm <= 0 {
 		c.MaxISLRangeKm = DefaultMaxISLRangeKm
 	}
-	if c.OcclusionAltKm == 0 {
-		c.OcclusionAltKm = DefaultOcclusionAltKm
-	}
 	if c.HopProcessing <= 0 {
 		c.HopProcessing = DefaultHopProcessing
 	}
@@ -102,19 +97,11 @@ func (c *Config) setDefaults() {
 type Snapshot struct {
 	At time.Time
 
-	// pos[i] is satellite i's ECEF position at At; ok[i] is false when
-	// propagation failed (a decayed satellite contributes no edges).
-	pos []orbit.Vec3
-	ok  []bool
-
 	offsets []int32   // len nodes+1
 	nbr     []int32   // neighbor node index
 	delay   []float64 // edge delay, seconds (propagation + processing)
-	distKm  []float64 // edge length, km (for predicates re-checks and tests)
 
-	liveISL int    // live candidate ISLs in this snapshot
-	fp      uint64 // FNV-1a fingerprint of the edge set (offsets+nbr)
-	built   bool
+	liveISL int // live candidate ISLs in this snapshot
 }
 
 // Graph is the time-expanded network over one campaign span.
@@ -174,20 +161,8 @@ func New(grid *orbit.EphemerisGrid, stations []orbit.Geodetic, start, end time.T
 // Snapshots returns the snapshot count.
 func (g *Graph) Snapshots() int { return len(g.snaps) }
 
-// SnapshotStep returns the topology cadence.
-func (g *Graph) SnapshotStep() time.Duration { return g.cfg.SnapshotStep }
-
-// At returns snapshot k's instant.
-func (g *Graph) At(k int) time.Time { return g.snaps[k].At }
-
-// SatCount returns the number of satellite nodes.
-func (g *Graph) SatCount() int { return g.grid.Sats() }
-
-// StationCount returns the number of ground-station nodes.
-func (g *Graph) StationCount() int { return len(g.stations) }
-
-// Nodes returns the total node count; node ids are satellites
-// 0..SatCount-1 followed by stations SatCount..Nodes-1.
+// Nodes returns the total node count; node ids are satellites 0..S-1
+// (the grid's rows, S = grid.Sats()) followed by stations S..Nodes-1.
 func (g *Graph) Nodes() int { return g.grid.Sats() + len(g.stations) }
 
 // IsStation reports whether node is a ground station.
@@ -271,13 +246,15 @@ func (g *Graph) Build(k int) {
 	sats := g.grid.Sats()
 	nodes := g.Nodes()
 
-	snap.pos = make([]orbit.Vec3, sats)
-	snap.ok = make([]bool, sats)
+	// pos[i] is satellite i's ECEF position at t; ok[i] is false when
+	// propagation failed (a decayed satellite contributes no edges).
+	pos := make([]orbit.Vec3, sats)
+	ok := make([]bool, sats)
 	for i := 0; i < sats; i++ {
 		r, _, err := g.grid.Sat(i).PositionECEF(t)
 		if err == nil {
-			snap.pos[i] = r
-			snap.ok[i] = true
+			pos[i] = r
+			ok[i] = true
 		}
 	}
 
@@ -292,11 +269,11 @@ func (g *Graph) Build(k int) {
 		distKm float64
 	}
 	var edges []liveEdge
-	limb := orbit.EarthRadiusKm + g.cfg.OcclusionAltKm
+	limb := orbit.EarthRadiusKm + occlusionAltKm
 	liveISL, dropped := 0, 0
 	for _, c := range g.cand {
 		a, b := int(c[0]), int(c[1])
-		if !snap.ok[a] || !snap.ok[b] {
+		if !ok[a] || !ok[b] {
 			dropped++
 			continue
 		}
@@ -304,8 +281,8 @@ func (g *Graph) Build(k int) {
 			dropped++
 			continue
 		}
-		d := snap.pos[a].Sub(snap.pos[b]).Norm()
-		if d > g.cfg.MaxISLRangeKm || occluded(snap.pos[a], snap.pos[b], limb) {
+		d := pos[a].Sub(pos[b]).Norm()
+		if d > g.cfg.MaxISLRangeKm || occluded(pos[a], pos[b], limb) {
 			dropped++
 			continue
 		}
@@ -313,14 +290,14 @@ func (g *Graph) Build(k int) {
 		liveISL++
 	}
 	for i := 0; i < sats; i++ {
-		if !snap.ok[i] {
+		if !ok[i] {
 			continue
 		}
 		for j := range g.stations {
-			if !stUp[j] || !g.masks[j].Above(snap.pos[i]) {
+			if !stUp[j] || !g.masks[j].Above(pos[i]) {
 				continue
 			}
-			d := snap.pos[i].Sub(g.stECEF[j]).Norm()
+			d := pos[i].Sub(g.stECEF[j]).Norm()
 			edges = append(edges, liveEdge{a: int32(i), b: int32(sats + j), distKm: d})
 		}
 	}
@@ -337,7 +314,6 @@ func (g *Graph) Build(k int) {
 	}
 	nbr := make([]int32, offsets[nodes])
 	delay := make([]float64, offsets[nodes])
-	distKm := make([]float64, offsets[nodes])
 	fill := make([]int32, nodes)
 	copy(fill, offsets[:nodes])
 	hop := g.cfg.HopProcessing.Seconds()
@@ -345,61 +321,16 @@ func (g *Graph) Build(k int) {
 		w := e.distKm/SpeedOfLightKmPerSec + hop
 		nbr[fill[e.a]] = e.b
 		delay[fill[e.a]] = w
-		distKm[fill[e.a]] = e.distKm
 		fill[e.a]++
 		nbr[fill[e.b]] = e.a
 		delay[fill[e.b]] = w
-		distKm[fill[e.b]] = e.distKm
 		fill[e.b]++
 	}
 	snap.offsets = offsets
 	snap.nbr = nbr
 	snap.delay = delay
-	snap.distKm = distKm
-	snap.fp = fingerprint(offsets, nbr)
-	snap.built = true
 	observeSnapshot(liveISL, dropped)
 }
-
-// Degree returns node's edge count in snapshot k.
-func (g *Graph) Degree(k, node int) int {
-	s := &g.snaps[k]
-	return int(s.offsets[node+1] - s.offsets[node])
-}
-
-// Neighbors calls fn for every edge of node in snapshot k with the
-// neighbor id, the edge delay (seconds) and the edge length (km).
-func (g *Graph) Neighbors(k, node int, fn func(to int, delaySec, distKm float64)) {
-	s := &g.snaps[k]
-	for e := s.offsets[node]; e < s.offsets[node+1]; e++ {
-		fn(int(s.nbr[e]), s.delay[e], s.distKm[e])
-	}
-}
-
-// EdgeLive reports whether the undirected edge a–b is live in snapshot k,
-// and its length when it is. Used by the path-validity property tests.
-func (g *Graph) EdgeLive(k, a, b int) (distKm float64, live bool) {
-	s := &g.snaps[k]
-	for e := s.offsets[a]; e < s.offsets[a+1]; e++ {
-		if int(s.nbr[e]) == b {
-			return s.distKm[e], true
-		}
-	}
-	return 0, false
-}
-
-// SatPosition returns satellite i's ECEF position in snapshot k and
-// whether it propagated.
-func (g *Graph) SatPosition(k, i int) (orbit.Vec3, bool) {
-	s := &g.snaps[k]
-	return s.pos[i], s.ok[i]
-}
-
-// MaxISLRangeKm returns the configured ISL range budget.
-func (g *Graph) MaxISLRangeKm() float64 { return g.cfg.MaxISLRangeKm }
-
-// OcclusionAltKm returns the configured limb-grazing altitude.
-func (g *Graph) OcclusionAltKm() float64 { return g.cfg.OcclusionAltKm }
 
 // occluded reports whether the segment a–b dips inside the sphere of
 // radius limit (km, centered on Earth's center): the closest point of the
@@ -418,31 +349,6 @@ func occluded(a, b orbit.Vec3, limit float64) bool {
 	}
 	p := a.Add(d.Scale(t))
 	return p.Norm() < limit
-}
-
-// fingerprint hashes the edge-set structure (offsets + neighbor ids) with
-// FNV-1a so the router can detect "topology unchanged between snapshots"
-// and reuse its shortest-path tree instead of re-running Dijkstra.
-func fingerprint(offsets, nbr []int32) uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	mix := func(v int32) {
-		u := uint32(v)
-		for s := 0; s < 32; s += 8 {
-			h ^= uint64(byte(u >> s))
-			h *= fnvPrime
-		}
-	}
-	for _, v := range offsets {
-		mix(v)
-	}
-	for _, v := range nbr {
-		mix(v)
-	}
-	return h
 }
 
 // walkerNeighbors derives the candidate ISL edge list from the element

@@ -13,7 +13,7 @@ type graphMetrics struct {
 	builds     *obs.Counter
 	edgesLive  *obs.Counter
 	edgesDrop  *obs.Counter
-	routes     *obs.CounterVec
+	routes     *obs.Counter
 	deliveries *obs.CounterVec
 }
 
@@ -25,7 +25,7 @@ var metrics atomic.Pointer[graphMetrics]
 //	sinet_topology_builds_total       snapshots built
 //	sinet_isl_edges_live_total        candidate ISLs live at build time
 //	sinet_isl_edges_dropped_total     candidate ISLs failing a predicate
-//	sinet_route_computations_total    router runs, by mode (full|incremental)
+//	sinet_route_computations_total    per-snapshot delivery-search Dijkstra runs (mode="full")
 //	sinet_deliveries_total            campaign deliveries, by policy (relay|store)
 //
 // The installation is process-wide, matching orbit.SetMetrics and
@@ -41,11 +41,8 @@ func SetMetrics(r *obs.Registry) {
 		builds:     r.Counter("sinet_topology_builds_total", "Network-graph snapshots built."),
 		edgesLive:  r.Counter("sinet_isl_edges_live_total", "Candidate inter-satellite links live at snapshot build."),
 		edgesDrop:  r.Counter("sinet_isl_edges_dropped_total", "Candidate inter-satellite links dropped by a connectivity predicate or churn."),
-		routes:     r.CounterVec("sinet_route_computations_total", "Shortest-path computations, by mode.", "mode"),
+		routes:     r.CounterVec("sinet_route_computations_total", "Shortest-path computations, by mode.", "mode").With("full"),
 		deliveries: r.CounterVec("sinet_deliveries_total", "Routing-campaign packet deliveries, by policy.", "policy"),
-	}
-	for _, mode := range []string{"full", "incremental"} {
-		m.routes.With(mode)
 	}
 	for _, policy := range []string{"relay", "store"} {
 		m.deliveries.With(policy)
@@ -64,17 +61,13 @@ func observeSnapshot(live, dropped int) {
 	m.edgesDrop.Add(uint64(dropped))
 }
 
-// observeRoute accounts one router run.
-func observeRoute(full bool) {
+// observeRoute accounts one per-snapshot Dijkstra run of a delivery search.
+func observeRoute() {
 	m := metrics.Load()
 	if m == nil {
 		return
 	}
-	if full {
-		m.routes.With("full").Inc()
-	} else {
-		m.routes.With("incremental").Inc()
-	}
+	m.routes.Inc()
 }
 
 // ObserveDelivery accounts one campaign delivery under the given policy

@@ -6,114 +6,6 @@ import (
 	"time"
 )
 
-// Router answers shortest-path queries over single snapshots. It keeps the
-// last computed shortest-path tree and, when consecutive queries hit
-// snapshots with an identical edge set (same fingerprint) and the same
-// source, reuses the tree and merely refreshes the delays along it — an
-// O(V·deg) walk instead of a full Dijkstra — the incremental-recompute
-// idiom of periodic topology updates: routes change only when the
-// topology does. A Router is not safe for concurrent use; create one per
-// worker.
-type Router struct {
-	g *Graph
-
-	// cache identity
-	haveTree bool
-	src      int
-	fp       uint64
-
-	dist   []float64 // seconds from src, +Inf unreachable
-	parent []int32   // predecessor in the tree, -1 for src/unreachable
-	order  []int32   // settle order of the last full Dijkstra
-
-	// scratch
-	pq      minHeap
-	settled []bool
-}
-
-// NewRouter creates a router over g.
-func NewRouter(g *Graph) *Router {
-	n := g.Nodes()
-	return &Router{
-		g:       g,
-		dist:    make([]float64, n),
-		parent:  make([]int32, n),
-		order:   make([]int32, 0, n),
-		settled: make([]bool, n),
-	}
-}
-
-// Routes computes single-source shortest delays from src over snapshot k.
-// The returned slices are owned by the router and valid until the next
-// call: dist[v] is the delay in seconds (+Inf when unreachable), parent[v]
-// the predecessor on the shortest path.
-func (r *Router) Routes(k, src int) (dist []float64, parent []int32) {
-	s := &r.g.snaps[k]
-	if r.haveTree && r.src == src && r.fp == s.fp {
-		r.refresh(k)
-		observeRoute(false)
-		return r.dist, r.parent
-	}
-	r.dijkstra(k, src)
-	r.haveTree = true
-	r.src = src
-	r.fp = s.fp
-	observeRoute(true)
-	return r.dist, r.parent
-}
-
-// dijkstra runs the full computation over snapshot k.
-func (r *Router) dijkstra(k, src int) {
-	n := r.g.Nodes()
-	for i := 0; i < n; i++ {
-		r.dist[i] = math.Inf(1)
-		r.parent[i] = -1
-		r.settled[i] = false
-	}
-	r.order = r.order[:0]
-	r.pq = r.pq[:0]
-	r.dist[src] = 0
-	heap.Push(&r.pq, heapItem{node: int32(src), cost: 0})
-	s := &r.g.snaps[k]
-	for r.pq.Len() > 0 {
-		it := heap.Pop(&r.pq).(heapItem)
-		v := int(it.node)
-		if r.settled[v] {
-			continue
-		}
-		r.settled[v] = true
-		r.order = append(r.order, it.node)
-		for e := s.offsets[v]; e < s.offsets[v+1]; e++ {
-			u := int(s.nbr[e])
-			if c := it.cost + s.delay[e]; c < r.dist[u] {
-				r.dist[u] = c
-				r.parent[u] = int32(v)
-				heap.Push(&r.pq, heapItem{node: s.nbr[e], cost: c})
-			}
-		}
-	}
-}
-
-// refresh recomputes the delays along the cached tree using snapshot k's
-// edge weights. The tree stays valid because the edge set is identical;
-// only the (slowly drifting) propagation delays moved.
-func (r *Router) refresh(k int) {
-	s := &r.g.snaps[k]
-	for _, vn := range r.order {
-		v := int(vn)
-		p := r.parent[v]
-		if p < 0 {
-			continue
-		}
-		for e := s.offsets[v]; e < s.offsets[v+1]; e++ {
-			if s.nbr[e] == p {
-				r.dist[v] = r.dist[p] + s.delay[e]
-				break
-			}
-		}
-	}
-}
-
 // heapItem is one priority-queue entry.
 type heapItem struct {
 	node int32
@@ -255,7 +147,7 @@ func (s *DeliverySearch) Earliest(sat int, origin time.Time) (Delivery, bool) {
 			}
 		}
 		if s.pq.Len() > 0 {
-			observeRoute(true)
+			observeRoute()
 		}
 		for s.pq.Len() > 0 {
 			it := heap.Pop(&s.pq).(heapItem)

@@ -117,25 +117,12 @@ func NewEphemeris(prop *Propagator, start, end time.Time, step time.Duration) *E
 	return NewEphemerisWith(prop, start, end, EphemerisConfig{ScanStep: step})
 }
 
-// NewEphemerisWith builds an ephemeris under an explicit configuration.
+// NewEphemerisWith builds an ephemeris under an explicit configuration: the
+// single row of a one-satellite EphemerisGrid.
 func NewEphemerisWith(prop *Propagator, start, end time.Time, cfg EphemerisConfig) *Ephemeris {
-	cfg.setDefaults()
-	sample := cfg.SampleStep
-	if sample <= 0 {
-		if cfg.Exact {
-			sample = cfg.ScanStep
-		} else {
-			sample = calibrateSampleStep([]*Propagator{prop}, start, end, cfg)
-		}
-	}
-	e := newEphemerisShell(prop.Elements(), prop.Clone(), start, end, sample, cfg)
-	buf := make([]float64, 6*e.n)
-	e.attach(buf, 0, 1)
-	e.propagateRow(gmstColumn(start, sample, e.n))
-	if !cfg.Exact {
-		e.validateRow(2)
-	}
-	return e
+	g := NewEphemerisGrid([]*Propagator{prop}, start, end, cfg)
+	g.PropagateAll()
+	return g.Sat(0)
 }
 
 // newEphemerisShell sizes an ephemeris without allocating sample storage;
@@ -171,17 +158,6 @@ func (e *Ephemeris) attach(buf []float64, row, rows int) {
 	e.vx = buf[3*stride+off : 3*stride+off+e.n : 3*stride+off+e.n]
 	e.vy = buf[4*stride+off : 4*stride+off+e.n : 4*stride+off+e.n]
 	e.vz = buf[5*stride+off : 5*stride+off+e.n : 5*stride+off+e.n]
-}
-
-// gmstColumn precomputes the Greenwich sidereal angles of the grid, shared
-// by every satellite of a constellation: the angle depends only on time, so
-// one pass over the steps serves all rows.
-func gmstColumn(start time.Time, step time.Duration, n int) []float64 {
-	thetas := make([]float64, n)
-	for k := 0; k < n; k++ {
-		thetas[k] = GMSTAt(start.Add(time.Duration(k) * step))
-	}
-	return thetas
 }
 
 // propagateRow fills the sample arrays by exact SGP4 propagation. The TEME

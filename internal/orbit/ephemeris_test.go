@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/sinet-io/sinet/internal/obs"
 )
 
 func TestEphemerisMatchesPropagatorBitExact(t *testing.T) {
@@ -161,19 +163,24 @@ func TestEphemerisCutsPropagationsToSatsTimesSteps(t *testing.T) {
 		NewGeodeticDeg(25.04, 102.72, 1.9),
 	}
 
-	ResetSGP4Calls()
+	r := obs.New()
+	SetMetrics(r)
+	defer SetMetrics(nil)
+	sgp4 := r.Counter("sinet_sgp4_calls_total", "")
+	calls := func() int64 { return int64(sgp4.Value()) }
+
 	for _, site := range sites {
 		NewPassPredictor(p).Passes(site, start, end, 0)
 	}
-	serial := SGP4Calls()
+	serial := calls()
 
-	ResetSGP4Calls()
+	before := calls()
 	eph := NewEphemerisWith(p, start, end, EphemerisConfig{ScanStep: step, Exact: true})
-	build := SGP4Calls()
+	build := calls() - before
 	for _, site := range sites {
 		NewEphemerisPredictor(eph).Passes(site, start, end, 0)
 	}
-	shared := SGP4Calls()
+	shared := calls() - before
 
 	if build < steps || build > steps+8 {
 		t.Errorf("ephemeris build used %d propagations, want ~%d (one per step)", build, steps)
@@ -194,12 +201,12 @@ func TestEphemerisCutsPropagationsToSatsTimesSteps(t *testing.T) {
 	// bisection queries from the interpolant, so the entire shared sweep —
 	// build plus six sites of pass search — must undercut even the
 	// exact-mode build cost.
-	ResetSGP4Calls()
+	before = calls()
 	interpEph := NewEphemeris(p, start, end, step)
 	for _, site := range sites {
 		NewEphemerisPredictor(interpEph).Passes(site, start, end, 0)
 	}
-	interpTotal := SGP4Calls()
+	interpTotal := calls() - before
 	if interpTotal >= build {
 		t.Errorf("interpolated sweep used %d propagations, want below exact-mode build count %d", interpTotal, build)
 	}

@@ -1,7 +1,6 @@
 package orbit
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -30,10 +29,6 @@ type EphemerisGrid struct {
 	views  []Ephemeris
 	buf    []float64 // [px | py | pz | vx | vy | vz], each sats×steps
 	thetas []float64 // per-step GMST, shared by all rows
-
-	// rowErrKm records each row's worst probed interpolation error, filled
-	// by Propagate (distinct indices, so concurrent workers never race).
-	rowErrKm []float64
 }
 
 // gmstPool recycles the per-step sidereal-angle scratch column across grid
@@ -60,7 +55,6 @@ func NewEphemerisGrid(props []*Propagator, start, end time.Time, cfg EphemerisCo
 
 	g := &EphemerisGrid{start: start, step: sample, cfg: cfg}
 	g.views = make([]Ephemeris, len(props))
-	g.rowErrKm = make([]float64, len(props))
 	n := 0
 	for i, p := range props {
 		e := newEphemerisShell(p.Elements(), p.Clone(), start, end, sample, cfg)
@@ -108,7 +102,7 @@ func (g *EphemerisGrid) Propagate(i int) {
 	e := &g.views[i]
 	e.propagateRow(g.thetas)
 	if !g.cfg.Exact {
-		g.rowErrKm[i] = e.validateRow(2)
+		e.validateRow(2)
 	}
 }
 
@@ -130,16 +124,6 @@ func (g *EphemerisGrid) Finish() {
 		gmstPool.Put(&scratch)
 		g.thetas = nil
 	}
-}
-
-// WorstInterpErrorKm returns the largest probed interpolation error across
-// all rows (zero for exact grids).
-func (g *EphemerisGrid) WorstInterpErrorKm() float64 {
-	worst := 0.0
-	for _, e := range g.rowErrKm {
-		worst = math.Max(worst, e)
-	}
-	return worst
 }
 
 // ExactRows counts rows that fell back to exact mode — configured, or

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 )
 
@@ -202,18 +201,6 @@ func (p *Propagator) Clone() *Propagator {
 	return &cp
 }
 
-// sgp4Calls counts SGP4 propagations process-wide. The campaign-complexity
-// tests use it to assert the ephemeris cache turns pass prediction from
-// O(sats × sites × steps) propagations into O(sats × steps).
-var sgp4Calls atomic.Int64
-
-// SGP4Calls returns the number of SGP4 propagations performed since the last
-// ResetSGP4Calls (or process start).
-func SGP4Calls() int64 { return sgp4Calls.Load() }
-
-// ResetSGP4Calls zeroes the propagation counter.
-func ResetSGP4Calls() { sgp4Calls.Store(0) }
-
 // State is the propagated position/velocity in the TEME frame.
 type State struct {
 	Position Vec3 // km, TEME
@@ -223,7 +210,6 @@ type State struct {
 // PropagateMinutes advances the orbit tsince minutes past the element epoch
 // and returns the TEME state.
 func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
-	sgp4Calls.Add(1)
 	if m := metrics.Load(); m != nil {
 		m.sgp4Calls.Inc()
 	}

@@ -20,8 +20,8 @@ func FuzzParseTLE(f *testing.F) {
 	f.Add("1 25544U 98067A   24001.50000000  .00016717  00000-0  10270-3 0  9005\n" +
 		"2 25544  51.6400 208.9163 0006317  69.9862 254.3157 15.49309239 20002")
 	f.Add("")
-	f.Add("1 44027U\n2 44027")                      // truncated lines
-	f.Add("garbage\nmore garbage\neven more")      // three junk lines
+	f.Add("1 44027U\n2 44027")                // truncated lines
+	f.Add("garbage\nmore garbage\neven more") // three junk lines
 	f.Add(strings.Repeat("1", 70) + "\n" + strings.Repeat("2", 70))
 	f.Add("1 44027U 24001A   24245.50000000  .00001000  00000+0  10000-3 0  9994\n" +
 		"2 44027  97.5000 120.0000 0012000  45.0000 315.0000 14.80000000100009") // bad checksum

@@ -271,20 +271,11 @@ type BackhaulSpec struct {
 	MinDrainGap   Duration  `json:"min_drain_gap,omitempty"`
 }
 
-var constellationNames = []string{"Tianqi", "FOSSA", "PICO", "CSTP"}
-
 func constellationByName(name string, epoch time.Time) (constellation.Constellation, error) {
-	switch strings.ToLower(name) {
-	case "tianqi":
-		return constellation.Tianqi(epoch), nil
-	case "fossa":
-		return constellation.FOSSA(epoch), nil
-	case "pico":
-		return constellation.PICO(epoch), nil
-	case "cstp":
-		return constellation.CSTP(epoch), nil
+	if cons, ok := constellation.ByName(name, epoch); ok {
+		return cons, nil
 	}
-	return constellation.Constellation{}, specErr("unknown constellation %q (one of %s)", name, strings.Join(constellationNames, ", "))
+	return constellation.Constellation{}, specErr("unknown constellation %q (one of %s)", name, strings.Join(constellation.Names(), ", "))
 }
 
 // satCount is the satellite count of the named constellation: the unit
@@ -393,7 +384,7 @@ func (p *PassiveSpec) normalize() error {
 		p.Sites[i] = code
 	}
 	if len(p.Constellations) == 0 {
-		p.Constellations = append([]string(nil), constellationNames...)
+		p.Constellations = constellation.Names()
 	}
 	for i, name := range p.Constellations {
 		cons, err := constellationByName(name, p.Start)
