@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: all build test race fmt-check bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
+.PHONY: all build test race fmt-check lines bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
 
 all: build
 
@@ -18,6 +18,16 @@ race:
 # (servebench included) is not gofmt-formatted.
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
+
+# lines prints non-test Go lines (wc -l over every non-_test.go file) per
+# package directory and in total. servebench, its own module, gets its own
+# line and stays out of the total.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './servebench/*' -exec wc -l {} + \
+		| awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+	@find servebench -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l \
+		| awk '{ printf "%7d  servebench (own module, not in total)\n", $$1 }'
 
 # bench runs every benchmark five times with -benchmem and converts the
 # output into a machine-readable BENCH_<date>.json via cmd/benchjson, which

@@ -43,6 +43,7 @@ type workerOpts struct {
 	runner    func(i int) service.RunnerFunc
 	cfg       func(i int, c *service.Config)
 	coordCfg  func(c *Config)
+	wrap      func(h http.Handler) http.Handler // around every worker's handler
 	threshold int
 }
 
@@ -62,7 +63,11 @@ func startCluster(t *testing.T, o workerOpts) *testCluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		if o.wrap != nil {
+			h = o.wrap(h)
+		}
+		ts := httptest.NewServer(h)
 		tc.workers = append(tc.workers, srv)
 		tc.servers = append(tc.servers, ts)
 		peers[i] = ts.URL
@@ -184,7 +189,9 @@ func directGolden(t *testing.T, specJSON string) []byte {
 // TestClusterByteIdentity is the tentpole pin: for every job kind, the
 // bytes served through the coordinator (sharded across the fleet or
 // proxied to a ring owner) equal the bytes a single worker serves equal
-// the bytes of a direct library run.
+// the bytes of a direct library run. The coordinator goes first: had a
+// worker already cached a parent result, the coordinator could fill it
+// from that worker instead of sharding.
 func TestClusterByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full campaigns across an in-process fleet")
@@ -193,15 +200,26 @@ func TestClusterByteIdentity(t *testing.T) {
 	for kind, specJSON := range clusterGoldenSpecs {
 		t.Run(kind, func(t *testing.T) {
 			golden := directGolden(t, specJSON)
-			viaWorker := awaitResult(t, tc.servers[0].URL, submitJob(t, tc.servers[0].URL, specJSON))
-			if !bytes.Equal(viaWorker, golden) {
-				t.Fatalf("single-worker bytes (%d) differ from direct run (%d)", len(viaWorker), len(golden))
-			}
 			viaCoord := awaitResult(t, tc.coordTS.URL, submitJob(t, tc.coordTS.URL, specJSON))
 			if !bytes.Equal(viaCoord, golden) {
 				t.Fatalf("coordinator bytes (%d) differ from direct run (%d)", len(viaCoord), len(golden))
 			}
+			viaWorker := awaitResult(t, tc.servers[0].URL, submitJob(t, tc.servers[0].URL, specJSON))
+			if !bytes.Equal(viaWorker, golden) {
+				t.Fatalf("single-worker bytes (%d) differ from direct run (%d)", len(viaWorker), len(golden))
+			}
 		})
+	}
+	// Every kind over the threshold was sharded, none answered from a
+	// peer's cache.
+	scrape := scrapeOwn(t, tc)
+	for series, want := range map[string]string{
+		"sinet_cluster_shard_jobs_total": "4",
+		"sinet_peer_cache_fills_total":   "0",
+	} {
+		if got := scrapeValue(scrape, series); got != want {
+			t.Errorf("%s = %q, want %s", series, got, want)
+		}
 	}
 	// The sharded kinds must actually have fanned out: at least two
 	// workers simulated something.
@@ -297,6 +315,17 @@ func TestClusterWorkerDeathFailover(t *testing.T) {
 			t.Fatalf("failover not counted: %s", line)
 		}
 	}
+}
+
+// scrapeValue returns the value of an unlabelled series in a text
+// exposition ("" when the series is absent).
+func scrapeValue(scrape, series string) string {
+	for _, line := range strings.Split(scrape, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			return v
+		}
+	}
+	return ""
 }
 
 func scrapeOwn(t *testing.T, tc *testCluster) string {
@@ -551,6 +580,61 @@ func TestClusterMetricsAggregation(t *testing.T) {
 	} {
 		if !strings.Contains(second, want) {
 			t.Errorf("post-campaign scrape missing %q", want)
+		}
+	}
+}
+
+// TestClusterScrapeSurvivesStalledWorker pins the worker scrape deadline:
+// a worker that accepts /metrics and never answers costs the coordinator
+// one scrapeTimeout, after which the coordinator serves its whole body,
+// its own series included, without that worker.
+func TestClusterScrapeSurvivesStalledWorker(t *testing.T) {
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		w.WriteHeader(http.StatusOK)
+	}))
+	t.Cleanup(stalled.Close)
+	coord, err := New(Config{Peers: []string{stalled.URL}, Metrics: obs.New(), Local: service.Config{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordTS := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		coordTS.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = coord.Shutdown(ctx)
+	})
+	// Cleanups run last-in first-out: release the stalled handler before
+	// closing the coordinator's listener, which waits for a scrape still
+	// stuck on it.
+	t.Cleanup(func() { close(release) })
+
+	client := &http.Client{Timeout: scrapeTimeout + 3*time.Second}
+	start := time.Now()
+	resp, err := client.Get(coordTS.URL + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape failed after %v: %v", time.Since(start), err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("scrape body broke off after %v: %v", time.Since(start), err)
+	}
+	for _, want := range []string{
+		"sinet_cluster_shard_jobs_total 0",
+		`sinet_cluster_peer_up{peer="` + stalled.URL + `"}`,
+		`sinet_admission_total{code="202"} 0`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("scrape missing %q:\n%s", want, body)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +25,6 @@ type Config struct {
 	// Peers are the worker base URLs ("http://host:port") forming the
 	// ring. Required, at least one.
 	Peers []string
-	// VNodes is the virtual-node count per peer (default DefaultVNodes).
-	VNodes int
-	// LoadFactor bounds per-peer load skew for ring placement (consistent
-	// hashing with bounded loads); <= 1 disables the bound. Default 1.25.
-	LoadFactor float64
 	// ShardThreshold is the checkpointable-unit count above which a
 	// campaign splits into shards fanned across workers (default 16;
 	// < 0 disables splitting).
@@ -38,9 +34,6 @@ type Config struct {
 	MaxShards int
 	// ProbeInterval is the per-peer readiness probe cadence (default 1s).
 	ProbeInterval time.Duration
-	// Client issues every request to workers (default: a plain client;
-	// per-call deadlines come from contexts, so no global timeout).
-	Client *http.Client
 	// Metrics receives the cluster telemetry and the coordinator's own
 	// serving metrics, and enables the aggregated /metrics endpoint.
 	Metrics *obs.Registry
@@ -96,9 +89,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: at least one peer is required")
 	}
-	if cfg.LoadFactor == 0 {
-		cfg.LoadFactor = 1.25
-	}
 	if cfg.ShardThreshold == 0 {
 		cfg.ShardThreshold = 16
 	}
@@ -111,20 +101,17 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{}
-	}
 	c := &Coordinator{
-		cfg:    cfg,
-		ring:   NewRing(cfg.Peers, cfg.VNodes),
-		client: cfg.Client,
-		logger: cfg.Logger,
-		tracer: cfg.Tracer,
-		route:  map[string]routeEntry{},
-		load:   map[string]int{},
-		up:     map[string]bool{},
+		cfg:     cfg,
+		ring:    NewRing(cfg.Peers, DefaultVNodes),
+		client:  &http.Client{},
+		metrics: newClusterMetrics(cfg.Metrics, cfg.Peers),
+		logger:  cfg.Logger,
+		tracer:  cfg.Tracer,
+		route:   map[string]routeEntry{},
+		load:    map[string]int{},
+		up:      map[string]bool{},
 	}
-	c.metrics = newClusterMetrics(cfg.Metrics, cfg.Peers)
 	local := cfg.Local
 	local.Runner = c.clusterRunner
 	local.Metrics = cfg.Metrics
@@ -167,20 +154,18 @@ func (c *Coordinator) probe(peer string) {
 	}
 	for {
 		start := time.Now()
-		ctx, cancel := context.WithTimeout(c.probeCtx, probeTimeout)
-		up := false
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/readyz", nil)
-		if err == nil {
-			if resp, rerr := c.client.Do(req); rerr == nil {
-				_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-				resp.Body.Close()
-				up = resp.StatusCode == http.StatusOK
-			}
-		}
-		cancel()
+		// The verdict is the status alone: a transport error leaves resp
+		// nil, and the body is not read for anything.
+		resp, _, _ := exchange(c.probeCtx, c.client, http.MethodGet, peer+"/readyz", nil, "", probeTimeout, 4096)
+		up := resp != nil && resp.StatusCode == http.StatusOK
 		latency := time.Since(start)
 		c.setUp(peer, up)
-		c.metrics.observePeer(peer, up, latency.Milliseconds())
+		upValue := int64(0)
+		if up {
+			upValue = 1
+		}
+		c.metrics.peerUp[peer].Set(upValue)
+		c.metrics.peerLatency[peer].Set(latency.Milliseconds())
 		delay := c.cfg.ProbeInterval + time.Duration(rng.Float64()*float64(c.cfg.ProbeInterval)/4)
 		select {
 		case <-c.probeCtx.Done():
@@ -241,7 +226,7 @@ func (c *Coordinator) addLoad(peer string, d int) {
 // "down" peer beats refusing the job.
 func (c *Coordinator) candidates(key service.Key) []string {
 	seq := c.ring.Sequence(string(key))
-	first := c.ring.OwnerBounded(string(key), c.loadOf, c.cfg.LoadFactor)
+	first := c.ring.OwnerBounded(string(key), c.loadOf, loadFactor)
 	ordered := make([]string, 0, len(seq))
 	ordered = append(ordered, first)
 	for pass := 0; pass < 2; pass++ {
@@ -307,7 +292,8 @@ func (c *Coordinator) runSharded(ctx context.Context, spec *service.JobSpec, n i
 	// worker death shows up on the timeline as a shard with attempt >= 2.
 	ctx, fan := tracing.Start(ctx, "fanout", tracing.Int("shards", n), tracing.String("kind", spec.Kind))
 	defer fan.End()
-	c.metrics.observeShardJob(n)
+	c.metrics.shardJobs.Inc()
+	c.metrics.shardFanout.Add(uint64(n))
 	if c.logger != nil {
 		c.logger.Info("campaign sharded", slog.String("kind", spec.Kind), slog.Int("shards", n))
 	}
@@ -391,31 +377,15 @@ func (c *Coordinator) peerCacheFill(ctx context.Context, key service.Key) ([]byt
 	}
 	data, ok := peerCacheLookup(ctx, c.client, owner, key)
 	if ok {
-		c.metrics.observePeerFill()
+		c.metrics.peerFills.Inc()
 	}
 	return data, ok
 }
 
 // peerCacheLookup fetches a key's cached bytes from one peer, if present.
 func peerCacheLookup(ctx context.Context, client *http.Client, peer string, key service.Key) ([]byte, bool) {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	u := peer + "/v1/cache?key=" + url.QueryEscape(string(key))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false
-	}
-	injectTrace(ctx, req)
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
+	resp, data, err := exchange(ctx, client, http.MethodGet, peer+"/v1/cache?key="+url.QueryEscape(string(key)), nil, "", 10*time.Second, 256<<20)
+	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
 	return data, true
@@ -534,40 +504,24 @@ func (c *Coordinator) proxySubmit(w http.ResponseWriter, r *http.Request, key se
 		if !hop.Valid() {
 			hop = parent
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), 15*time.Second)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/jobs", bytes.NewReader(canonical))
+		hctx := tracing.NewContext(r.Context(), c.tracer, hop)
+		resp, body, err := exchange(hctx, c.client, http.MethodPost, peer+"/v1/jobs", canonical, reqID, 15*time.Second, 4<<20)
+		if resp != nil {
+			sp.SetAttr(tracing.Int("status", resp.StatusCode))
+		}
 		if err != nil {
-			cancel()
 			sp.SetError(err)
 			sp.End()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-Id", reqID)
-		if hop.Valid() {
-			tracing.Inject(req, hop)
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			cancel()
-			sp.SetError(err)
-			sp.End()
+			if resp != nil {
+				continue // the worker answered, but its body broke off
+			}
 			if i > 0 {
-				c.metrics.observeFailover()
+				c.metrics.failovers.Inc()
 			}
 			if c.logger != nil {
 				c.logger.Warn("submit proxy failed, trying next peer",
 					slog.String("peer", peer), slog.String("error", err.Error()))
 			}
-			continue
-		}
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-		resp.Body.Close()
-		cancel()
-		sp.SetAttr(tracing.Int("status", resp.StatusCode))
-		if rerr != nil {
-			sp.SetError(rerr)
-			sp.End()
 			continue
 		}
 		sp.End()
@@ -582,10 +536,10 @@ func (c *Coordinator) proxySubmit(w http.ResponseWriter, r *http.Request, key se
 			}
 		}
 		relay(w, resp, body)
-		c.metrics.observeProxied(resp.StatusCode)
+		c.metrics.proxied.With(strconv.Itoa(resp.StatusCode)).Inc()
 		return
 	}
-	c.metrics.observeProxied(http.StatusBadGateway)
+	c.metrics.proxied.With("502").Inc()
 	writeError(w, http.StatusBadGateway, errors.New("cluster: no worker reachable for submission"))
 }
 
@@ -618,12 +572,12 @@ func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		c.metrics.observeProxied(http.StatusBadGateway)
+		c.metrics.proxied.With("502").Inc()
 		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: worker %s unreachable: %w", ent.peer, err))
 		return
 	}
 	defer resp.Body.Close()
-	c.metrics.observeProxied(resp.StatusCode)
+	c.metrics.proxied.With(strconv.Itoa(resp.StatusCode)).Inc()
 	copyHeader(w, resp)
 	w.WriteHeader(resp.StatusCode)
 	streamBody(w, resp.Body)

@@ -1,34 +1,34 @@
 package cluster
 
 import (
-	"strconv"
-
 	"github.com/sinet-io/sinet/internal/obs"
 )
 
 // clusterMetrics is the coordinator's own telemetry (the aggregated
-// worker counters are rendered separately, see scrape.go). Nil — no
-// registry configured — makes every observe method a no-op.
+// worker counters are rendered separately, see scrape.go), built once in
+// New. Without a registry every instrument is nil and no-ops, so call
+// sites use them directly. Per-peer gauges are resolved once, keyed by
+// peer; proxied responses stay a vec because upstream codes are
+// open-ended.
 type clusterMetrics struct {
-	peerUp      *obs.GaugeVec   // 1 when the peer's last probe succeeded
-	peerLatency *obs.GaugeVec   // last probe round trip, milliseconds
-	proxied     *obs.CounterVec // proxied requests by upstream response code
-	shardJobs   *obs.Counter    // campaigns split across the fleet
-	shardFanout *obs.Counter    // shard sub-jobs dispatched
-	failovers   *obs.Counter    // requests moved past a dead owner
-	peerFills   *obs.Counter    // cache fills answered by a ring owner
+	peerUp      map[string]*obs.Gauge // 1 when the peer's last probe succeeded
+	peerLatency map[string]*obs.Gauge // last probe round trip, milliseconds
+	proxied     *obs.CounterVec       // proxied requests by upstream response code
+	shardJobs   *obs.Counter          // campaigns split across the fleet
+	shardFanout *obs.Counter          // shard sub-jobs dispatched
+	failovers   *obs.Counter          // requests moved past a dead owner
+	peerFills   *obs.Counter          // cache fills answered by a ring owner
 }
 
-// newClusterMetrics registers the cluster metrics and pre-creates every
-// known series — peers and response codes — so the very first scrape
-// already exposes them at zero.
+// newClusterMetrics registers the cluster metrics (nil r yields nil
+// instruments) and pre-creates every known series — peers and response
+// codes — so the very first scrape already exposes them at zero.
 func newClusterMetrics(r *obs.Registry, peers []string) *clusterMetrics {
-	if r == nil {
-		return nil
-	}
+	peerUp := r.GaugeVec("sinet_cluster_peer_up", "1 when the worker's last readiness probe succeeded, else 0.", "peer")
+	peerLatency := r.GaugeVec("sinet_cluster_peer_latency_ms", "Round-trip time of the worker's last readiness probe, in milliseconds.", "peer")
 	m := &clusterMetrics{
-		peerUp:      r.GaugeVec("sinet_cluster_peer_up", "1 when the worker's last readiness probe succeeded, else 0.", "peer"),
-		peerLatency: r.GaugeVec("sinet_cluster_peer_latency_ms", "Round-trip time of the worker's last readiness probe, in milliseconds.", "peer"),
+		peerUp:      map[string]*obs.Gauge{},
+		peerLatency: map[string]*obs.Gauge{},
 		proxied:     r.CounterVec("sinet_cluster_proxied_total", "Requests proxied to workers, by upstream response code.", "code"),
 		shardJobs:   r.Counter("sinet_cluster_shard_jobs_total", "Campaigns split into shards and fanned across the fleet."),
 		shardFanout: r.Counter("sinet_cluster_shard_fanout_total", "Shard sub-jobs dispatched to workers."),
@@ -36,48 +36,11 @@ func newClusterMetrics(r *obs.Registry, peers []string) *clusterMetrics {
 		peerFills:   r.Counter("sinet_cluster_peer_cache_lookups_total", "Cache lookups answered by a key's ring owner."),
 	}
 	for _, p := range peers {
-		m.peerUp.With(p).Set(0)
-		m.peerLatency.With(p).Set(0)
+		m.peerUp[p] = peerUp.With(p)
+		m.peerLatency[p] = peerLatency.With(p)
 	}
-	for _, code := range []int{202, 404, 429, 500, 502, 503} {
-		m.proxied.With(strconv.Itoa(code))
+	for _, code := range []string{"202", "404", "429", "500", "502", "503"} {
+		m.proxied.With(code)
 	}
 	return m
-}
-
-func (m *clusterMetrics) observePeer(peer string, up bool, latencyMS int64) {
-	if m == nil {
-		return
-	}
-	v := int64(0)
-	if up {
-		v = 1
-	}
-	m.peerUp.With(peer).Set(v)
-	m.peerLatency.With(peer).Set(latencyMS)
-}
-
-func (m *clusterMetrics) observeProxied(code int) {
-	if m != nil {
-		m.proxied.With(strconv.Itoa(code)).Inc()
-	}
-}
-
-func (m *clusterMetrics) observeShardJob(shards int) {
-	if m != nil {
-		m.shardJobs.Inc()
-		m.shardFanout.Add(uint64(shards))
-	}
-}
-
-func (m *clusterMetrics) observeFailover() {
-	if m != nil {
-		m.failovers.Inc()
-	}
-}
-
-func (m *clusterMetrics) observePeerFill() {
-	if m != nil {
-		m.peerFills.Inc()
-	}
 }

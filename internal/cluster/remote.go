@@ -17,13 +17,39 @@ import (
 	"github.com/sinet-io/sinet/internal/tracing"
 )
 
-// injectTrace stamps the request with ctx's current span context as a
-// W3C traceparent header, so worker-side spans nest under the
-// coordinator span that issued the hop. Untraced contexts add nothing.
-func injectTrace(ctx context.Context, req *http.Request) {
-	if _, sc := tracing.FromContext(ctx); sc.Valid() {
-		tracing.Inject(req, sc)
+// exchange issues one coordinator→worker request and reads the response
+// body: every worker hop except proxyJob's streaming relay goes through
+// it. timeout bounds the whole exchange, body read included, and limit
+// caps the bytes read. The request carries ctx's span context as a W3C
+// traceparent, so worker-side spans nest under the coordinator span that
+// issued the hop; reqID, when set, as X-Request-Id; and a non-nil body
+// as JSON. resp is non-nil once the worker has answered, even when
+// reading its body then fails.
+func exchange(ctx context.Context, client *http.Client, method, target string, body []byte, reqID string, timeout time.Duration, limit int64) (resp *http.Response, data []byte, err error) {
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	var payload io.Reader
+	if body != nil {
+		payload = bytes.NewReader(body)
 	}
+	req, err := http.NewRequestWithContext(ctx, method, target, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if reqID != "" {
+		req.Header.Set("X-Request-Id", reqID)
+	}
+	_, sc := tracing.FromContext(ctx)
+	tracing.Inject(req, sc)
+	if resp, err = client.Do(req); err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	data, err = io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp, data, err
 }
 
 // errPermanent marks remote failures no other worker can fix — a bad
@@ -72,7 +98,7 @@ func (c *Coordinator) runRemote(ctx context.Context, spec *service.JobSpec, key 
 	for round := 0; round < remoteMaxRounds; round++ {
 		for _, peer := range c.candidates(key) {
 			if attempt > 0 {
-				c.metrics.observeFailover()
+				c.metrics.failovers.Inc()
 				if err := c.waitRetry(ctx, key, attempt, lastErr); err != nil {
 					return nil, err
 				}
@@ -145,10 +171,13 @@ func (c *Coordinator) runOn(ctx context.Context, peer string, canonical []byte) 
 	if err != nil {
 		return nil, err
 	}
-	_, sc := tracing.FromContext(ctx)
 	defer func() {
 		if ctx.Err() != nil {
-			c.cancelOn(peer, id, sc)
+			// Best effort, so its outcome is dropped: a worker that misses
+			// the cancel finishes a job nobody polls. The context is
+			// detached from the dead one's cancellation but still carries
+			// its span.
+			_, _, _ = exchange(context.WithoutCancel(ctx), c.client, http.MethodDelete, peer+"/v1/jobs/"+id, nil, "", 5*time.Second, 4096)
 		}
 	}()
 
@@ -184,21 +213,8 @@ func (c *Coordinator) runOn(ctx context.Context, peer string, canonical []byte) 
 
 // submitOn posts the spec to one worker and returns the accepted job ID.
 func (c *Coordinator) submitOn(ctx context.Context, peer string, canonical []byte) (string, error) {
-	ctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/v1/jobs", bytes.NewReader(canonical))
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Request-Id", fmt.Sprintf("c%06d", c.reqSeq.Add(1)))
-	injectTrace(ctx, req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	reqID := fmt.Sprintf("c%06d", c.reqSeq.Add(1))
+	resp, body, err := exchange(ctx, c.client, http.MethodPost, peer+"/v1/jobs", canonical, reqID, 15*time.Second, 1<<20)
 	if err != nil {
 		return "", err
 	}
@@ -226,23 +242,15 @@ func (c *Coordinator) submitOn(ctx context.Context, peer string, canonical []byt
 
 // statusOn fetches one remote job's view.
 func (c *Coordinator) statusOn(ctx context.Context, peer, id string) (*service.JobView, error) {
-	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/jobs/"+id, nil)
+	resp, body, err := exchange(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id, nil, "", 10*time.Second, 1<<20)
 	if err != nil {
 		return nil, err
 	}
-	injectTrace(ctx, req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("worker %s answered status with %d", peer, resp.StatusCode)
 	}
 	var view service.JobView
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&view); err != nil {
+	if err := json.Unmarshal(body, &view); err != nil {
 		return nil, err
 	}
 	return &view, nil
@@ -250,39 +258,12 @@ func (c *Coordinator) statusOn(ctx context.Context, peer, id string) (*service.J
 
 // resultOn fetches a finished remote job's raw result bytes.
 func (c *Coordinator) resultOn(ctx context.Context, peer, id string) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, time.Minute)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/jobs/"+id+"/result", nil)
+	resp, body, err := exchange(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id+"/result", nil, "", time.Minute, 256<<20)
 	if err != nil {
 		return nil, err
 	}
-	injectTrace(ctx, req)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("worker %s answered result with %d", peer, resp.StatusCode)
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-}
-
-// cancelOn best-effort-cancels a remote job after the coordinator's own
-// context died; it runs on a fresh short-lived context by design, so the
-// span context of the dead attempt is carried explicitly.
-func (c *Coordinator) cancelOn(peer, id string, sc tracing.SpanContext) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, peer+"/v1/jobs/"+id, nil)
-	if err != nil {
-		return
-	}
-	if sc.Valid() {
-		tracing.Inject(req, sc)
-	}
-	if resp, err := c.client.Do(req); err == nil {
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
-	}
+	return body, nil
 }

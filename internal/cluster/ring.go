@@ -20,6 +20,11 @@ import (
 // enough that ring construction stays microseconds.
 const DefaultVNodes = 128
 
+// loadFactor is the coordinator's bounded-load placement factor
+// (OwnerBounded): a peer carrying more than 1.25× the mean in-flight load
+// sheds the key to the next peer in its ring sequence.
+const loadFactor = 1.25
+
 // Ring consistent-hashes keys onto peers. Each peer projects VNodes
 // points onto a 64-bit circle; a key belongs to the peer owning the
 // first point at or clockwise of the key's hash. Peers joining or

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +19,13 @@ import (
 // scrape storm against the coordinator costs one fan-out, not many.
 // A variable so tests can shrink the window.
 var scrapeTTL = 2 * time.Second
+
+// scrapeTimeout bounds each worker's /metrics fetch. The fan-out holds
+// scrape.mu, so without it one worker that accepts the connection and
+// never answers would stall every coordinator scrape; with it that
+// worker costs one scrape this long and is skipped. Well inside a
+// Prometheus server's default 10 s scrape timeout.
+const scrapeTimeout = 2 * time.Second
 
 // aggSample is one aggregated series: a renamed metric plus its label
 // pair. perWorker marks runtime-health series that carry a worker label
@@ -150,42 +159,25 @@ func (c *Coordinator) aggregateMetrics() []byte {
 	if c.scrape.rendered != nil && time.Since(c.scrape.at) < scrapeTTL {
 		return c.scrape.rendered
 	}
-	type result struct {
-		body []byte
-		ok   bool
-	}
-	results := make([]result, len(c.cfg.Peers))
+	// The fan-out runs on its own deadline rather than the requesting
+	// scraper's context: its result is memoized for every scraper.
+	bodies := make([][]byte, len(c.cfg.Peers)) // nil: worker skipped
 	var wg sync.WaitGroup
 	for i, peer := range c.cfg.Peers {
 		wg.Add(1)
 		go func(i int, peer string) {
 			defer wg.Done()
-			req, err := http.NewRequest(http.MethodGet, peer+"/metrics", nil)
-			if err != nil {
-				return
+			resp, body, err := exchange(context.Background(), c.client, http.MethodGet, peer+"/metrics", nil, "", scrapeTimeout, 4<<20)
+			if err == nil && resp.StatusCode == http.StatusOK {
+				bodies[i] = body
 			}
-			resp, err := c.client.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-			if err != nil {
-				return
-			}
-			results[i] = result{body: body, ok: true}
 		}(i, peer)
 	}
 	wg.Wait()
 	types := map[string]string{}
 	sums := map[string]*aggSample{}
-	for i, res := range results {
-		if res.ok {
-			_ = parseSamples(strings.NewReader(string(res.body)), c.cfg.Peers[i], types, sums)
-		}
+	for i, body := range bodies {
+		_ = parseSamples(bytes.NewReader(body), c.cfg.Peers[i], types, sums)
 	}
 	var buf strings.Builder
 	renderAgg(&buf, types, sums)

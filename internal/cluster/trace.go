@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sync"
@@ -103,23 +102,12 @@ func (c *Coordinator) fetchTrace(ctx context.Context, peer, traceID string) ([]t
 }
 
 func (c *Coordinator) getJSON(ctx context.Context, u string, v any) error {
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	resp, body, err := exchange(ctx, c.client, http.MethodGet, u, nil, "", 5*time.Second, 4<<20)
 	if err != nil {
 		return err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("cluster: %s: status %d", u, resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	if err != nil {
-		return err
 	}
 	return json.Unmarshal(body, v)
 }

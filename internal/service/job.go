@@ -104,11 +104,6 @@ type Job struct {
 	// enqueued timestamps the latest queue entry (submit or retry requeue)
 	// so worker pickup can record the queue.wait span retrospectively.
 	enqueued time.Time
-	// retryStart/retryAttempt/retryCause describe the pending retry
-	// backoff, recorded as a retry.backoff span when the job requeues.
-	retryStart   time.Time
-	retryAttempt int
-	retryCause   string
 
 	doneCh chan struct{}
 	subs   map[chan Event]struct{}
@@ -292,28 +287,6 @@ func (j *Job) enqueuedAt() time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.enqueued
-}
-
-// noteRetry stashes the pending backoff's shape for the retry.backoff
-// span recorded at requeue time.
-func (j *Job) noteRetry(attempt int, cause string) {
-	j.mu.Lock()
-	j.retryStart = time.Now().UTC()
-	j.retryAttempt = attempt
-	j.retryCause = cause
-	j.mu.Unlock()
-}
-
-// takeRetry consumes the pending backoff note, if any.
-func (j *Job) takeRetry() (start time.Time, attempt int, cause string, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.retryStart.IsZero() {
-		return time.Time{}, 0, "", false
-	}
-	start, attempt, cause = j.retryStart, j.retryAttempt, j.retryCause
-	j.retryStart, j.retryAttempt, j.retryCause = time.Time{}, 0, ""
-	return start, attempt, cause, true
 }
 
 // Attempts reports how many executions the job has begun, including

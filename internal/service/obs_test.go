@@ -90,6 +90,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestServingMetricsAllocateNothing pins Config.Metrics' promise for the
+// job paths: counting an admission, a finished job and a dedup allocates
+// nothing, whether no registry is installed or one is.
+func TestServingMetricsAllocateNothing(t *testing.T) {
+	t.Cleanup(func() { orbit.SetMetrics(nil); sim.SetMetrics(nil); netgraph.SetMetrics(nil) })
+	for _, reg := range []*obs.Registry{nil, obs.New()} {
+		env := newTestEnv(t, Config{Workers: 1, Metrics: reg})
+		m := env.svc.metrics
+		allocs := testing.AllocsPerRun(100, func() {
+			m.admission[http.StatusAccepted].Inc()
+			m.observeFinished(KindCoverage, StateDone, 0.5)
+			m.dedup.Inc()
+		})
+		if allocs != 0 {
+			t.Errorf("registry installed=%v: %v allocations per count, want 0", reg != nil, allocs)
+		}
+	}
+}
+
 // TestMetricsCountCanceledJobs verifies both cancellation paths land in
 // sinet_jobs_finished_total{state="canceled"}: canceled while queued
 // (never runs) and canceled mid-run (worker unwinds).

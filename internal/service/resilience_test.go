@@ -18,6 +18,7 @@ import (
 	"github.com/sinet-io/sinet/internal/obs"
 	"github.com/sinet-io/sinet/internal/orbit"
 	"github.com/sinet-io/sinet/internal/sim"
+	"github.com/sinet-io/sinet/internal/tracing"
 )
 
 // flakyRunner fails its first `failures` attempts with err, then returns
@@ -269,7 +270,7 @@ func TestShutdownIdempotent(t *testing.T) {
 	if err := json.Unmarshal([]byte(coverageSpec(1)), &spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := svc.Submit(&spec); err != nil {
+	if _, _, err := svc.SubmitTraced(&spec, tracing.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -280,7 +281,7 @@ func TestShutdownIdempotent(t *testing.T) {
 	if err := svc.Shutdown(ctx); err != nil {
 		t.Fatalf("second shutdown: %v", err)
 	}
-	if _, _, err := svc.Submit(&spec); !errors.Is(err, ErrDraining) {
+	if _, _, err := svc.SubmitTraced(&spec, tracing.SpanContext{}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after shutdown: %v, want ErrDraining", err)
 	}
 }

@@ -300,7 +300,7 @@ func (s *Server) replay(recs []journal.Record) {
 		s.jobs[id] = j
 		s.inflight[j.Key] = j
 		readmitted++
-		s.metrics.observeReplayed()
+		s.metrics.replayed.Inc()
 		s.logJob(j, "job re-admitted from journal",
 			slog.Int("attempts", p.attempts),
 			slog.Int("checkpointed_units", p.cp.Len()))
@@ -337,7 +337,7 @@ func (s *Server) journalAppend(rec journal.Record) {
 		if errors.Is(err, journal.ErrClosed) {
 			return // shutdown race: the drain already closed the file
 		}
-		s.metrics.observeJournalError()
+		s.metrics.journalErrs.Inc()
 		if s.logger != nil {
 			s.logger.Warn("journal append failed",
 				slog.String("op", string(rec.Op)),
@@ -372,7 +372,7 @@ func (s *Server) watchdog() {
 			s.mu.Unlock()
 			for _, j := range jobs {
 				if j.markStale(s.cfg.HeartbeatTimeout) {
-					s.metrics.observeStale()
+					s.metrics.stale.Inc()
 					s.logJob(j, "job heartbeat stale, cancelling attempt")
 				}
 			}
@@ -380,21 +380,16 @@ func (s *Server) watchdog() {
 	}
 }
 
-// Submit admits one spec: it is normalized, keyed, deduped against
+// SubmitTraced admits one spec: it is normalized, keyed, deduped against
 // in-flight identical jobs, answered from the cache when possible, and
 // otherwise queued. deduped reports whether an existing in-flight job was
-// returned instead of a new one.
-func (s *Server) Submit(spec *JobSpec) (job *Job, deduped bool, err error) {
-	return s.SubmitTraced(spec, tracing.SpanContext{})
-}
-
-// SubmitTraced is Submit with an optional caller span context (parsed
-// from an incoming traceparent header): with tracing on, a newly created
-// job's root "job" span becomes a child of the caller's span — on a
-// cluster this is what stitches the coordinator's proxy/shard spans and
-// the worker's execution spans into one trace — and every admission
-// outcome (queued, cache hit, dedup, draining, queue full, bad spec) is
-// recorded as an "admission" span.
+// returned instead of a new one. parent is the caller's span context
+// (parsed from an incoming traceparent header; zero when there is none):
+// with tracing on, a newly created job's root "job" span becomes its
+// child — on a cluster this is what stitches the coordinator's
+// proxy/shard spans and the worker's execution spans into one trace —
+// and every admission outcome (queued, cache hit, dedup, draining, queue
+// full, bad spec) is recorded as an "admission" span.
 func (s *Server) SubmitTraced(spec *JobSpec, parent tracing.SpanContext) (job *Job, deduped bool, err error) {
 	var admitStart time.Time
 	if s.tracer != nil {
@@ -421,7 +416,7 @@ func (s *Server) SubmitTraced(spec *JobSpec, parent tracing.SpanContext) (job *J
 	// attach to that execution — N clients, one simulation.
 	if existing, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
-		s.metrics.observeDedup()
+		s.metrics.dedup.Inc()
 		admit(existing.TraceContext(), "deduped")
 		s.logJob(existing, "job deduped")
 		return existing, true, nil
@@ -596,14 +591,14 @@ func (s *Server) execute(j *Job) {
 			s.cache.Put(j.Key, data)
 			s.journalAppend(journal.Record{Op: journal.OpDone, JobID: j.ID, Attempt: attempt})
 			j.finish(StateDone, data, "", true)
-			s.metrics.observePeerFill()
+			s.metrics.peerFills.Inc()
 			s.logJob(j, "job filled from peer cache", slog.Int("bytes", len(data)))
 			s.settle(j)
 			return
 		}
 	}
 	s.simulations.Add(1)
-	s.metrics.observeRun()
+	s.metrics.simulations.Inc()
 	s.journalAppend(journal.Record{Op: journal.OpStart, JobID: j.ID, Attempt: attempt})
 	s.logJob(j, "job running", slog.Int("attempt", attempt))
 
@@ -719,18 +714,17 @@ func retryDelay(key Key, attempt int, base time.Duration) time.Duration {
 }
 
 // scheduleRetry re-queues a job after a retryable attempt failure, holding
-// it out of the queue for the backoff.
+// it out of the queue for the backoff. Once the job is back on the queue,
+// the backoff timer records the wait as a retry.backoff span.
 func (s *Server) scheduleRetry(j *Job, attempt int, cause error) {
 	if !j.requeue() {
 		// A cancel won the race and finished the job.
 		s.settle(j)
 		return
 	}
-	s.metrics.observeRetry()
+	s.metrics.retries.Inc()
 	s.journalAppend(journal.Record{Op: journal.OpRetry, JobID: j.ID, Attempt: attempt, Err: cause.Error()})
-	if s.tracer != nil {
-		j.noteRetry(attempt, cause.Error())
-	}
+	start := time.Now()
 	delay := retryDelay(j.Key, attempt, s.cfg.RetryBackoff)
 	s.logJob(j, "job retry scheduled",
 		slog.Int("attempt", attempt),
@@ -742,40 +736,43 @@ func (s *Server) scheduleRetry(j *Job, attempt int, cause error) {
 		s.cancelAbandoned(j)
 		return
 	}
-	s.timers[j.ID] = time.AfterFunc(delay, func() { s.enqueueRetry(j) })
+	s.timers[j.ID] = time.AfterFunc(delay, func() {
+		if !s.enqueueRetry(j) || s.tracer == nil {
+			return
+		}
+		if sc := j.TraceContext(); sc.Valid() {
+			s.tracer.Record(sc, "retry.backoff", start, time.Now(),
+				tracing.Int("attempt", attempt),
+				tracing.String("cause", cause.Error()))
+		}
+	})
 	s.mu.Unlock()
 }
 
-// enqueueRetry moves a backoff-expired job back onto the queue.
-func (s *Server) enqueueRetry(j *Job) {
+// enqueueRetry moves a backoff-expired job back onto the queue, reporting
+// whether it did.
+func (s *Server) enqueueRetry(j *Job) bool {
 	s.mu.Lock()
 	delete(s.timers, j.ID)
 	draining := s.draining
 	s.mu.Unlock()
 	if draining {
 		s.cancelAbandoned(j)
-		return
+		return false
 	}
 	if j.State() != StateQueued {
-		return // canceled while waiting out the backoff
+		return false // canceled while waiting out the backoff
 	}
 	select {
 	case s.queue <- j:
-		if s.tracer != nil {
-			if start, attempt, cause, ok := j.takeRetry(); ok {
-				if sc := j.TraceContext(); sc.Valid() {
-					s.tracer.Record(sc, "retry.backoff", start, time.Now(),
-						tracing.Int("attempt", attempt),
-						tracing.String("cause", cause))
-				}
-			}
-		}
 		s.logJob(j, "job requeued for retry")
+		return true
 	default:
 		msg := "service: queue full on retry"
 		s.journalAppend(journal.Record{Op: journal.OpFail, JobID: j.ID, Err: msg})
 		j.finish(StateFailed, nil, msg, false)
 		s.settle(j)
+		return false
 	}
 }
 
@@ -1034,32 +1031,29 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		s.metrics.observeAdmission(http.StatusBadRequest)
+		s.metrics.admission[http.StatusBadRequest].Inc()
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode spec: %w", err))
 		return
 	}
 	job, deduped, err := s.SubmitTraced(&spec, tracing.FromRequest(r))
+	code := http.StatusAccepted
 	switch {
 	case errors.Is(err, ErrDraining):
-		s.metrics.observeAdmission(http.StatusServiceUnavailable)
+		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", s.retryAfterValue())
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
 	case errors.Is(err, ErrQueueFull):
-		s.metrics.observeAdmission(http.StatusTooManyRequests)
+		code = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", s.retryAfterValue())
-		writeError(w, http.StatusTooManyRequests, err)
-		return
 	case errors.Is(err, ErrBadSpec):
-		s.metrics.observeAdmission(http.StatusBadRequest)
-		writeError(w, http.StatusBadRequest, err)
-		return
+		code = http.StatusBadRequest
 	case err != nil:
-		s.metrics.observeAdmission(http.StatusInternalServerError)
-		writeError(w, http.StatusInternalServerError, err)
+		code = http.StatusInternalServerError
+	}
+	s.metrics.admission[code].Inc()
+	if err != nil {
+		writeError(w, code, err)
 		return
 	}
-	s.metrics.observeAdmission(http.StatusAccepted)
 	writeJSON(w, http.StatusAccepted, SubmitResponse{JobView: job.View(), Deduped: deduped})
 }
 
@@ -1130,7 +1124,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	ch, unsubscribe := job.Subscribe()
 	defer unsubscribe()
-	defer s.metrics.sseConnect()()
+	s.metrics.sse.Inc()
+	defer s.metrics.sse.Dec()
 	// Initial snapshot so late subscribers see where the job stands.
 	snapshot := func() Event {
 		v := job.View()

@@ -3,10 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/sinet-io/sinet/internal/tracing"
 )
@@ -206,6 +208,54 @@ func TestTraceparentPropagation(t *testing.T) {
 	}
 	if jt.TraceID != clientTrace {
 		t.Fatalf("job joined trace %q, want client trace %q", jt.TraceID, clientTrace)
+	}
+}
+
+// TestRetryBackoffSpan pins the retry.backoff span: a job whose first
+// attempt fails transiently carries exactly one, recorded once the
+// backoff timer requeued it, naming the failed attempt and its cause and
+// lasting at least the scheduled backoff.
+func TestRetryBackoffSpan(t *testing.T) {
+	const backoff = 20 * time.Millisecond
+	fr := &flakyRunner{failures: 1, err: errors.New("transient fault"), result: "ok"}
+	env := newTestEnv(t, Config{
+		Workers: 1, QueueDepth: 4,
+		MaxRetries: 2, RetryBackoff: backoff,
+		Runner: fr.run, Tracer: tracing.New("worker:test", 0),
+	})
+	sub, code := env.submit(t, coverageSpec(1))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	env.awaitState(t, sub.ID, StateDone)
+
+	// The timer records the span after the requeue, so it can trail the
+	// job's completion by a moment.
+	var spans []tracing.SpanJSON
+	for deadline := time.Now().Add(5 * time.Second); len(spans) == 0 && time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		jt, ok := env.svc.JobTraceByID(sub.ID)
+		if !ok {
+			t.Fatal("job vanished")
+		}
+		for _, sp := range jt.Spans {
+			if sp.Name == "retry.backoff" {
+				spans = append(spans, sp)
+			}
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("trace holds %d retry.backoff spans, want 1", len(spans))
+	}
+	attrs := map[string]string{}
+	for _, a := range spans[0].Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["attempt"] != "1" || attrs["cause"] != "transient fault" {
+		t.Errorf("retry.backoff attrs = %v, want attempt 1 and cause %q", attrs, "transient fault")
+	}
+	delay := retryDelay(Key(sub.Key), 1, backoff)
+	if got := time.Duration(spans[0].DurationMS * float64(time.Millisecond)); got < delay {
+		t.Errorf("retry.backoff lasted %v, shorter than the %v backoff", got, delay)
 	}
 }
 

@@ -99,9 +99,11 @@ type ctxState struct {
 // NewContext returns ctx carrying the tracer and current span context.
 // This is how instrumentation crosses package boundaries without
 // coupling: service injects once per attempt, and sim/core phases pick
-// the pair up from the context they already receive.
+// the pair up from the context they already receive. A nil tracer still
+// carries a valid sc, so a hop can forward a caller's traceparent while
+// recording nothing itself; with neither, ctx comes back unchanged.
 func NewContext(ctx context.Context, tracer *Tracer, sc SpanContext) context.Context {
-	if tracer == nil {
+	if tracer == nil && !sc.Valid() {
 		return ctx
 	}
 	return context.WithValue(ctx, ctxKey{}, ctxState{tracer: tracer, sc: sc})
