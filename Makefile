@@ -49,6 +49,8 @@ bench-smoke:
 
 # fuzz-smoke briefly exercises each fuzz target; the committed corpora under
 # testdata/fuzz/ already run as regression cases in plain `make test`.
+# `make ci` runs it too, so the HTTP-facing decoders are fuzzed on every
+# push; new interesting inputs land in GOCACHE, not in the tree.
 fuzz-smoke:
 	$(GO) test ./internal/orbit/ -run '^$$' -fuzz FuzzParseTLE -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzReadCSV -fuzztime 10s
@@ -108,6 +110,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...   # includes the internal/obs concurrent-scrape tests
+	$(MAKE) fuzz-smoke
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck
 	$(MAKE) bench-smoke

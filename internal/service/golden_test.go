@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
 	"testing"
+
+	"github.com/sinet-io/sinet/internal/constellation"
+	"github.com/sinet-io/sinet/internal/core"
 )
 
 // TestKeyAndResultGoldens pins absolute values, one small spec per kind:
@@ -72,6 +76,63 @@ func TestKeyAndResultGoldens(t *testing.T) {
 			sum := sha256.Sum256(out)
 			if got := hex.EncodeToString(sum[:]); got != tc.sha {
 				t.Errorf("sha256(result) = %s, want %s", got, tc.sha)
+			}
+		})
+	}
+}
+
+// TestServedDefaultsEqualLibrary pins the service's explicit defaults to
+// the library's: the campaign defaults live twice, in core's setDefaults
+// and in the literals each spec section fills in, because the API names
+// some values differently from core. A sparse spec must serve the bytes of
+// its core campaign run on a zero config with the same seed (the passive
+// config lists only the spec's site and constellation).
+func TestServedDefaultsEqualLibrary(t *testing.T) {
+	hk, ok := core.SiteByCode("HK")
+	if !ok {
+		t.Fatal("site HK missing from the catalog")
+	}
+	fossa, ok := constellation.ByName("FOSSA", servingEpoch)
+	if !ok {
+		t.Fatal("constellation FOSSA missing from the catalog")
+	}
+	cases := []struct {
+		body   string
+		direct func() (any, error)
+	}{
+		{`{"kind":"passive","passive":{"seed":7,"sites":["HK"],"constellations":["FOSSA"]}}`, func() (any, error) {
+			return core.RunPassive(core.PassiveConfig{Seed: 7, Sites: []core.Site{hk}, Constellations: []constellation.Constellation{fossa}})
+		}},
+		{`{"kind":"active","active":{"seed":7}}`, func() (any, error) { return core.RunActive(core.ActiveConfig{Seed: 7}) }},
+		{`{"kind":"routing","routing":{"seed":7}}`, func() (any, error) { return core.RunRouting(core.RoutingConfig{Seed: 7}) }},
+	}
+	for _, tc := range cases {
+		spec, err := decodeStrict([]byte(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.body, err)
+		}
+		t.Run(spec.Kind, func(t *testing.T) {
+			if _, err := ConfigKey(spec); err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(context.Background(), spec, RunContext{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			served, err := MarshalResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = tc.direct()
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := MarshalResult(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(served, direct) {
+				t.Errorf("served %d bytes differ from the zero-config library run's %d bytes", len(served), len(direct))
 			}
 		})
 	}

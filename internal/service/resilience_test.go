@@ -389,6 +389,59 @@ func TestJournalRecoveryReadmitsIncompleteJobs(t *testing.T) {
 	}
 }
 
+// TestJournalReplaySkipsSpecsAdmissionRejects replays a journal whose
+// submit record holds a spec admission now refuses: a routing campaign
+// snapshotting every 10µs, whose snapshot table alone would exhaust
+// memory. The restarted server must neither re-admit the job nor run it,
+// so the next submission is the first job its one worker runs.
+func TestJournalReplaySkipsSpecsAdmissionRejects(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.journal")
+	spec := &JobSpec{Kind: KindRouting}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec.Routing.SnapshotStep = Duration(10 * time.Microsecond)
+	canonical, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key(strings.Repeat("ab", 32))
+	id := fmt.Sprintf("j%06d-%s", 1, key.Short())
+	jnl, _, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Append(journal.Record{Op: journal.OpSubmit, JobID: id, Key: string(key), Spec: canonical}); err != nil {
+		t.Fatal(err)
+	}
+	if err := jnl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var ran []string
+	runner := func(_ context.Context, spec *JobSpec, _ RunContext) (any, error) {
+		mu.Lock()
+		ran = append(ran, spec.Kind)
+		mu.Unlock()
+		return "ran", nil
+	}
+	env := newTestEnv(t, Config{Workers: 1, QueueDepth: 4, JournalPath: path, Runner: runner})
+	if _, ok := env.svc.Job(id); ok {
+		t.Fatalf("job %s was re-admitted from a spec admission rejects", id)
+	}
+	r, code := env.submit(t, coverageSpec(1))
+	if code != http.StatusAccepted {
+		t.Fatalf("post-replay submit: %d", code)
+	}
+	env.awaitState(t, r.ID, StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 1 || ran[0] != KindCoverage {
+		t.Fatalf("runner ran kinds %v, want only the coverage job submitted after replay", ran)
+	}
+}
+
 // TestJournalWriteErrorsDegradeDurabilityNotAvailability injects chaos
 // into every journal write and sync: jobs must still run to completion,
 // with the failures counted on /metrics.

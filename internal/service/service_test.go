@@ -381,6 +381,7 @@ func TestBadSubmissionsAreRejected(t *testing.T) {
 		{"unknown field", `{"kind":"coverage","coverage":{"altitude":7}}`, http.StatusBadRequest},
 		{"unknown kind", `{"kind":"teleport"}`, http.StatusBadRequest},
 		{"bad site", `{"kind":"passive","passive":{"sites":["ATLANTIS"]}}`, http.StatusBadRequest},
+		{"cadence finer than the serving limit", `{"kind":"routing","routing":{"snapshot_step":"10us"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if _, status := env.submit(t, tc.body); status != tc.want {

@@ -34,16 +34,6 @@ type ShardResult struct {
 	Units *core.Checkpoint `json:"units"`
 }
 
-// units reports how many units the spec's checkpointable phase fans out —
-// the quantity shard windows partition. The spec must be normalized.
-func (s *JobSpec) units() (int, error) {
-	k, err := s.kindOf()
-	if err != nil {
-		return 0, err
-	}
-	return k.section(s, false).units()
-}
-
 // shardWindow is the contiguous unit range [lo, hi) shard i of n covers
 // when u units split as evenly as possible: every unit belongs to
 // exactly one shard and shard sizes differ by at most one.
@@ -51,8 +41,9 @@ func shardWindow(u, i, n int) (lo, hi int) {
 	return i * u / n, (i + 1) * u / n
 }
 
-// validateShard checks the shard clause against the normalized spec.
-func (s *JobSpec) validateShard() error {
+// validateShard checks the shard clause against the campaign's unit
+// count.
+func (s *JobSpec) validateShard(units int) error {
 	sh := s.Shard
 	if sh == nil {
 		return nil
@@ -63,12 +54,8 @@ func (s *JobSpec) validateShard() error {
 	if sh.Index < 0 || sh.Index >= sh.Count {
 		return specErr("shard index %d out of [0, %d)", sh.Index, sh.Count)
 	}
-	u, err := s.units()
-	if err != nil {
-		return err
-	}
-	if sh.Count > u {
-		return specErr("shard count %d exceeds the campaign's %d units", sh.Count, u)
+	if sh.Count > units {
+		return specErr("shard count %d exceeds the campaign's %d units", sh.Count, units)
 	}
 	return nil
 }
@@ -76,15 +63,22 @@ func (s *JobSpec) validateShard() error {
 // ShardCount picks how many shards a spec should split into: enough
 // that each shard stays at or under threshold units, capped at maxShards
 // and at the unit count itself. 0 means the spec is not worth sharding
-// (at or under threshold, already a shard, or threshold disabled).
+// (at or under threshold, already a shard, threshold disabled, or an
+// invalid spec). It counts units on a private copy, so the caller's spec
+// is never written.
 func ShardCount(spec *JobSpec, threshold, maxShards int) int {
 	if threshold <= 0 || maxShards < 2 || spec.Shard != nil {
 		return 0
 	}
-	u, err := spec.units()
-	if err != nil || u <= threshold {
+	spec, err := spec.clone()
+	if err != nil {
 		return 0
 	}
+	c, err := spec.campaign()
+	if err != nil || c.units <= threshold {
+		return 0
+	}
+	u := c.units
 	n := (u + threshold - 1) / threshold
 	if n > maxShards {
 		n = maxShards
@@ -99,22 +93,17 @@ func ShardCount(spec *JobSpec, threshold, maxShards int) int {
 }
 
 // SplitSpec derives the n shard sub-specs of a normalized parent spec:
-// deep copies (via the spec's own JSON form, which round-trips exactly)
-// with shard clauses i-of-n attached. Each sub-spec content-addresses as
-// "parent/shard/i-of-n".
+// clones with shard clauses i-of-n attached. Each sub-spec
+// content-addresses as "parent/shard/i-of-n".
 func SplitSpec(spec *JobSpec, n int) ([]*JobSpec, error) {
 	if spec.Shard != nil {
 		return nil, specErr("cannot split a spec that is already a shard")
 	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("service: marshal spec for split: %w", err)
-	}
 	shards := make([]*JobSpec, n)
 	for i := range shards {
-		sub := &JobSpec{}
-		if err := json.Unmarshal(raw, sub); err != nil {
-			return nil, fmt.Errorf("service: copy spec for split: %w", err)
+		sub, err := spec.clone()
+		if err != nil {
+			return nil, err
 		}
 		sub.Shard = &ShardSpec{Index: i, Count: n}
 		if err := sub.Normalize(); err != nil {
@@ -148,18 +137,14 @@ func FoldShards(blobs [][]byte) (*core.Checkpoint, error) {
 	return cp, nil
 }
 
-// runShard executes a shard sub-spec: the parent campaign's section
-// restricted to the shard's unit window, with every in-window unit
-// captured into the returned ShardResult. Units already present in
-// rc.Resume (a worker crash mid-shard replays its journal like any other
-// job) seed the result and are restored, not recomputed; rc.Checkpoint
-// still observes newly computed units so the shard journals durably.
-func runShard(ctx context.Context, sh *ShardSpec, sec section, rc RunContext) (*ShardResult, error) {
-	u, err := sec.units()
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := shardWindow(u, sh.Index, sh.Count)
+// runShard executes a shard sub-spec: the parent campaign restricted to
+// the shard's unit window, with every in-window unit captured into the
+// returned ShardResult. Units already present in rc.Resume (a worker
+// crash mid-shard replays its journal like any other job) seed the result
+// and are restored, not recomputed; rc.Checkpoint still observes newly
+// computed units so the shard journals durably.
+func runShard(ctx context.Context, sh *ShardSpec, c campaign, rc RunContext) (*ShardResult, error) {
+	lo, hi := shardWindow(c.units, sh.Index, sh.Count)
 	cp := core.NewCheckpoint()
 	if rc.Resume != nil {
 		// Restored units never re-enter the CheckpointFunc, so carry the
@@ -181,7 +166,7 @@ func runShard(ctx context.Context, sh *ShardSpec, sec section, rc RunContext) (*
 		}
 	}
 	inner.Shard = &core.ShardWindow{Lo: lo, Hi: hi}
-	if _, err := sec.run(ctx, inner); err != nil {
+	if _, err := c.run(ctx, inner); err != nil {
 		return nil, err
 	}
 	return &ShardResult{Index: sh.Index, Count: sh.Count, Units: cp}, nil

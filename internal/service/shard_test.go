@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -273,5 +274,53 @@ func TestShardCountPolicy(t *testing.T) {
 	}
 	if n := ShardCount(sub[0], 1, 16); n != 0 {
 		t.Fatalf("a shard must never re-split, got %d", n)
+	}
+}
+
+// TestRunAndShardCountNeverWriteTheirSpec holds Run and ShardCount to
+// working on a private copy: while both execute on a normalized spec,
+// another goroutine marshals it in a loop, as SubmitTraced journals a spec
+// a worker may already be running. Every marshal must equal the bytes from
+// before the calls; under -race, any write to the shared spec, even of an
+// equal value, is also reported as a data race.
+func TestRunAndShardCountNeverWriteTheirSpec(t *testing.T) {
+	spec, err := decodeStrict([]byte(`{"kind":"passive","passive":{"seed":3,"sites":["HK","SYD"],"constellations":["FOSSA"]}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spec.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			got, err := json.Marshal(spec)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("spec marshaled as %s (err %v) mid-call, want %s", got, err, want)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	n := ShardCount(spec, 1, 4)
+	_, runErr := Run(context.Background(), spec, RunContext{})
+	close(done)
+	wg.Wait()
+	if n != 2 {
+		t.Errorf("ShardCount = %d, want 2 for the spec's 2 units", n)
+	}
+	if runErr != nil {
+		t.Fatal(runErr)
 	}
 }

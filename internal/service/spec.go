@@ -41,13 +41,18 @@ const (
 )
 
 // section is one job kind's parameter section of a JobSpec. The kind's
-// whole serving behaviour lives on it: how it normalizes, how many units
-// its checkpointable phase fans out (the quantity shard windows
-// partition), and how it runs. units and run require a normalized spec.
+// whole serving behaviour lives in its one method: campaign normalizes the
+// section in place, then builds and validates the core config once.
 type section interface {
-	normalize() error
-	units() (int, error)
-	run(ctx context.Context, rc core.RunContext) (any, error)
+	campaign() (campaign, error)
+}
+
+// campaign is a normalized section's core campaign: how many units its
+// checkpointable phase fans out (the quantity shard windows partition)
+// and the run of the config the section denotes.
+type campaign struct {
+	units int
+	run   func(ctx context.Context, rc core.RunContext) (any, error)
 }
 
 // kind is one entry of the job-kind registry.
@@ -59,9 +64,9 @@ type kind struct {
 }
 
 // kinds is the job-kind registry, the one place a kind is wired into the
-// serving layer: Normalize, Run, shard unit counting, every kind-related
-// 400 message and the campaign-duration metric all read it. Adding a kind
-// is one core campaign, one JobSpec section and one entry here.
+// serving layer: Normalize, Run, ShardCount, every kind-related 400
+// message and the campaign-duration metric all read it. Adding a kind is
+// one core campaign, one JobSpec section and one entry here.
 var kinds = []kind{
 	{KindPassive, sectionOf(func(s *JobSpec) **PassiveSpec { return &s.Passive })},
 	{KindActive, sectionOf(func(s *JobSpec) **ActiveSpec { return &s.Active })},
@@ -278,13 +283,6 @@ func constellationByName(name string, epoch time.Time) (constellation.Constellat
 	return constellation.Constellation{}, specErr("unknown constellation %q (one of %s)", name, strings.Join(constellation.Names(), ", "))
 }
 
-// satCount is the satellite count of the named constellation: the unit
-// count of every per-satellite checkpointable phase.
-func satCount(name string, epoch time.Time) (int, error) {
-	cons, err := constellationByName(name, epoch)
-	return len(cons.Sats), err
-}
-
 func weatherProvider(name string) (core.WeatherProvider, error) {
 	switch strings.ToLower(name) {
 	case "":
@@ -305,31 +303,40 @@ func weatherProvider(name string) (core.WeatherProvider, error) {
 // explicit value, the canonical form ConfigKey hashes. It is idempotent.
 // A spec may set only its own kind's parameter section.
 func (s *JobSpec) Normalize() error {
+	_, err := s.campaign()
+	return err
+}
+
+// campaign normalizes the spec in place and builds its kind's campaign.
+func (s *JobSpec) campaign() (campaign, error) {
 	k, err := s.kindOf()
 	if err != nil {
-		return err
+		return campaign{}, err
 	}
 	for _, other := range kinds {
 		if other.name != k.name && other.section(s, false) != nil {
-			return specErr("exactly one parameter section may be set, the kind's own: kind %q cannot take the %q section", k.name, other.name)
+			return campaign{}, specErr("exactly one parameter section may be set, the kind's own: kind %q cannot take the %q section", k.name, other.name)
 		}
 	}
-	if err := k.section(s, true).normalize(); err != nil {
-		return err
+	c, err := k.section(s, true).campaign()
+	if err != nil {
+		return campaign{}, err
 	}
-	return s.validateShard()
+	return c, s.validateShard(c.units)
 }
 
-// validConfig checks the core config a section builds, mapping a config
-// validation failure to ErrBadSpec.
-func validConfig[C interface{ Validate() error }](cfg C, err error) error {
+// clone deep-copies the spec through its JSON form, which round-trips
+// exactly.
+func (s *JobSpec) clone() (*JobSpec, error) {
+	raw, err := json.Marshal(s)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("service: copy spec: %w", err)
 	}
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadSpec, err)
+	c := new(JobSpec)
+	if err := json.Unmarshal(raw, c); err != nil {
+		return nil, fmt.Errorf("service: copy spec: %w", err)
 	}
-	return nil
+	return c, nil
 }
 
 // servingEpoch is the default campaign start of every kind but active.
@@ -355,33 +362,70 @@ func normalizeSpan(days *int, start *time.Time, epoch time.Time) error {
 	return nil
 }
 
-// normalizeConstellation defaults an empty constellation name to Tianqi
-// and rewrites it to the catalog's canonical spelling.
-func normalizeConstellation(name *string, epoch time.Time) error {
+// duration rejects a negative duration field and fills in its default.
+func duration(field string, d *Duration, def time.Duration) error {
+	if *d < 0 {
+		return specErr("%s must be non-negative, got %v", field, time.Duration(*d))
+	}
+	if *d == 0 {
+		*d = Duration(def)
+	}
+	return nil
+}
+
+// cadence is duration for a field that steps through the campaign span.
+// It also rejects a step finer than def × days / maxDays, so no cadence
+// takes more steps than its default takes over maxDays. Step counts size
+// allocations: a 10µs routing snapshot step asks netgraph for a
+// terabyte-scale slice, and the out-of-memory throw that follows is past
+// any recover.
+func cadence(field string, d *Duration, def time.Duration, days int) error {
+	if err := duration(field, d, def); err != nil {
+		return err
+	}
+	if floor := def * time.Duration(days) / maxDays; time.Duration(*d) < floor {
+		return specErr("%s %v is finer than the serving limit %v for a %d-day campaign", field, time.Duration(*d), floor, days)
+	}
+	return nil
+}
+
+// normalizeConstellation defaults an empty constellation name to Tianqi,
+// rewrites it to the catalog's canonical spelling and returns the fleet.
+func normalizeConstellation(name *string, epoch time.Time) (constellation.Constellation, error) {
 	if *name == "" {
 		*name = "Tianqi"
 	}
 	cons, err := constellationByName(*name, epoch)
 	if err != nil {
-		return err
+		return cons, err
 	}
 	*name = cons.Name
-	return nil
+	return cons, nil
 }
 
-func (p *PassiveSpec) normalize() error {
+func (p *PassiveSpec) campaign() (campaign, error) {
 	if err := normalizeSpan(&p.Days, &p.Start, servingEpoch); err != nil {
-		return err
+		return campaign{}, err
+	}
+	cfg := core.PassiveConfig{
+		Seed:            p.Seed,
+		Start:           p.Start,
+		Days:            p.Days,
+		MinElevationRad: p.MinElevationDeg * deg2Rad,
+		HonorSiteStart:  p.HonorSiteStart,
+		Faults:          p.Faults.config(),
 	}
 	if len(p.Sites) == 0 {
 		p.Sites = []string{"HK", "SYD", "LDN", "PGH"}
 	}
 	for i, code := range p.Sites {
 		code = strings.ToUpper(strings.TrimSpace(code))
-		if _, ok := core.SiteByCode(code); !ok {
-			return specErr("unknown site %q", p.Sites[i])
+		site, ok := core.SiteByCode(code)
+		if !ok {
+			return campaign{}, specErr("unknown site %q", p.Sites[i])
 		}
 		p.Sites[i] = code
+		cfg.Sites = append(cfg.Sites, site)
 	}
 	if len(p.Constellations) == 0 {
 		p.Constellations = constellation.Names()
@@ -389,58 +433,16 @@ func (p *PassiveSpec) normalize() error {
 	for i, name := range p.Constellations {
 		cons, err := constellationByName(name, p.Start)
 		if err != nil {
-			return err
+			return campaign{}, err
 		}
 		p.Constellations[i] = cons.Name
+		cfg.Constellations = append(cfg.Constellations, cons)
 	}
 	switch strings.ToLower(p.Scheduler) {
 	case "", "tracking":
 		p.Scheduler = "tracking"
 	case "roundrobin":
 		p.Scheduler = "roundrobin"
-	default:
-		return specErr("unknown scheduler %q (tracking, roundrobin)", p.Scheduler)
-	}
-	if p.CoarseStep < 0 {
-		return specErr("coarse_step must be non-negative, got %v", time.Duration(p.CoarseStep))
-	}
-	if p.CoarseStep == 0 {
-		p.CoarseStep = Duration(60 * time.Second)
-	}
-	p.Weather = strings.ToLower(p.Weather)
-	if _, err := weatherProvider(p.Weather); err != nil {
-		return err
-	}
-	return validConfig(p.config())
-}
-
-// config builds the core campaign config the spec denotes. Only Normalize-d
-// specs build configs the campaign accepts.
-func (p *PassiveSpec) config() (core.PassiveConfig, error) {
-	cfg := core.PassiveConfig{
-		Seed:            p.Seed,
-		Start:           p.Start,
-		Days:            p.Days,
-		MinElevationRad: p.MinElevationDeg * deg2Rad,
-		CoarseStep:      time.Duration(p.CoarseStep),
-		HonorSiteStart:  p.HonorSiteStart,
-		Faults:          p.Faults.config(),
-	}
-	for _, code := range p.Sites {
-		site, ok := core.SiteByCode(code)
-		if !ok {
-			return cfg, specErr("unknown site %q", code)
-		}
-		cfg.Sites = append(cfg.Sites, site)
-	}
-	for _, name := range p.Constellations {
-		cons, err := constellationByName(name, p.Start)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Constellations = append(cfg.Constellations, cons)
-	}
-	if p.Scheduler == "roundrobin" {
 		var catalog []int
 		for _, c := range cfg.Constellations {
 			for _, sat := range c.Sats {
@@ -448,35 +450,36 @@ func (p *PassiveSpec) config() (core.PassiveConfig, error) {
 			}
 		}
 		cfg.Scheduler = groundstation.RoundRobinScheduler{Catalog: catalog, Slot: 10 * time.Minute}
+	default:
+		return campaign{}, specErr("unknown scheduler %q (tracking, roundrobin)", p.Scheduler)
 	}
-	w, err := weatherProvider(p.Weather)
-	if err != nil {
-		return cfg, err
+	if err := cadence("coarse_step", &p.CoarseStep, 60*time.Second, p.Days); err != nil {
+		return campaign{}, err
 	}
-	cfg.Weather = w
-	return cfg, nil
+	cfg.CoarseStep = time.Duration(p.CoarseStep)
+	p.Weather = strings.ToLower(p.Weather)
+	var err error
+	if cfg.Weather, err = weatherProvider(p.Weather); err != nil {
+		return campaign{}, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return campaign{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return campaign{len(p.Sites) * len(p.Constellations), func(ctx context.Context, rc core.RunContext) (any, error) {
+		cfg.RunContext = rc
+		return core.RunPassiveCtx(ctx, cfg)
+	}}, nil
 }
 
-func (p *PassiveSpec) units() (int, error) { return len(p.Sites) * len(p.Constellations), nil }
-
-func (p *PassiveSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.RunContext = rc
-	return core.RunPassiveCtx(ctx, cfg)
-}
-
-func (a *ActiveSpec) normalize() error {
+func (a *ActiveSpec) campaign() (campaign, error) {
 	if err := normalizeSpan(&a.Days, &a.Start, time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)); err != nil {
-		return err
+		return campaign{}, err
 	}
 	if a.Nodes < 0 {
-		return specErr("nodes must be non-negative, got %d", a.Nodes)
+		return campaign{}, specErr("nodes must be non-negative, got %d", a.Nodes)
 	}
 	if a.Nodes > maxNodes {
-		return specErr("nodes %d exceeds the serving limit %d", a.Nodes, maxNodes)
+		return campaign{}, specErr("nodes %d exceeds the serving limit %d", a.Nodes, maxNodes)
 	}
 	if a.Nodes == 0 {
 		a.Nodes = 3
@@ -484,34 +487,15 @@ func (a *ActiveSpec) normalize() error {
 	if a.PayloadBytes == 0 {
 		a.PayloadBytes = 20
 	}
-	if a.SensePeriod == 0 {
-		a.SensePeriod = Duration(30 * time.Minute)
+	if err := cadence("sense_period", &a.SensePeriod, 30*time.Minute, a.Days); err != nil {
+		return campaign{}, err
 	}
 	if a.MaxRetx < 0 {
-		return specErr("max_retx must be non-negative, got %d", a.MaxRetx)
+		return campaign{}, specErr("max_retx must be non-negative, got %d", a.MaxRetx)
 	}
-	if a.AckTimeout == 0 {
-		a.AckTimeout = Duration(3 * time.Second)
+	if err := duration("ack_timeout", &a.AckTimeout, 3*time.Second); err != nil {
+		return campaign{}, err
 	}
-	switch strings.ToLower(a.Antenna) {
-	case "", "fiveeighths", "5/8":
-		a.Antenna = "fiveeighths"
-	case "quarter", "1/4":
-		a.Antenna = "quarter"
-	default:
-		return specErr("unknown antenna %q (quarter, fiveeighths)", a.Antenna)
-	}
-	if err := normalizeConstellation(&a.Constellation, a.Start); err != nil {
-		return err
-	}
-	a.Weather = strings.ToLower(a.Weather)
-	if _, err := weatherProvider(a.Weather); err != nil {
-		return err
-	}
-	return validConfig(a.config())
-}
-
-func (a *ActiveSpec) config() (core.ActiveConfig, error) {
 	cfg := core.ActiveConfig{
 		Seed:                         a.Seed,
 		Start:                        a.Start,
@@ -527,92 +511,82 @@ func (a *ActiveSpec) config() (core.ActiveConfig, error) {
 	}
 	cfg.Policy.MaxRetx = a.MaxRetx
 	cfg.Policy.AckTimeout = time.Duration(a.AckTimeout)
-	if a.Antenna == "quarter" {
-		cfg.NodeAntenna = channel.QuarterWave
-	} else {
+	switch strings.ToLower(a.Antenna) {
+	case "", "fiveeighths", "5/8":
+		a.Antenna = "fiveeighths"
 		cfg.NodeAntenna = channel.FiveEighthsWave
+	case "quarter", "1/4":
+		a.Antenna = "quarter"
+		cfg.NodeAntenna = channel.QuarterWave
+	default:
+		return campaign{}, specErr("unknown antenna %q (quarter, fiveeighths)", a.Antenna)
 	}
-	if !strings.EqualFold(a.Constellation, "Tianqi") {
-		cons, err := constellationByName(a.Constellation, a.Start)
-		if err != nil {
-			return cfg, err
-		}
+	cons, err := normalizeConstellation(&a.Constellation, a.Start)
+	if err != nil {
+		return campaign{}, err
+	}
+	if cons.Name != "Tianqi" {
 		cfg.Constellation = &cons
 	}
-	w, err := weatherProvider(a.Weather)
-	if err != nil {
-		return cfg, err
+	a.Weather = strings.ToLower(a.Weather)
+	if cfg.Weather, err = weatherProvider(a.Weather); err != nil {
+		return campaign{}, err
 	}
-	cfg.Weather = w
-	return cfg, nil
+	if err := cfg.Validate(); err != nil {
+		return campaign{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+	}
+	return campaign{len(cons.Sats), func(ctx context.Context, rc core.RunContext) (any, error) {
+		cfg.RunContext = rc
+		return core.RunActiveCtx(ctx, cfg)
+	}}, nil
 }
 
-func (a *ActiveSpec) units() (int, error) { return satCount(a.Constellation, a.Start) }
-
-func (a *ActiveSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
-	cfg, err := a.config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.RunContext = rc
-	return core.RunActiveCtx(ctx, cfg)
-}
-
-func (c *CoverageSpec) normalize() error {
+func (c *CoverageSpec) campaign() (campaign, error) {
 	if err := normalizeSpan(&c.Days, &c.Start, servingEpoch); err != nil {
-		return err
+		return campaign{}, err
 	}
-	if err := normalizeConstellation(&c.Constellation, c.Start); err != nil {
-		return err
+	cons, err := normalizeConstellation(&c.Constellation, c.Start)
+	if err != nil {
+		return campaign{}, err
 	}
 	if len(c.LatitudesDeg) == 0 {
 		c.LatitudesDeg = []float64{-60, -45, -30, -15, 0, 15, 30, 45, 60}
 	}
 	if len(c.LatitudesDeg) > maxLatitudes {
-		return specErr("latitudes_deg length %d exceeds the serving limit %d", len(c.LatitudesDeg), maxLatitudes)
+		return campaign{}, specErr("latitudes_deg length %d exceeds the serving limit %d", len(c.LatitudesDeg), maxLatitudes)
 	}
 	for _, lat := range c.LatitudesDeg {
 		if lat < -90 || lat > 90 || lat != lat {
-			return specErr("latitude %v out of [-90, 90]", lat)
+			return campaign{}, specErr("latitude %v out of [-90, 90]", lat)
 		}
 	}
-	return nil
+	return campaign{len(c.LatitudesDeg), func(ctx context.Context, rc core.RunContext) (any, error) {
+		return core.RevisitAnalysisCtx(ctx, cons, c.LatitudesDeg, c.Start, c.Days, rc)
+	}}, nil
 }
 
-func (c *CoverageSpec) units() (int, error) { return len(c.LatitudesDeg), nil }
-
-func (c *CoverageSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
-	cons, err := constellationByName(c.Constellation, c.Start)
-	if err != nil {
-		return nil, err
-	}
-	return core.RevisitAnalysisCtx(ctx, cons, c.LatitudesDeg, c.Start, c.Days, rc)
-}
-
-func (r *RoutingSpec) normalize() error {
+func (r *RoutingSpec) campaign() (campaign, error) {
 	if err := normalizeSpan(&r.Days, &r.Start, servingEpoch); err != nil {
-		return err
+		return campaign{}, err
 	}
-	if err := normalizeConstellation(&r.Constellation, r.Start); err != nil {
-		return err
+	cons, err := normalizeConstellation(&r.Constellation, r.Start)
+	if err != nil {
+		return campaign{}, err
 	}
-	if r.SnapshotStep < 0 || r.HopProcessing < 0 || r.PacketInterval < 0 {
-		return specErr("snapshot_step, hop_processing and packet_interval must be non-negative")
+	if err := cadence("snapshot_step", &r.SnapshotStep, netgraph.DefaultSnapshotStep, r.Days); err != nil {
+		return campaign{}, err
 	}
-	if r.SnapshotStep == 0 {
-		r.SnapshotStep = Duration(netgraph.DefaultSnapshotStep)
+	if err := duration("hop_processing", &r.HopProcessing, netgraph.DefaultHopProcessing); err != nil {
+		return campaign{}, err
+	}
+	if err := cadence("packet_interval", &r.PacketInterval, 30*time.Minute, r.Days); err != nil {
+		return campaign{}, err
 	}
 	if r.MaxISLRangeKm < 0 || r.MaxISLRangeKm != r.MaxISLRangeKm {
-		return specErr("max_isl_range_km must be non-negative, got %v", r.MaxISLRangeKm)
+		return campaign{}, specErr("max_isl_range_km must be non-negative, got %v", r.MaxISLRangeKm)
 	}
 	if r.MaxISLRangeKm == 0 {
 		r.MaxISLRangeKm = netgraph.DefaultMaxISLRangeKm
-	}
-	if r.HopProcessing == 0 {
-		r.HopProcessing = Duration(netgraph.DefaultHopProcessing)
-	}
-	if r.PacketInterval == 0 {
-		r.PacketInterval = Duration(30 * time.Minute)
 	}
 	switch strings.ToLower(r.Policy) {
 	case "", core.PolicyCompare:
@@ -622,12 +596,8 @@ func (r *RoutingSpec) normalize() error {
 	case core.PolicyRelay:
 		r.Policy = core.PolicyRelay
 	default:
-		return specErr("unknown policy %q (%s, %s, %s)", r.Policy, core.PolicyStore, core.PolicyRelay, core.PolicyCompare)
+		return campaign{}, specErr("unknown policy %q (%s, %s, %s)", r.Policy, core.PolicyStore, core.PolicyRelay, core.PolicyCompare)
 	}
-	return validConfig(r.config())
-}
-
-func (r *RoutingSpec) config() (core.RoutingConfig, error) {
 	cfg := core.RoutingConfig{
 		Seed:           r.Seed,
 		Start:          r.Start,
@@ -639,84 +609,70 @@ func (r *RoutingSpec) config() (core.RoutingConfig, error) {
 		Policy:         r.Policy,
 		Faults:         r.Faults.config(),
 	}
-	if !strings.EqualFold(r.Constellation, "Tianqi") {
-		cons, err := constellationByName(r.Constellation, r.Start)
-		if err != nil {
-			return cfg, err
-		}
+	if cons.Name != "Tianqi" {
 		cfg.Constellation = &cons
 	}
-	return cfg, nil
-}
-
-func (r *RoutingSpec) units() (int, error) { return satCount(r.Constellation, r.Start) }
-
-func (r *RoutingSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
-	cfg, err := r.config()
-	if err != nil {
-		return nil, err
+	if err := cfg.Validate(); err != nil {
+		return campaign{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	cfg.RunContext = rc
-	return core.RunRoutingCtx(ctx, cfg)
+	return campaign{len(cons.Sats), func(ctx context.Context, rc core.RunContext) (any, error) {
+		cfg.RunContext = rc
+		return core.RunRoutingCtx(ctx, cfg)
+	}}, nil
 }
 
-func (b *BackhaulSpec) normalize() error {
+func (b *BackhaulSpec) campaign() (campaign, error) {
 	if err := normalizeSpan(&b.Days, &b.Start, servingEpoch); err != nil {
-		return err
+		return campaign{}, err
 	}
-	if err := normalizeConstellation(&b.Constellation, b.Start); err != nil {
-		return err
-	}
-	if b.Step < 0 || b.MinDrainGap < 0 {
-		return specErr("step and min_drain_gap must be non-negative")
-	}
-	if b.Step == 0 {
-		b.Step = Duration(time.Minute)
-	}
-	if b.MinDrainGap == 0 {
-		b.MinDrainGap = Duration(150 * time.Minute)
-	}
-	return nil
-}
-
-func (b *BackhaulSpec) units() (int, error) { return satCount(b.Constellation, b.Start) }
-
-func (b *BackhaulSpec) run(ctx context.Context, rc core.RunContext) (any, error) {
-	cons, err := constellationByName(b.Constellation, b.Start)
+	cons, err := normalizeConstellation(&b.Constellation, b.Start)
 	if err != nil {
-		return nil, err
+		return campaign{}, err
 	}
-	return core.RunBackhaulCtx(ctx, core.BackhaulConfig{
+	if err := cadence("step", &b.Step, time.Minute, b.Days); err != nil {
+		return campaign{}, err
+	}
+	if err := duration("min_drain_gap", &b.MinDrainGap, 150*time.Minute); err != nil {
+		return campaign{}, err
+	}
+	cfg := core.BackhaulConfig{
 		Constellation: cons,
 		Start:         b.Start,
 		Days:          b.Days,
 		Step:          time.Duration(b.Step),
 		MinDrainGap:   time.Duration(b.MinDrainGap),
-		RunContext:    rc,
-	})
+	}
+	return campaign{len(cons.Sats), func(ctx context.Context, rc core.RunContext) (any, error) {
+		cfg.RunContext = rc
+		return core.RunBackhaulCtx(ctx, cfg)
+	}}, nil
 }
 
 const deg2Rad = 3.14159265358979323846 / 180
 
 // Run executes the spec and returns its result struct — the value the
-// serving layer marshals with MarshalResult. The spec must be Normalize-d.
-// The RunContext hooks (all optional) observe the campaign's phases and
-// thread checkpoint capture/resume through it; a cancelled context aborts
-// the run with ctx.Err(). rc.Shard is ignored: shard identity is part of
-// the content key, so only spec.Shard shards a run, and a shard sub-spec
-// returns a *ShardResult of its window's unit snapshots instead of a
-// campaign result.
+// serving layer marshals with MarshalResult. It normalizes a private copy,
+// so the caller's spec is never written. The RunContext hooks (all
+// optional) observe the campaign's phases and thread checkpoint
+// capture/resume through it; a cancelled context aborts the run with
+// ctx.Err(). rc.Shard is ignored: shard identity is part of the content
+// key, so only spec.Shard shards a run, and a shard sub-spec returns a
+// *ShardResult of its window's unit snapshots instead of a campaign
+// result.
 func Run(ctx context.Context, spec *JobSpec, rc RunContext) (any, error) {
-	k, err := spec.kindOf()
+	spec, err := spec.clone()
 	if err != nil {
 		return nil, err
 	}
-	sec := k.section(spec, false)
+	c, err := spec.campaign()
+	if err != nil {
+		return nil, err
+	}
 	rc.Shard = nil
 	if spec.Shard != nil {
-		return runShard(ctx, spec.Shard, sec, rc)
+		return runShard(ctx, spec.Shard, c, rc)
 	}
-	return sec.run(ctx, rc)
+	return c.run(ctx, rc)
 }
 
 // MarshalResult is the canonical result serialization: every path that

@@ -94,6 +94,16 @@ func TestNormalizeRejections(t *testing.T) {
 		{"latitude out of range", &JobSpec{Kind: KindCoverage, Coverage: &CoverageSpec{LatitudesDeg: []float64{91}}}, "out of [-90, 90]"},
 		{"too many latitudes", &JobSpec{Kind: KindCoverage, Coverage: &CoverageSpec{LatitudesDeg: make([]float64, maxLatitudes+1)}}, "exceeds the serving limit"},
 		{"negative backhaul step", &JobSpec{Kind: KindBackhaul, Backhaul: &BackhaulSpec{Step: Duration(-1)}}, "must be non-negative"},
+		{"snapshot step too fine", &JobSpec{Kind: KindRouting, Routing: &RoutingSpec{SnapshotStep: Duration(10 * time.Microsecond)}}, "snapshot_step 10µs is finer than the serving limit"},
+		{"packet interval too fine", &JobSpec{Kind: KindRouting, Routing: &RoutingSpec{PacketInterval: Duration(10 * time.Microsecond)}}, "packet_interval 10µs is finer than the serving limit"},
+		{"backhaul step too fine", &JobSpec{Kind: KindBackhaul, Backhaul: &BackhaulSpec{Step: Duration(time.Microsecond)}}, "step 1µs is finer than the serving limit"},
+		{"coarse step too fine", &JobSpec{Kind: KindPassive, Passive: &PassiveSpec{CoarseStep: Duration(time.Microsecond)}}, "coarse_step 1µs is finer than the serving limit"},
+		{"sense period too fine", &JobSpec{Kind: KindActive, Active: &ActiveSpec{SensePeriod: Duration(10 * time.Microsecond)}}, "sense_period 10µs is finer than the serving limit"},
+		{"snapshot step just under the one-day floor", &JobSpec{Kind: KindRouting, Routing: &RoutingSpec{SnapshotStep: Duration(162 * time.Millisecond)}}, "finer than the serving limit 162.162162ms for a 1-day campaign"},
+		{"negative ack timeout", &JobSpec{Kind: KindActive, Active: &ActiveSpec{AckTimeout: Duration(-time.Second)}}, "ack_timeout must be non-negative, got -1s"},
+		{"negative sense period", &JobSpec{Kind: KindActive, Active: &ActiveSpec{SensePeriod: Duration(-time.Second)}}, "sense_period must be non-negative, got -1s"},
+		{"negative hop processing", &JobSpec{Kind: KindRouting, Routing: &RoutingSpec{HopProcessing: Duration(-1)}}, "hop_processing must be non-negative"},
+		{"negative min drain gap", &JobSpec{Kind: KindBackhaul, Backhaul: &BackhaulSpec{MinDrainGap: Duration(-1)}}, "min_drain_gap must be non-negative"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Normalize()
@@ -106,6 +116,27 @@ func TestNormalizeRejections(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCadenceLimitAdmitsDefaults pins the accepting side of the cadence
+// rule: every kind at its default cadences over the longest span served,
+// and one-day cadences just above their floors (162.2 ms under one-minute
+// defaults, 4.86 s under thirty-minute ones).
+func TestCadenceLimitAdmitsDefaults(t *testing.T) {
+	specs := []*JobSpec{
+		{Kind: KindPassive, Passive: &PassiveSpec{Days: maxDays}},
+		{Kind: KindActive, Active: &ActiveSpec{Days: maxDays}},
+		{Kind: KindCoverage, Coverage: &CoverageSpec{Days: maxDays}},
+		{Kind: KindBackhaul, Backhaul: &BackhaulSpec{Days: maxDays}},
+		{Kind: KindRouting, Routing: &RoutingSpec{Days: maxDays}},
+		{Kind: KindRouting, Routing: &RoutingSpec{SnapshotStep: Duration(200 * time.Millisecond)}},
+		{Kind: KindActive, Active: &ActiveSpec{SensePeriod: Duration(5 * time.Second)}},
+	}
+	for _, spec := range specs {
+		if err := spec.Normalize(); err != nil {
+			t.Errorf("%s spec rejected: %v", spec.Kind, err)
 		}
 	}
 }
