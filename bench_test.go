@@ -6,6 +6,7 @@
 package sinet_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -452,7 +453,7 @@ func BenchmarkPassPredictionParallel(b *testing.B) {
 	end := start.Add(24 * time.Hour)
 	run := func() int {
 		ephs := make([]*sinet.Ephemeris, len(cons.Sats))
-		sim.ForEach(len(cons.Sats), func(si int) error {
+		sim.Phase(context.Background(), "ephemeris", len(cons.Sats), func(si int) error {
 			prop, err := sinet.NewPropagator(cons.Sats[si])
 			if err != nil {
 				b.Error(err)
@@ -462,7 +463,7 @@ func BenchmarkPassPredictionParallel(b *testing.B) {
 			return nil
 		}, nil)
 		counts := make([]int, len(sites))
-		sim.ForEach(len(sites), func(gi int) error {
+		sim.Phase(context.Background(), "passes", len(sites), func(gi int) error {
 			for _, eph := range ephs {
 				counts[gi] += len(sinet.NewEphemerisPredictor(eph).Passes(sites[gi], start, end, 0))
 			}
@@ -533,10 +534,10 @@ func BenchmarkMegaConstellation(b *testing.B) {
 			sites := megaSites(100)
 			run := func() (total, exactRows int) {
 				grid := orbit.NewEphemerisGrid(props, start, end, orbit.EphemerisConfig{ScanStep: time.Minute})
-				sim.ForEach(grid.Sats(), func(si int) error { grid.Propagate(si); return nil }, nil)
+				sim.Phase(context.Background(), "ephemeris", grid.Sats(), func(si int) error { grid.Propagate(si); return nil }, nil)
 				grid.Finish()
 				counts := make([]int, len(sites))
-				sim.ForEach(len(sites), func(gi int) error {
+				sim.Phase(context.Background(), "passes", len(sites), func(gi int) error {
 					pp := orbit.NewEphemerisPredictor(grid.Sat(0))
 					passes := make([]orbit.Pass, 0, 4096)
 					for si := 0; si < grid.Sats(); si++ {
@@ -583,6 +584,7 @@ func BenchmarkEphemerisQuery(b *testing.B) {
 
 	run := func(b *testing.B, at time.Time) {
 		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := eph.PositionECEF(at); err != nil {
 				b.Fatal(err)

@@ -109,7 +109,7 @@ func run(args []string, stdout io.Writer) error {
 	journalDir := fs.String("journal-dir", "", "directory for the durable job journal (empty disables crash recovery)")
 	jobDeadline := fs.Duration("job-deadline", 0, "per-attempt wall-clock deadline (0 disables)")
 	maxRetries := fs.Int("max-retries", 0, "retry budget for retryable job failures")
-	heartbeat := fs.Duration("heartbeat-timeout", 0, "cancel and retry attempts silent for this long (0 disables)")
+	heartbeat := fs.Duration("heartbeat-timeout", 0, "cancel and retry attempts reporting no progress for this long (0 disables; workers only)")
 	retryAfter := fs.Duration("retry-after", 0, "Retry-After hint on 429/503 responses (0 = 1s)")
 	coordinator := fs.Bool("coordinator", false, "run as cluster coordinator fronting the -peers workers")
 	peersFlag := fs.String("peers", "", "comma-separated worker base URLs: the fleet (coordinator) or the cache ring (worker)")
@@ -156,6 +156,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if *coordinator && len(peers) == 0 {
 		return errors.New("-coordinator requires a -peers worker list")
+	}
+	if *coordinator && *heartbeat > 0 {
+		return errors.New("-heartbeat-timeout applies to workers, not to a -coordinator")
 	}
 	if *advertise != "" && len(peers) == 0 {
 		return errors.New("-advertise only makes sense with -peers")

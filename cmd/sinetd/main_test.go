@@ -24,6 +24,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"negative retry-after", []string{"-retry-after", "-1s"}, "-retry-after must be non-negative"},
 		{"negative max-shards", []string{"-max-shards", "-1"}, "-max-shards must be non-negative"},
 		{"coordinator without peers", []string{"-coordinator"}, "-coordinator requires a -peers worker list"},
+		{"heartbeat on coordinator", []string{"-coordinator", "-peers", "http://w1:1", "-heartbeat-timeout", "1s"}, "-heartbeat-timeout applies to workers, not to a -coordinator"},
 		{"bad peer url", []string{"-peers", "ftp://w1"}, "not an http(s) base URL"},
 		{"advertise without peers", []string{"-advertise", "http://me:1"}, "-advertise only makes sense with -peers"},
 	}

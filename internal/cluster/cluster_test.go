@@ -665,3 +665,16 @@ func TestCoordinatorLocalFallback(t *testing.T) {
 		t.Fatal("local-fallback bytes differ from direct run")
 	}
 }
+
+// TestNewRejectsCoordinatorHeartbeat pins that a coordinator runs no
+// heartbeat watchdog: a sharded attempt reports nothing while its shards
+// run remotely, so a watchdog would shoot down every sharded job.
+func TestNewRejectsCoordinatorHeartbeat(t *testing.T) {
+	_, err := New(Config{
+		Peers: []string{"http://127.0.0.1:1"},
+		Local: service.Config{HeartbeatTimeout: 200 * time.Millisecond},
+	})
+	if err == nil || !strings.Contains(err.Error(), "heartbeat watchdog") {
+		t.Fatalf("New with Local.HeartbeatTimeout = %v, want a heartbeat watchdog error", err)
+	}
+}

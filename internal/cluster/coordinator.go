@@ -49,7 +49,10 @@ type Config struct {
 	// Local configures the coordinator's embedded service.Server, which
 	// owns sharded jobs (queue, SSE, journal, retry budget, cache) and
 	// serves everything itself when the whole fleet is unreachable. Its
-	// Runner and CacheFill are installed by New.
+	// Runner and CacheFill are installed by New. Its HeartbeatTimeout
+	// must stay 0: a sharded attempt reports no progress while its shards
+	// run remotely, so a coordinator watchdog would shoot every one down.
+	// Workers watch their own campaigns.
 	Local service.Config
 }
 
@@ -88,6 +91,9 @@ type Coordinator struct {
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: at least one peer is required")
+	}
+	if cfg.Local.HeartbeatTimeout > 0 {
+		return nil, errors.New("cluster: a coordinator runs no heartbeat watchdog; set HeartbeatTimeout on the workers")
 	}
 	if cfg.ShardThreshold == 0 {
 		cfg.ShardThreshold = 16

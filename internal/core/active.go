@@ -18,6 +18,7 @@ import (
 	"github.com/sinet-io/sinet/internal/radio"
 	"github.com/sinet-io/sinet/internal/satellite"
 	"github.com/sinet-io/sinet/internal/sim"
+	"github.com/sinet-io/sinet/internal/tracing"
 )
 
 // ActiveConfig configures a §3.2-style active measurement campaign: a
@@ -511,7 +512,7 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		for d := 1; d <= cfg.Days; d++ {
 			d := d
 			if err := r.engine.Schedule(cfg.Start.Add(time.Duration(d)*24*time.Hour), func(*sim.Engine) {
-				cfg.Progress.report("simulate", d, cfg.Days)
+				cfg.Progress("simulate", d, cfg.Days)
 			}); err != nil {
 				return nil, err
 			}
@@ -519,8 +520,11 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	}
 
 	// Run past the nominal end so packets already on board get their
-	// final drain opportunity (sensing and beacons stop at end).
-	if err := r.engine.RunCtx(ctx, horizon); err != nil {
+	// final drain opportunity (sensing and beacons stop at end). The event
+	// loop is one unit; the day markers above report its progress.
+	if err := sim.Phase(ctx, "simulate", 1, func(int) error {
+		return r.engine.RunCtx(ctx, horizon)
+	}, nil, tracing.Int("days", cfg.Days)); err != nil {
 		return nil, err
 	}
 

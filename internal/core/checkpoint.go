@@ -140,11 +140,12 @@ func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
 	return ps
 }
 
-// forEachCheckpointed fans one checkpointable phase across the worker
-// pool under the phase instrument (sim.Phase): out's length is the unit
-// count, fn(i) computes unit i. Units present in rc.Resume are restored by
-// JSON decode instead of recomputed; newly computed units are serialized
-// and handed to rc.Checkpoint. Progress spans the whole phase (restored
+// forEachCheckpointed runs one checkpointable phase as one sim.Phase over
+// the units it does not restore: out's length is the unit count, fn(i)
+// computes unit i. Units present in rc.Resume are restored by JSON decode
+// instead of recomputed; newly computed units are serialized and handed
+// to rc.Checkpoint, each before its progress report. Progress spans the
+// whole phase (restored
 // units count as already complete), preserving the strictly-increasing
 // contract. A non-nil rc.Shard narrows the phase to its window: only
 // in-window units restore or compute (saves still report the full phase
@@ -183,12 +184,12 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 			pending = append(pending, i)
 		}
 	}
-	if nRestored > 0 {
-		progress.report(phase, nRestored, span)
-	}
-	var onDone func(completed, total int)
+	var report ProgressFunc
 	if progress != nil {
-		onDone = func(completed, total int) { progress(phase, nRestored+completed, span) }
+		if nRestored > 0 {
+			progress(phase, nRestored, span)
+		}
+		report = func(phase string, completed, _ int) { progress(phase, nRestored+completed, span) }
 	}
 	attrs := []tracing.Attr{
 		tracing.Int("units", span),
@@ -199,22 +200,20 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 		attrs = append(attrs, tracing.Int("shard_lo", shard.Lo), tracing.Int("shard_hi", shard.Hi))
 	}
 	var mu sync.Mutex
-	return sim.Phase(ctx, phase, func() error {
-		return sim.ForEach(len(pending), func(k int) error {
-			i := pending[k]
-			v, err := fn(i)
-			if err != nil {
-				return err
+	return sim.Phase(ctx, phase, len(pending), func(k int) error {
+		i := pending[k]
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		if save != nil {
+			if raw, err := json.Marshal(v); err == nil {
+				mu.Lock()
+				save(phase, i, n, raw)
+				mu.Unlock()
 			}
-			out[i] = v
-			if save != nil {
-				if raw, err := json.Marshal(v); err == nil {
-					mu.Lock()
-					save(phase, i, n, raw)
-					mu.Unlock()
-				}
-			}
-			return nil
-		}, onDone)
-	}, attrs...)
+		}
+		return nil
+	}, report, attrs...)
 }

@@ -251,7 +251,7 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := graph.BuildAll(ctx, cfg.Progress.phase("topology")); err != nil {
+	if err := graph.BuildAll(ctx, cfg.Progress); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {

@@ -44,24 +44,6 @@ type RunContext struct {
 // observes execution, it does not parameterize it.
 type ProgressFunc func(phase string, completed, total int)
 
-// phase adapts a ProgressFunc to the sim.ForEach callback shape for one
-// named phase; a nil ProgressFunc yields a nil callback, keeping the
-// fan-out's fast path free of indirection.
-func (p ProgressFunc) phase(name string) func(completed, total int) {
-	if p == nil {
-		return nil
-	}
-	return func(completed, total int) { p(name, completed, total) }
-}
-
-// report invokes p when non-nil, for one-shot phase notifications outside
-// a fan-out (e.g. marking a simulation phase started or finished).
-func (p ProgressFunc) report(phase string, completed, total int) {
-	if p != nil {
-		p(phase, completed, total)
-	}
-}
-
 // propagate runs a campaign's "ephemeris" phase: it samples every row of
 // the given grids across the worker pool, then finishes each grid. Each
 // worker fills only its own row, so the fan-out never races. Grid rows
@@ -75,15 +57,13 @@ func propagate(ctx context.Context, progress ProgressFunc, grids ...*orbit.Ephem
 			rows = append(rows, row{gi, si})
 		}
 	}
-	err := sim.Phase(ctx, "ephemeris", func() error {
-		return sim.ForEach(len(rows), func(i int) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			grids[rows[i].grid].Propagate(rows[i].sat)
-			return nil
-		}, progress.phase("ephemeris"))
-	}, tracing.Int("units", len(rows)))
+	err := sim.Phase(ctx, "ephemeris", len(rows), func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		grids[rows[i].grid].Propagate(rows[i].sat)
+		return nil
+	}, progress, tracing.Int("units", len(rows)))
 	if err != nil {
 		return err
 	}

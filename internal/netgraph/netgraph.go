@@ -212,28 +212,29 @@ func (g *Graph) ParallelBuildSafe() bool {
 }
 
 // BuildAll fills every snapshot as the "topology" phase (see sim.Phase),
-// fanning out across workers when the ephemeris allows it (see
-// ParallelBuildSafe) and building serially otherwise. Each snapshot
-// writes only its own slot and reads only shared immutable samples, so
-// the parallel build is bit-identical to the serial one. onDone (may be
-// nil) observes completion counts, serialized and strictly increasing.
-func (g *Graph) BuildAll(ctx context.Context, onDone func(completed, total int)) error {
+// one unit per snapshot when the ephemeris allows it (see
+// ParallelBuildSafe). Otherwise the serial build runs as one unit that
+// reports each snapshot to progress itself. Each snapshot writes only its
+// own slot and reads only shared immutable samples, so the parallel build
+// is bit-identical to the serial one. progress (may be nil) observes
+// completion counts, serialized and strictly increasing.
+func (g *Graph) BuildAll(ctx context.Context, progress func(phase string, completed, total int)) error {
 	n := len(g.snaps)
-	return sim.Phase(ctx, "topology", func() error {
-		if g.ParallelBuildSafe() {
-			return sim.ForEach(n, func(k int) error {
-				g.Build(k)
-				return nil
-			}, onDone)
-		}
+	if g.ParallelBuildSafe() {
+		return sim.Phase(ctx, "topology", n, func(k int) error {
+			g.Build(k)
+			return nil
+		}, progress, tracing.Int("snapshots", n))
+	}
+	return sim.Phase(ctx, "topology", 1, func(int) error {
 		for k := 0; k < n; k++ {
 			g.Build(k)
-			if onDone != nil {
-				onDone(k+1, n)
+			if progress != nil {
+				progress("topology", k+1, n)
 			}
 		}
 		return nil
-	}, tracing.Int("snapshots", n))
+	}, nil, tracing.Int("snapshots", n))
 }
 
 // Build fills snapshot k: evaluates every candidate ISL and every

@@ -12,6 +12,7 @@ import (
 func BenchmarkCounterInc(b *testing.B) {
 	c := New().Counter("bench_counter_total", "bench")
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}
@@ -28,6 +29,7 @@ func BenchmarkCounterIncNil(b *testing.B) {
 func BenchmarkCounterIncParallel(b *testing.B) {
 	c := New().Counter("bench_counter_total", "bench")
 	b.ReportAllocs()
+	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			c.Inc()
@@ -38,6 +40,7 @@ func BenchmarkCounterIncParallel(b *testing.B) {
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := New().Histogram("bench_seconds", "bench", DurationBuckets)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.042)
 	}
@@ -51,6 +54,7 @@ func BenchmarkWritePrometheus(b *testing.B) {
 	r.Histogram("bench_seconds", "bench", DurationBuckets).Observe(0.3)
 	r.Gauge("bench_depth", "bench").Set(4)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := r.WritePrometheus(io.Discard); err != nil {
 			b.Fatal(err)

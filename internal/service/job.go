@@ -145,13 +145,6 @@ func (j *Job) runtime() time.Duration {
 	return j.finished.Sub(j.started)
 }
 
-// ErrorText returns the terminal error message ("" when none).
-func (j *Job) ErrorText() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
 // Result returns the serialized result and whether the job is done.
 func (j *Job) Result() ([]byte, bool) {
 	j.mu.Lock()
@@ -187,7 +180,14 @@ func (j *Job) View() JobView {
 	return v
 }
 
-// event builds the notification for the current state; callers hold mu.
+// event snapshots the notification for the current state.
+func (j *Job) event() Event {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.eventLocked()
+}
+
+// eventLocked is event for callers holding mu.
 func (j *Job) eventLocked() Event {
 	return Event{
 		JobID:     j.ID,
@@ -227,13 +227,16 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	}
 }
 
-// setProgress records phase progress and notifies subscribers.
+// setProgress records phase progress, refreshes the heartbeat the
+// watchdog checks and notifies subscribers. Progress is the one sign of
+// life: a checkpointed unit reports its progress right after its save.
 func (j *Job) setProgress(phase string, completed, total int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateRunning {
 		return
 	}
+	j.lastBeat = time.Now()
 	j.phase = phase
 	j.completed = completed
 	j.total = total
@@ -295,14 +298,6 @@ func (j *Job) Attempts() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.attempt
-}
-
-// beat refreshes the heartbeat the watchdog checks. Progress reports and
-// checkpoint saves both count as signs of life.
-func (j *Job) beat() {
-	j.mu.Lock()
-	j.lastBeat = time.Now().UTC()
-	j.mu.Unlock()
 }
 
 // markStale cancels the current attempt of a running job whose heartbeat
@@ -374,9 +369,9 @@ func (j *Job) resumePoint() *core.Checkpoint {
 // requestCancel asks the job to stop. A queued job cancels immediately; a
 // running one has its context cancelled and reaches the canceled state
 // when the campaign unwinds. Terminal jobs are unaffected. It reports
-// whether this call itself finished the job (queued → canceled), so the
-// caller can account for the terminal transition — running jobs reach
-// their terminal state on the worker instead.
+// whether this call itself finished the job (queued → canceled): the
+// claim under mu lets exactly one caller conclude it, while running jobs
+// reach their terminal state on the worker instead.
 func (j *Job) requestCancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()

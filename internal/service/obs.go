@@ -75,7 +75,7 @@ func newServerMetrics(r *obs.Registry, s *Server) *serverMetrics {
 	return m
 }
 
-// observeFinished counts one terminal job and, for worker-executed jobs
+// observeFinished counts one terminal job and, for jobs a worker computed
 // (seconds > 0), its wall time under the campaign-kind histogram.
 func (m *serverMetrics) observeFinished(kind string, state State, seconds float64) {
 	m.finished[state].Inc()

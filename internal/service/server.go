@@ -48,7 +48,7 @@ type RunnerFunc func(ctx context.Context, spec *JobSpec, rc RunContext) (any, er
 type Config struct {
 	// Workers is the simulation worker-pool size (default GOMAXPROCS).
 	// Each worker runs one campaign at a time; the campaign itself fans
-	// out internally on the sim.ForEach worker pool.
+	// out internally through sim.Phase.
 	Workers int
 	// QueueDepth bounds the number of jobs waiting for a worker
 	// (default 64). A full queue rejects submissions with ErrQueueFull.
@@ -97,8 +97,8 @@ type Config struct {
 	// (default 1s, capped at 1 minute, deterministically jittered).
 	RetryBackoff time.Duration
 	// HeartbeatTimeout arms the staleness watchdog: a running attempt
-	// reporting no progress or checkpoint for this long is shot down and
-	// retried. 0 disables the watchdog.
+	// reporting no progress for this long is shot down and retried. 0
+	// disables the watchdog.
 	HeartbeatTimeout time.Duration
 	// RetryAfter is the pushback hint stamped on 429 (queue full) and 503
 	// (draining) responses as the Retry-After header, rounded up to whole
@@ -128,8 +128,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	inflight map[Key]*Job           // queued or running, by content key
-	timers   map[string]*time.Timer // retry backoff timers by job ID
+	inflight map[Key]*Job // queued or running, by content key
 	draining bool
 	seq      uint64
 
@@ -169,7 +168,6 @@ func New(cfg Config) (*Server, error) {
 		tracer:     cfg.Tracer,
 		jobs:       map[string]*Job{},
 		inflight:   map[Key]*Job{},
-		timers:     map[string]*time.Timer{},
 		queue:      make(chan *Job, cfg.QueueDepth),
 		baseCtx:    ctx,
 		cancelBase: cancel,
@@ -348,7 +346,7 @@ func (s *Server) journalAppend(rec journal.Record) {
 }
 
 // watchdog periodically shoots down running attempts whose heartbeat
-// (progress or checkpoint activity) has gone stale: the attempt's context
+// (their latest progress report) has gone stale: the attempt's context
 // is cancelled, the worker unwinds, and the attempt retries under the
 // normal budget.
 func (s *Server) watchdog() {
@@ -511,15 +509,19 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	if j.requestCancel() {
-		// Canceled straight out of the queue: no worker will ever see
-		// this job, so account for its terminal transition here.
-		s.journalAppend(journal.Record{Op: journal.OpCancel, JobID: j.ID})
-		s.metrics.observeFinished(j.Spec.Kind, StateCanceled, 0)
-	}
 	s.logJob(j, "job cancel requested")
-	s.forgetInflight(j)
+	s.cancelQueued(j)
 	return j, true
+}
+
+// cancelQueued is the cancel Cancel, the drain and a woken backoff share:
+// requestCancel claims a job no worker holds, concluded here, while a
+// running job unwinds and is concluded by its worker.
+func (s *Server) cancelQueued(j *Job) {
+	if j.requestCancel() {
+		s.conclude(j, nil, 0, StateCanceled, nil, context.Canceled.Error(), false)
+	}
+	s.forgetInflight(j)
 }
 
 // forgetInflight drops the job from the dedup index once it can no longer
@@ -586,14 +588,8 @@ func (s *Server) execute(j *Job) {
 		}
 		if hit {
 			cancelAttempt()
-			att.SetAttr(tracing.String("outcome", "peer_fill"))
-			att.End()
-			s.cache.Put(j.Key, data)
-			s.journalAppend(journal.Record{Op: journal.OpDone, JobID: j.ID, Attempt: attempt})
-			j.finish(StateDone, data, "", true)
 			s.metrics.peerFills.Inc()
-			s.logJob(j, "job filled from peer cache", slog.Int("bytes", len(data)))
-			s.settle(j)
+			s.conclude(j, att, attempt, StateDone, data, "", true)
 			return
 		}
 	}
@@ -607,32 +603,18 @@ func (s *Server) execute(j *Job) {
 	if err == nil {
 		data, merr := MarshalResult(res)
 		if merr != nil {
-			msg := fmt.Sprintf("serialize result: %v", merr)
 			att.SetError(merr)
-			att.SetAttr(tracing.String("outcome", "failed"))
-			att.End()
-			s.journalAppend(journal.Record{Op: journal.OpFail, JobID: j.ID, Attempt: attempt, Err: msg})
-			j.finish(StateFailed, nil, msg, false)
-			s.settle(j)
+			s.conclude(j, att, attempt, StateFailed, nil, fmt.Sprintf("serialize result: %v", merr), false)
 			return
 		}
-		att.SetAttr(tracing.String("outcome", "done"), tracing.Int("bytes", len(data)))
-		att.End()
-		s.cache.Put(j.Key, data)
-		s.journalAppend(journal.Record{Op: journal.OpDone, JobID: j.ID, Attempt: attempt})
-		j.finish(StateDone, data, "", false)
-		s.settle(j)
+		s.conclude(j, att, attempt, StateDone, data, "", false)
 		return
 	}
 
 	switch {
 	case errors.Is(err, context.Canceled) && (j.CancelRequested() || s.baseCtx.Err() != nil):
 		// A user cancel or the drain: terminal, never retried.
-		att.SetAttr(tracing.String("outcome", "canceled"))
-		att.End()
-		s.journalAppend(journal.Record{Op: journal.OpCancel, JobID: j.ID, Attempt: attempt})
-		j.finish(StateCanceled, nil, context.Canceled.Error(), false)
-		s.settle(j)
+		s.conclude(j, att, attempt, StateCanceled, nil, context.Canceled.Error(), false)
 		return
 	case j.staleAttempt():
 		att.SetAttr(tracing.Bool("heartbeat_stale", true))
@@ -647,11 +629,7 @@ func (s *Server) execute(j *Job) {
 		if retryable(err) && s.cfg.MaxRetries > 0 {
 			msg = fmt.Sprintf("%s (retry budget of %d exhausted)", msg, s.cfg.MaxRetries)
 		}
-		att.SetAttr(tracing.String("outcome", "failed"))
-		att.End()
-		s.journalAppend(journal.Record{Op: journal.OpFail, JobID: j.ID, Attempt: attempt, Err: msg})
-		j.finish(StateFailed, nil, msg, false)
-		s.settle(j)
+		s.conclude(j, att, attempt, StateFailed, nil, msg, false)
 		return
 	}
 	att.SetAttr(tracing.String("outcome", "retry"))
@@ -669,12 +647,8 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) (res any, err error) {
 		}
 	}()
 	rc := RunContext{
-		Progress: func(phase string, completed, total int) {
-			j.beat()
-			j.setProgress(phase, completed, total)
-		},
+		Progress: j.setProgress,
 		Checkpoint: func(phase string, index, total int, unit []byte) {
-			j.beat()
 			j.addUnit(phase, index, total, unit)
 			s.journalAppend(journal.Record{Op: journal.OpCheckpoint, JobID: j.ID, Phase: phase, Index: index, Total: total, Unit: unit})
 		},
@@ -713,13 +687,54 @@ func retryDelay(key Key, attempt int, base time.Duration) time.Duration {
 	return half + time.Duration(rng.Float64()*float64(d-half))
 }
 
-// scheduleRetry re-queues a job after a retryable attempt failure, holding
-// it out of the queue for the backoff. Once the job is back on the queue,
-// the backoff timer records the wait as a retry.backoff span.
+// conclude is the one terminal transition of a job: it closes the
+// attempt span (nil when no attempt ran) with its outcome, caches done
+// bytes, journals the terminal record, finishes the job, drops it from
+// the dedup index, counts it and logs it. Only a job a worker computed
+// samples sinet_campaign_seconds, over its final attempt's pickup to
+// terminal state. A job cancelQueued concludes is already finished by
+// requestCancel's claim; finish is idempotent.
+func (s *Server) conclude(j *Job, att *tracing.Span, attempt int, state State, data []byte, msg string, cached bool) {
+	rec := journal.Record{Op: journal.OpDone, JobID: j.ID, Attempt: attempt}
+	outcome := []tracing.Attr{tracing.String("outcome", string(state))}
+	switch {
+	case cached:
+		outcome[0] = tracing.String("outcome", "peer_fill")
+	case state == StateDone:
+		outcome = append(outcome, tracing.Int("bytes", len(data)))
+	case state == StateFailed:
+		rec.Op, rec.Err = journal.OpFail, msg
+	default:
+		rec.Op = journal.OpCancel
+	}
+	att.SetAttr(outcome...)
+	att.End()
+	if state == StateDone {
+		s.cache.Put(j.Key, data)
+	}
+	s.journalAppend(rec)
+	j.finish(state, data, msg, cached)
+	s.forgetInflight(j)
+	var seconds float64
+	if !cached {
+		seconds = j.runtime().Seconds()
+	}
+	s.metrics.observeFinished(j.Spec.Kind, state, seconds)
+	s.logJob(j, "job finished",
+		slog.String("state", string(state)),
+		slog.Duration("took", j.runtime()),
+		slog.Bool("cached", cached),
+		slog.String("error", msg))
+}
+
+// scheduleRetry re-queues a job after a retryable attempt failure. The
+// backoff waits on a goroutine the drain waits for: when the timer fires
+// the job goes back on the queue and the wait is recorded as a
+// retry.backoff span; when the server context is cancelled first, the
+// job is canceled.
 func (s *Server) scheduleRetry(j *Job, attempt int, cause error) {
 	if !j.requeue() {
-		// A cancel won the race and finished the job.
-		s.settle(j)
+		s.forgetInflight(j)
 		return
 	}
 	s.metrics.retries.Inc()
@@ -730,34 +745,34 @@ func (s *Server) scheduleRetry(j *Job, attempt int, cause error) {
 		slog.Int("attempt", attempt),
 		slog.Duration("backoff", delay),
 		slog.String("cause", cause.Error()))
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		s.cancelAbandoned(j)
-		return
-	}
-	s.timers[j.ID] = time.AfterFunc(delay, func() {
-		if !s.enqueueRetry(j) || s.tracer == nil {
-			return
+	// The worker calling this is itself counted in wg, so the Add cannot
+	// race a Wait that has already seen zero.
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		select {
+		case <-timer.C:
+			if !s.enqueueRetry(j) || s.tracer == nil {
+				return
+			}
+			if sc := j.TraceContext(); sc.Valid() {
+				s.tracer.Record(sc, "retry.backoff", start, time.Now(),
+					tracing.Int("attempt", attempt),
+					tracing.String("cause", cause.Error()))
+			}
+		case <-s.baseCtx.Done():
+			s.cancelQueued(j)
 		}
-		if sc := j.TraceContext(); sc.Valid() {
-			s.tracer.Record(sc, "retry.backoff", start, time.Now(),
-				tracing.Int("attempt", attempt),
-				tracing.String("cause", cause.Error()))
-		}
-	})
-	s.mu.Unlock()
+	}()
 }
 
 // enqueueRetry moves a backoff-expired job back onto the queue, reporting
 // whether it did.
 func (s *Server) enqueueRetry(j *Job) bool {
-	s.mu.Lock()
-	delete(s.timers, j.ID)
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		s.cancelAbandoned(j)
+	if s.Draining() {
+		s.cancelQueued(j)
 		return false
 	}
 	if j.State() != StateQueued {
@@ -768,33 +783,9 @@ func (s *Server) enqueueRetry(j *Job) bool {
 		s.logJob(j, "job requeued for retry")
 		return true
 	default:
-		msg := "service: queue full on retry"
-		s.journalAppend(journal.Record{Op: journal.OpFail, JobID: j.ID, Err: msg})
-		j.finish(StateFailed, nil, msg, false)
-		s.settle(j)
+		s.conclude(j, nil, 0, StateFailed, nil, "service: queue full on retry", false)
 		return false
 	}
-}
-
-// cancelAbandoned finishes a job the drain left without a worker.
-func (s *Server) cancelAbandoned(j *Job) {
-	if j.requestCancel() {
-		s.journalAppend(journal.Record{Op: journal.OpCancel, JobID: j.ID})
-		s.metrics.observeFinished(j.Spec.Kind, StateCanceled, 0)
-	}
-	s.forgetInflight(j)
-}
-
-// settle does the one-time terminal bookkeeping for a worker-owned job:
-// dedup-index removal, metrics and logging. The recorded duration spans
-// the final attempt's worker pickup to its terminal state.
-func (s *Server) settle(j *Job) {
-	s.forgetInflight(j)
-	s.metrics.observeFinished(j.Spec.Kind, j.State(), j.runtime().Seconds())
-	s.logJob(j, "job finished",
-		slog.String("state", string(j.State())),
-		slog.Duration("took", j.runtime()),
-		slog.String("error", j.ErrorText()))
 }
 
 // Shutdown drains the server gracefully: new submissions are refused with
@@ -808,36 +799,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	first := !s.draining
 	s.draining = true
-	// Steal the backoff timers under the lock so no new ones can be armed
-	// (scheduleRetry checks draining) and each waiting job is settled
-	// exactly once.
-	waiting := make([]*Job, 0, len(s.timers))
-	timers := make([]*time.Timer, 0, len(s.timers))
-	for id, t := range s.timers {
-		timers = append(timers, t)
-		if j, ok := s.jobs[id]; ok {
-			waiting = append(waiting, j)
-		}
-		delete(s.timers, id)
-	}
 	s.mu.Unlock()
 	if first && s.logger != nil {
 		s.logger.Info("draining", slog.Int("queued", len(s.queue)))
 	}
+	// Cancelling the base context also wakes every job waiting out a
+	// retry backoff, which cancels itself (see scheduleRetry).
 	s.cancelBase()
-	for _, t := range timers {
-		t.Stop()
-	}
-	for _, j := range waiting {
-		s.cancelAbandoned(j)
-	}
 	// Drain whatever is still queued; workers racing this loop mark the
 	// same jobs canceled through the already-dead base context, so both
 	// paths converge on the canceled terminal state.
 	for {
 		select {
 		case j := <-s.queue:
-			s.cancelAbandoned(j)
+			s.cancelQueued(j)
 			continue
 		default:
 		}
@@ -1127,11 +1102,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sse.Inc()
 	defer s.metrics.sse.Dec()
 	// Initial snapshot so late subscribers see where the job stands.
-	snapshot := func() Event {
-		v := job.View()
-		return Event{JobID: v.ID, State: v.State, Phase: v.Phase, Completed: v.Completed, Total: v.Total, Error: v.Error, Cached: v.Cached}
-	}
-	first := snapshot()
+	first := job.event()
 	if !writeEvent(first) || first.State.Terminal() {
 		return
 	}
@@ -1161,7 +1132,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				}
 				break
 			}
-			writeEvent(snapshot())
+			writeEvent(job.event())
 			return
 		case <-r.Context().Done():
 			return

@@ -382,6 +382,8 @@ func TestBadSubmissionsAreRejected(t *testing.T) {
 		{"unknown kind", `{"kind":"teleport"}`, http.StatusBadRequest},
 		{"bad site", `{"kind":"passive","passive":{"sites":["ATLANTIS"]}}`, http.StatusBadRequest},
 		{"cadence finer than the serving limit", `{"kind":"routing","routing":{"snapshot_step":"10us"}}`, http.StatusBadRequest},
+		{"span past year 9999", `{"kind":"coverage","coverage":{"start":"9999-12-31T23:00:00-05:00"}}`, http.StatusBadRequest},
+		{"span before year 0", `{"kind":"coverage","coverage":{"start":"0000-01-01T00:00:00+05:00"}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if _, status := env.submit(t, tc.body); status != tc.want {

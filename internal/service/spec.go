@@ -342,9 +342,16 @@ func (s *JobSpec) clone() (*JobSpec, error) {
 // servingEpoch is the default campaign start of every kind but active.
 var servingEpoch = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
 
+// spanLimit bounds a campaign's span: JSON times hold years 0 to 9999
+// only, so a span reaching past them could run but never marshal its
+// result.
+var spanLimit = time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
+
 // normalizeSpan validates days against the serving limit and makes a
 // campaign span explicit: days defaults to 1 and start to the kind's
-// default epoch, in UTC.
+// default epoch, in UTC. The span must start in year 0 or later and, plus
+// one day, end by spanLimit; the extra day covers the delivery grace
+// active and routing run past the span.
 func normalizeSpan(days *int, start *time.Time, epoch time.Time) error {
 	if *days < 0 {
 		return specErr("days must be non-negative, got %d", *days)
@@ -359,6 +366,12 @@ func normalizeSpan(days *int, start *time.Time, epoch time.Time) error {
 		*start = epoch
 	}
 	*start = start.UTC()
+	if start.Year() < 0 {
+		return specErr("start %s is before year 0", start.Format(time.RFC3339))
+	}
+	if start.Add(time.Duration(*days+1) * 24 * time.Hour).After(spanLimit) {
+		return specErr("start %s plus %d days runs past year 9999", start.Format(time.RFC3339), *days)
+	}
 	return nil
 }
 

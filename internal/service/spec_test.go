@@ -104,6 +104,11 @@ func TestNormalizeRejections(t *testing.T) {
 		{"negative sense period", &JobSpec{Kind: KindActive, Active: &ActiveSpec{SensePeriod: Duration(-time.Second)}}, "sense_period must be non-negative, got -1s"},
 		{"negative hop processing", &JobSpec{Kind: KindRouting, Routing: &RoutingSpec{HopProcessing: Duration(-1)}}, "hop_processing must be non-negative"},
 		{"negative min drain gap", &JobSpec{Kind: KindBackhaul, Backhaul: &BackhaulSpec{MinDrainGap: Duration(-1)}}, "min_drain_gap must be non-negative"},
+		{"passive past year 9999", &JobSpec{Kind: KindPassive, Passive: &PassiveSpec{Start: time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)}}, "start 9999-12-31T00:00:00Z plus 1 days runs past year 9999"},
+		{"active past year 9999", &JobSpec{Kind: KindActive, Active: &ActiveSpec{Start: time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)}}, "runs past year 9999"},
+		{"routing past year 9999", &JobSpec{Kind: KindRouting, Routing: &RoutingSpec{Start: time.Date(9999, 12, 31, 0, 0, 0, 0, time.UTC)}}, "runs past year 9999"},
+		{"offset start before year 0 UTC", &JobSpec{Kind: KindCoverage, Coverage: &CoverageSpec{Start: time.Date(0, 1, 1, 0, 0, 0, 0, time.FixedZone("", 5*3600))}}, "start -0001-12-31T19:00:00Z is before year 0"},
+		{"offset start in year 10000 UTC", &JobSpec{Kind: KindCoverage, Coverage: &CoverageSpec{Start: time.Date(9999, 12, 31, 23, 0, 0, 0, time.FixedZone("", -5*3600))}}, "start 10000-01-01T04:00:00Z plus 1 days runs past year 9999"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Normalize()
@@ -123,7 +128,9 @@ func TestNormalizeRejections(t *testing.T) {
 // TestCadenceLimitAdmitsDefaults pins the accepting side of the cadence
 // rule: every kind at its default cadences over the longest span served,
 // and one-day cadences just above their floors (162.2 ms under one-minute
-// defaults, 4.86 s under thirty-minute ones).
+// defaults, 4.86 s under thirty-minute ones). It also pins the accepting
+// side of the span bound: an active day ending one grace day before year
+// 10000.
 func TestCadenceLimitAdmitsDefaults(t *testing.T) {
 	specs := []*JobSpec{
 		{Kind: KindPassive, Passive: &PassiveSpec{Days: maxDays}},
@@ -133,6 +140,7 @@ func TestCadenceLimitAdmitsDefaults(t *testing.T) {
 		{Kind: KindRouting, Routing: &RoutingSpec{Days: maxDays}},
 		{Kind: KindRouting, Routing: &RoutingSpec{SnapshotStep: Duration(200 * time.Millisecond)}},
 		{Kind: KindActive, Active: &ActiveSpec{SensePeriod: Duration(5 * time.Second)}},
+		{Kind: KindActive, Active: &ActiveSpec{Start: time.Date(9999, 12, 30, 0, 0, 0, 0, time.UTC)}},
 	}
 	for _, spec := range specs {
 		if err := spec.Normalize(); err != nil {

@@ -9,11 +9,11 @@ import (
 	"time"
 )
 
-// --- ForEach panic recovery ---
+// --- forEach panic recovery ---
 
 func TestForEachRecoversPanicIntoError(t *testing.T) {
 	var ran int32
-	err := ForEach(8, func(i int) error {
+	err := forEach("t", 8, func(i int) error {
 		if i == 5 {
 			panic("boom")
 		}
@@ -39,7 +39,7 @@ func TestForEachRecoversPanicIntoError(t *testing.T) {
 }
 
 func TestForEachErrLowestIndexPanicWins(t *testing.T) {
-	err := ForEach(10, func(i int) error {
+	err := forEach("t", 10, func(i int) error {
 		if i == 2 || i == 8 {
 			panic(i)
 		}
@@ -56,7 +56,7 @@ func TestForEachErrLowestIndexPanicWins(t *testing.T) {
 
 func TestForEachErrPanicBeatsLaterError(t *testing.T) {
 	sentinel := errors.New("plain failure")
-	err := ForEach(6, func(i int) error {
+	err := forEach("t", 6, func(i int) error {
 		switch i {
 		case 1:
 			panic("early")

@@ -21,9 +21,7 @@ func TestForEachTelemetry(t *testing.T) {
 	panics := r.Counter("sinet_sim_panics_total", "")
 	phase := r.HistogramVec("sinet_sim_phase_seconds", "", "phase", obs.DurationBuckets)
 
-	if err := Phase(context.Background(), "build", func() error {
-		return ForEach(8, func(i int) error { return nil }, nil)
-	}); err != nil {
+	if err := Phase(context.Background(), "build", 8, func(i int) error { return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tasks.Value(); got != 8 {
@@ -33,14 +31,12 @@ func TestForEachTelemetry(t *testing.T) {
 		t.Errorf("phase observations = %d, want 1", got)
 	}
 
-	err := Phase(context.Background(), "crashy", func() error {
-		return ForEach(4, func(i int) error {
-			if i == 2 {
-				panic("boom")
-			}
-			return nil
-		}, nil)
-	})
+	err := Phase(context.Background(), "crashy", 4, func(i int) error {
+		if i == 2 {
+			panic("boom")
+		}
+		return nil
+	}, nil)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 2 {
 		t.Fatalf("want PanicError on index 2, got %v", err)
@@ -70,9 +66,7 @@ func TestForEachPhaseUninstalled(t *testing.T) {
 	SetMetrics(nil)
 	reads := countClockReads(t)
 	hits := make([]bool, 5)
-	if err := Phase(context.Background(), "quiet", func() error {
-		return ForEach(5, func(i int) error { hits[i] = true; return nil }, nil)
-	}, tracing.Int("units", 5)); err != nil {
+	if err := Phase(context.Background(), "quiet", 5, func(i int) error { hits[i] = true; return nil }, nil, tracing.Int("units", 5)); err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range hits {
@@ -95,10 +89,10 @@ func TestPhaseSpan(t *testing.T) {
 	root := tr.StartRoot("root")
 	ctx := tracing.NewContext(context.Background(), tr, root.Context())
 	boom := errors.New("boom")
-	if err := Phase(ctx, "plan", func() error { return nil }, tracing.Int("units", 3)); err != nil {
+	if err := Phase(ctx, "plan", 3, func(int) error { return nil }, nil, tracing.Int("units", 3)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Phase(ctx, "packets", func() error { return boom }, tracing.Int("units", 2)); err != boom {
+	if err := Phase(ctx, "packets", 2, func(int) error { return boom }, nil, tracing.Int("units", 2)); err != boom {
 		t.Fatalf("phase error = %v, want %v", err, boom)
 	}
 	root.End()

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 )
 
-// PanicError attributes a panic recovered in a ForEach worker to the job
+// PanicError attributes a panic recovered in a Phase worker to the unit
 // index that raised it, so a crash deep inside a fan-out surfaces as an
 // ordinary error naming the failing unit of work instead of killing the
 // process.
@@ -23,27 +23,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: worker panicked on index %d: %v", e.Index, e.Value)
 }
 
-// ForEach is the worker pool: it runs fn(i) for every i in [0, n) across
-// up to GOMAXPROCS goroutines, returning once all calls complete. Indices
-// are handed out by an atomic counter, so work-stealing balances uneven
-// jobs.
-//
-// Every index runs regardless of other indices' failures. A panicking fn
-// does not crash the fan-out: the panic is recovered into a *PanicError.
-// The lowest-index error (a recovered panic counts as one) is returned, so
-// the reported failure does not depend on goroutine scheduling.
-//
-// After each fn(i) returns, onDone(completed, n) is called with the number
-// of indices finished so far. Completion order is unspecified under
-// parallel execution, but onDone calls are serialized (never concurrent)
-// and completed is strictly increasing from 1 to n, so callers can publish
-// progress without their own locking. A nil onDone reports nothing.
-//
-// Determinism is the caller's contract: fn must write its result into an
-// index-addressed slot (results[i] = ...) and the caller merges the slots in
-// a fixed order afterwards. Execution order across indices is unspecified;
-// with GOMAXPROCS=1 (or n ≤ 1) fn runs inline in index order.
-func ForEach(n int, fn func(i int) error, onDone func(completed, total int)) error {
+// forEach is the worker pool behind Phase, which documents its contract.
+// Indices are handed out by an atomic counter, so work-stealing balances
+// uneven units, and progress calls are serialized by a lock.
+func forEach(name string, n int, fn func(i int) error, progress func(phase string, completed, total int)) error {
 	if n <= 0 {
 		return nil
 	}
@@ -62,10 +45,10 @@ func ForEach(n int, fn func(i int) error, onDone func(completed, total int)) err
 			if m != nil {
 				m.tasks.Inc()
 			}
-			if onDone != nil {
+			if progress != nil {
 				progressMu.Lock()
 				completed++
-				onDone(completed, n)
+				progress(name, completed, n)
 				progressMu.Unlock()
 			}
 		}()

@@ -10,7 +10,7 @@ import (
 func TestForEachVisitsEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
 		visits := make([]int32, n)
-		ForEach(n, func(i int) error { atomic.AddInt32(&visits[i], 1); return nil }, nil)
+		forEach("t", n, func(i int) error { atomic.AddInt32(&visits[i], 1); return nil }, nil)
 		for i, v := range visits {
 			if v != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, v)
@@ -24,7 +24,7 @@ func TestForEachMoreWorkersThanJobs(t *testing.T) {
 		t.Skip("single-proc environment")
 	}
 	var count int32
-	ForEach(1, func(i int) error { atomic.AddInt32(&count, 1); return nil }, nil)
+	forEach("t", 1, func(i int) error { atomic.AddInt32(&count, 1); return nil }, nil)
 	if count != 1 {
 		t.Fatalf("ran %d times, want 1", count)
 	}
@@ -33,7 +33,7 @@ func TestForEachMoreWorkersThanJobs(t *testing.T) {
 func TestForEachErrProgressReportsEveryCompletion(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 100} {
 		var got, totals []int
-		err := ForEach(n, func(int) error { return nil }, func(completed, total int) {
+		err := forEach("t", n, func(int) error { return nil }, func(_ string, completed, total int) {
 			got = append(got, completed)
 			totals = append(totals, total)
 		})
@@ -46,7 +46,7 @@ func TestForEachErrProgressReportsEveryCompletion(t *testing.T) {
 			}
 		}
 		// Serialized and strictly increasing: appending without a lock above
-		// is only safe because ForEach guarantees onDone calls
+		// is only safe because forEach guarantees progress calls
 		// never run concurrently; the race detector enforces that here.
 		if len(got) != n {
 			t.Fatalf("n=%d: onDone called %d times", n, len(got))
@@ -62,7 +62,7 @@ func TestForEachErrProgressReportsEveryCompletion(t *testing.T) {
 func TestForEachErrProgressCountsFailedIndices(t *testing.T) {
 	boom := errors.New("boom")
 	calls := 0
-	err := ForEach(8, func(i int) error {
+	err := forEach("t", 8, func(i int) error {
 		if i%2 == 0 {
 			return boom
 		}
@@ -70,7 +70,7 @@ func TestForEachErrProgressCountsFailedIndices(t *testing.T) {
 			panic("kaput")
 		}
 		return nil
-	}, func(completed, total int) { calls = completed })
+	}, func(_ string, completed, total int) { calls = completed })
 	if err != boom {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
@@ -81,7 +81,7 @@ func TestForEachErrProgressCountsFailedIndices(t *testing.T) {
 
 func TestForEachErrProgressNilCallback(t *testing.T) {
 	var count int32
-	if err := ForEach(50, func(int) error { atomic.AddInt32(&count, 1); return nil }, nil); err != nil {
+	if err := forEach("t", 50, func(int) error { atomic.AddInt32(&count, 1); return nil }, nil); err != nil {
 		t.Fatal(err)
 	}
 	if count != 50 {
@@ -92,7 +92,7 @@ func TestForEachErrProgressNilCallback(t *testing.T) {
 func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := ForEach(10, func(i int) error {
+	err := forEach("t", 10, func(i int) error {
 		switch i {
 		case 3:
 			return errB
@@ -104,7 +104,7 @@ func TestForEachErrReturnsLowestIndexError(t *testing.T) {
 	if err != errB {
 		t.Fatalf("got %v, want the lowest-index error %v", err, errB)
 	}
-	if err := ForEach(5, func(int) error { return nil }, nil); err != nil {
+	if err := forEach("t", 5, func(int) error { return nil }, nil); err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
 }
