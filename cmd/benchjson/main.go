@@ -16,11 +16,22 @@
 // distance between their quartiles, iterations the total over the lines,
 // and B/op and allocs/op the medians. A benchmark run once gets n = 1 and
 // an interquartile range of 0.
+//
+// With -compare it reads two such documents instead and prints, for every
+// benchmark found in both, the old and new median ns/op and allocs/op:
+//
+//	benchjson -compare BENCH_old.json BENCH_new.json
+//
+// A row is flagged faster or slower only when its median ns/op moved by
+// more than the interquartile range of either side; a benchmark with n = 1
+// on either side has no spread to judge by and is listed as unresolved.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -55,9 +66,72 @@ type Report struct {
 }
 
 func main() {
-	if err := run(os.Stdin, os.Stdout); err != nil {
+	compareMode := flag.Bool("compare", false, "compare two BENCH files: benchjson -compare OLD.json NEW.json")
+	flag.Parse()
+	var err error
+	switch {
+	case !*compareMode:
+		err = run(os.Stdin, os.Stdout)
+	case flag.NArg() != 2:
+		err = errors.New("usage: benchjson -compare OLD.json NEW.json")
+	default:
+		err = compareFiles(flag.Arg(0), flag.Arg(1), os.Stdout)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+}
+
+// compareFiles reads two BENCH reports and writes their comparison.
+func compareFiles(oldPath, newPath string, w io.Writer) error {
+	var reps [2]Report
+	for i, path := range []string{oldPath, newPath} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(data, &reps[i]); err != nil {
+			return fmt.Errorf("decode %s: %w", path, err)
+		}
+	}
+	compare(reps[0], reps[1], w)
+	return nil
+}
+
+// compare writes one row per benchmark present in both reports, in the
+// new report's order: median ns/op and allocs/op on each side, the
+// relative change of ns/op and a verdict. The verdict flags a move only
+// when it exceeds both sides' interquartile range.
+func compare(old, cur Report, w io.Writer) {
+	before := map[[2]string]Result{}
+	for _, r := range old.Results {
+		before[[2]string{r.Package, r.Name}] = r
+	}
+	fmt.Fprintf(w, "%-44s %14s %14s %8s %12s %12s  %s\n", "benchmark", "old ns/op", "new ns/op", "change", "old allocs", "new allocs", "verdict")
+	for _, n := range cur.Results {
+		o, ok := before[[2]string{n.Package, n.Name}]
+		if !ok {
+			continue
+		}
+		change := 0.0
+		if o.NsPerOp != 0 {
+			change = (n.NsPerOp - o.NsPerOp) / o.NsPerOp
+		}
+		move := math.Abs(n.NsPerOp - o.NsPerOp)
+		// Files written before the fold carry no n: one sample each.
+		on, nn := max(o.N, 1), max(n.N, 1)
+		verdict := "within IQR"
+		switch {
+		case on < 2 || nn < 2:
+			verdict = fmt.Sprintf("unresolved: n = %d/%d", on, nn)
+		case move <= o.NsPerOpIQR || move <= n.NsPerOpIQR:
+		case n.NsPerOp < o.NsPerOp:
+			verdict = "FASTER beyond both IQRs"
+		default:
+			verdict = "SLOWER beyond both IQRs"
+		}
+		fmt.Fprintf(w, "%-44s %14.0f %14.0f %+7.1f%% %12d %12d  %s\n", n.Name, o.NsPerOp, n.NsPerOp, 100*change, o.AllocsPerOp, n.AllocsPerOp, verdict)
 	}
 }
 

@@ -142,3 +142,49 @@ func TestRunFoldsRepeatedRuns(t *testing.T) {
 		t.Errorf("JSON lacks the n / ns_per_op_iqr fields:\n%s", out.String())
 	}
 }
+
+func TestCompareFlagsOnlyMovesBeyondBothIQRs(t *testing.T) {
+	row := func(name string, n int, ns, iqr float64, allocs int64) Result {
+		return Result{Name: name, Package: "p", N: n, NsPerOp: ns, NsPerOpIQR: iqr, AllocsPerOp: allocs}
+	}
+	old := Report{Results: []Result{
+		row("BenchmarkFaster-2", 5, 1000, 50, 7),
+		row("BenchmarkNoise-2", 5, 1000, 300, 7),
+		row("BenchmarkSlower-2", 5, 1000, 10, 7),
+		row("BenchmarkOnce-2", 1, 1000, 0, 7),
+		row("BenchmarkGone-2", 5, 1000, 10, 7),
+	}}
+	cur := Report{Results: []Result{
+		row("BenchmarkFaster-2", 5, 800, 40, 3),
+		row("BenchmarkNoise-2", 5, 800, 20, 7),
+		row("BenchmarkSlower-2", 5, 1100, 10, 7),
+		row("BenchmarkOnce-2", 5, 500, 10, 7),
+		row("BenchmarkNew-2", 5, 1000, 10, 7),
+	}}
+	var out strings.Builder
+	compare(old, cur, &out)
+	want := map[string]string{
+		"BenchmarkFaster-2": "FASTER beyond both IQRs",
+		"BenchmarkNoise-2":  "within IQR", // 200 ns moved inside the old side's 300 ns IQR
+		"BenchmarkSlower-2": "SLOWER beyond both IQRs",
+		"BenchmarkOnce-2":   "unresolved: n = 1/5",
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 1+len(want) {
+		t.Fatalf("compare printed %d lines, want a header and %d rows:\n%s", len(lines), len(want), out.String())
+	}
+	for _, line := range lines[1:] {
+		name := strings.Fields(line)[0]
+		verdict, ok := want[name]
+		if !ok {
+			t.Errorf("row for %s, which is not in both reports", name)
+			continue
+		}
+		if !strings.HasSuffix(line, verdict) {
+			t.Errorf("%s: row %q, want verdict %q", name, line, verdict)
+		}
+	}
+	if !strings.Contains(out.String(), "-20.0%") {
+		t.Errorf("Faster row lacks its -20.0%% change:\n%s", out.String())
+	}
+}

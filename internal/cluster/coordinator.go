@@ -364,6 +364,7 @@ func (c *Coordinator) runSharded(ctx context.Context, spec *service.JobSpec, n i
 		Progress:   rc.Progress,
 		Checkpoint: rc.Checkpoint,
 		Resume:     folded,
+		Memo:       rc.Memo,
 	})
 	if err != nil {
 		merge.SetError(err)

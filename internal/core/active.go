@@ -375,22 +375,41 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	// read the same trajectory samples. The engine scheduling below
 	// replays the slots serially in catalog order, so the event queue —
 	// and therefore the whole campaign — is identical to a serial build.
-	grid := orbit.NewEphemerisGrid(props, cfg.Start, horizon, orbit.EphemerisConfig{
+	ephCfg := orbit.EphemerisConfig{
 		ScanStep:         time.Minute,
 		Exact:            cfg.ExactEphemeris,
 		MaxInterpErrorKm: cfg.MaxInterpErrorKm,
-	})
-	if err := propagate(ctx, cfg.Progress, grid); err != nil {
+	}
+	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, horizon, ephCfg, props)
+	if err != nil {
 		return nil, err
 	}
+	grid := grids[0]
 
 	// The plan phase's units are pure serializable schedules, so they
 	// checkpoint: a resumed campaign restores completed satellites'
 	// beacon/wake/drain times and recomputes only the rest. Gateways and
 	// fault schedules rebuild serially below — both are cheap and
 	// deterministic (named RNG streams), only the searches are expensive.
+	// The same restore serves the memo: a plan reads the grid, the site,
+	// the span, the beacon interval and the schedule-aware mask — and,
+	// with drain faults on, the seed, so only a fault-free plan is keyed.
+	planRC, filePlans := cfg.RunContext, func() {}
+	if cfg.Memo != nil && !drainFaults {
+		k := newKeyInputs(kindPlan)
+		k.grid(props, cfg.Start, horizon, ephCfg)
+		k.float(site.Lat)
+		k.float(site.Lon)
+		k.float(site.Alt)
+		k.time(end)
+		k.int(int64(cons.BeaconInterval))
+		k.float(cfg.ScheduleAwareMinElevationRad)
+		if key, ok := k.sum(); ok {
+			planRC, filePlans = cfg.Memo.restoring(cfg.RunContext, key, "plan", len(props))
+		}
+	}
 	plans := make([]satPlan, len(props))
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "plan", plans, func(i int) (satPlan, error) {
+	if err := forEachCheckpointed(ctx, planRC, "plan", plans, func(i int) (satPlan, error) {
 		if err := ctx.Err(); err != nil {
 			return satPlan{}, err
 		}
@@ -431,6 +450,7 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	}); err != nil {
 		return nil, err
 	}
+	filePlans()
 	if cfg.Shard != nil {
 		// Shard run: the windowed plan units have been handed to
 		// cfg.Checkpoint; skip engine scheduling and the serial simulate

@@ -65,10 +65,11 @@ func RunBackhaulCtx(ctx context.Context, cfg BackhaulConfig) (*BackhaulResult, e
 	// One shared struct-of-arrays grid: the 12-station window sweep of
 	// every satellite reads the shared samples. A resumed sweep still
 	// propagates every row, so a restored satellite's neighbors find theirs.
-	grid := orbit.NewEphemerisGrid(props, cfg.Start, end, orbit.EphemerisConfig{ScanStep: cfg.Step})
-	if err := propagate(ctx, cfg.Progress, grid); err != nil {
+	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, end, orbit.EphemerisConfig{ScanStep: cfg.Step}, props)
+	if err != nil {
 		return nil, err
 	}
+	grid := grids[0]
 	res := &BackhaulResult{Constellation: cfg.Constellation.Name, Start: cfg.Start, Days: cfg.Days}
 	res.Satellites = make([]SatBackhaul, len(props))
 	if err := forEachCheckpointed(ctx, cfg.RunContext, "satellites", res.Satellites, func(i int) (SatBackhaul, error) {

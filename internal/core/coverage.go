@@ -55,10 +55,11 @@ func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, l
 	// Sample the whole constellation once into a shared struct-of-arrays
 	// grid; every latitude's pass search then reads the grid instead of
 	// re-propagating.
-	grid := orbit.NewEphemerisGrid(props, start, end, orbit.EphemerisConfig{ScanStep: time.Minute})
-	if err := propagate(ctx, rc.Progress, grid); err != nil {
+	grids, err := propagate(ctx, rc, start, end, orbit.EphemerisConfig{ScanStep: time.Minute}, props)
+	if err != nil {
 		return nil, err
 	}
+	grid := grids[0]
 
 	out := make([]RevisitStats, len(latitudesDeg))
 	if err := forEachCheckpointed(ctx, rc, "latitudes", out, func(li int) (RevisitStats, error) {

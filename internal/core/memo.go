@@ -1,0 +1,220 @@
+package core
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"sync"
+	"time"
+
+	"github.com/sinet-io/sinet/internal/lru"
+	"github.com/sinet-io/sinet/internal/obs"
+	"github.com/sinet-io/sinet/internal/orbit"
+)
+
+// Memo holds the seed-independent geometry of finished campaign phases
+// for later runs to reuse: propagated ephemeris grids, and the active
+// campaign's plan units. Each entry is keyed by a hash of exactly the
+// inputs it was computed from, so a hit returns the grid, or the unit
+// bytes, a recomputation would produce, and results stay byte-identical
+// by construction. Entries are immutable and evicted least-recently-used
+// against a byte budget. A Memo is safe for concurrent use; a nil *Memo
+// holds nothing and every campaign computes as it would without one.
+type Memo struct {
+	mu  sync.Mutex
+	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, or a plan's units by index
+
+	hits, misses [2]*obs.Counter // by memoKind
+	evictions    *obs.Counter
+}
+
+// memoKind names what a memo entry holds, for telemetry.
+type memoKind int
+
+const (
+	kindGrid memoKind = iota
+	kindPlan
+)
+
+var memoKindNames = [2]string{"grid", "plan"}
+
+// NewMemo returns an empty memo bounded to budget bytes. With a non-nil
+// registry it exports
+//
+//	sinet_memo_hits_total{kind}    lookups answered from the memo ("grid", "plan")
+//	sinet_memo_misses_total{kind}  lookups that found no entry
+//	sinet_memo_evictions_total     entries evicted against the budget
+//	sinet_memo_bytes               bytes of memoized geometry
+//
+// every series registered at zero.
+func NewMemo(budget int64, r *obs.Registry) *Memo {
+	m := &Memo{lru: lru.New[memoKey, any](budget)}
+	if r == nil {
+		return m
+	}
+	hits := r.CounterVec("sinet_memo_hits_total", "Geometry-memo lookups answered from memory, by entry kind.", "kind")
+	misses := r.CounterVec("sinet_memo_misses_total", "Geometry-memo lookups that found no entry, by entry kind.", "kind")
+	for k, name := range memoKindNames {
+		m.hits[k], m.misses[k] = hits.With(name), misses.With(name)
+	}
+	m.evictions = r.Counter("sinet_memo_evictions_total", "Geometry-memo entries evicted against the byte budget.")
+	r.GaugeFunc("sinet_memo_bytes", "Bytes of memoized campaign geometry.", func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return float64(m.lru.Bytes())
+	})
+	return m
+}
+
+// get returns the entry under k, counting the lookup under kind.
+func (m *Memo) get(k memoKey, kind memoKind) (any, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.lru.Get(k)
+	if ok {
+		m.hits[kind].Inc()
+	} else {
+		m.misses[kind].Inc()
+	}
+	return v, ok
+}
+
+// put files an entry of size bytes under k.
+func (m *Memo) put(k memoKey, v any, size int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.evictions.Add(uint64(m.lru.Put(k, v, size)))
+}
+
+// memoKey is the SHA-256 of a memo entry's kind and inputs.
+type memoKey [sha256.Size]byte
+
+// keyInputs encodes the inputs of one memo entry. Floats encode by their
+// bits and times by Unix seconds and nanoseconds, which cover the years
+// 0–9999 a spec admits. A time outside UTC makes the entry unkeyable: its
+// location reaches the result bytes (JSON times carry the zone offset),
+// and the serving layer normalizes every time to UTC.
+type keyInputs struct {
+	buf []byte
+	utc bool
+}
+
+func newKeyInputs(kind memoKind) *keyInputs {
+	k := &keyInputs{utc: true}
+	k.str(memoKindNames[kind])
+	return k
+}
+
+func (k *keyInputs) int(v int64)     { k.buf = binary.LittleEndian.AppendUint64(k.buf, uint64(v)) }
+func (k *keyInputs) float(v float64) { k.int(int64(math.Float64bits(v))) }
+
+func (k *keyInputs) str(s string) {
+	k.int(int64(len(s)))
+	k.buf = append(k.buf, s...)
+}
+
+func (k *keyInputs) time(t time.Time) {
+	k.utc = k.utc && t.Location() == time.UTC
+	k.int(t.Unix())
+	k.int(int64(t.Nanosecond()))
+}
+
+// grid encodes the inputs of orbit.NewEphemerisGrid(props, start, end, cfg):
+// every element set field by field, the span and the config as passed.
+func (k *keyInputs) grid(props []*orbit.Propagator, start, end time.Time, cfg orbit.EphemerisConfig) {
+	k.time(start)
+	k.time(end)
+	k.int(int64(cfg.ScanStep))
+	k.int(int64(cfg.SampleStep))
+	k.float(cfg.MaxInterpErrorKm)
+	exact := int64(0)
+	if cfg.Exact {
+		exact = 1
+	}
+	k.int(exact)
+	k.int(int64(len(props)))
+	for _, p := range props {
+		e := p.Elements()
+		k.int(int64(e.NoradID))
+		k.str(e.Name)
+		k.time(e.Epoch)
+		for _, f := range [...]float64{e.BStar, e.Inclination, e.RAAN, e.Eccentricity, e.ArgPerigee, e.MeanAnomaly, e.MeanMotion} {
+			k.float(f)
+		}
+	}
+}
+
+// sum returns the key, or false when the inputs are unkeyable.
+func (k *keyInputs) sum() (memoKey, bool) {
+	return sha256.Sum256(k.buf), k.utc
+}
+
+// gridKey keys the grid orbit.NewEphemerisGrid(props, start, end, cfg)
+// builds.
+func gridKey(props []*orbit.Propagator, start, end time.Time, cfg orbit.EphemerisConfig) (memoKey, bool) {
+	k := newKeyInputs(kindGrid)
+	k.grid(props, start, end, cfg)
+	return k.sum()
+}
+
+// restoring returns the RunContext a checkpointable phase of n units runs
+// under to reuse the units the memo holds under k, and the func that
+// files the phase's units once it returned nil. The context's Resume is
+// rc's own resume point plus the memo's units, so a memo unit restores
+// through the resume path: byte-exact by the resume contract, and shown
+// as a restored unit in progress and in the phase span. rc's own unit
+// wins an overlap, so a corrupt one is still recomputed. The context's
+// Checkpoint also collects each computed unit: a phase that computed any
+// files the memo's units plus its own as a new entry, since entries are
+// immutable. Memo units are not checkpointed, like any restored unit,
+// except in a shard run, whose units are its result: there the memo
+// units in the window that rc's resume point lacks go to rc.Checkpoint,
+// in index order, before the phase runs.
+func (m *Memo) restoring(rc RunContext, k memoKey, phase string, n int) (RunContext, func()) {
+	if m == nil {
+		return rc, func() {}
+	}
+	var held, own map[int]json.RawMessage
+	if v, ok := m.get(k, kindPlan); ok {
+		held = v.(map[int]json.RawMessage)
+	}
+	if ps := rc.Resume.snapshot(phase, n); ps != nil {
+		own = ps.Units
+	}
+	restore := make(map[int]json.RawMessage, n)
+	units := make(map[int]json.RawMessage, n)
+	for i, raw := range held {
+		restore[i], units[i] = raw, raw
+	}
+	for i, raw := range own {
+		restore[i] = raw
+	}
+	if rc.Shard != nil && rc.Checkpoint != nil {
+		for i := rc.Shard.Lo; i < rc.Shard.Hi; i++ {
+			if raw, ok := held[i]; ok && own[i] == nil {
+				rc.Checkpoint(phase, i, n, raw)
+			}
+		}
+	}
+	computed := false
+	out := rc
+	out.Resume = &Checkpoint{Phases: map[string]*PhaseSnapshot{phase: {Total: n, Units: restore}}}
+	out.Checkpoint = func(phase string, index, total int, unit []byte) {
+		units[index] = unit
+		computed = true
+		if rc.Checkpoint != nil {
+			rc.Checkpoint(phase, index, total, unit)
+		}
+	}
+	return out, func() {
+		if !computed {
+			return
+		}
+		var size int64
+		for _, raw := range units {
+			size += int64(len(raw))
+		}
+		m.put(k, units, size)
+	}
+}

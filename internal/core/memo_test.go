@@ -1,0 +1,232 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/sinet-io/sinet/internal/constellation"
+	"github.com/sinet-io/sinet/internal/obs"
+	"github.com/sinet-io/sinet/internal/orbit"
+)
+
+var memoStart = time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
+
+func fossaProps(t *testing.T) []*orbit.Propagator {
+	t.Helper()
+	props, err := constellation.FOSSA(memoStart).Propagators()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return props
+}
+
+// memoGrid runs the ephemeris phase for one FOSSA grid over a day from
+// start.
+func memoGrid(t *testing.T, ctx context.Context, m *Memo, start time.Time) (*orbit.EphemerisGrid, error) {
+	t.Helper()
+	return memoGridSpan(t, ctx, m, start, 24*time.Hour)
+}
+
+func memoGridSpan(t *testing.T, ctx context.Context, m *Memo, start time.Time, span time.Duration) (*orbit.EphemerisGrid, error) {
+	t.Helper()
+	grids, err := propagate(ctx, RunContext{Memo: m}, start, start.Add(span), orbit.EphemerisConfig{ScanStep: time.Minute}, fossaProps(t))
+	if err != nil {
+		return nil, err
+	}
+	return grids[0], nil
+}
+
+// TestMemoKeyCoversEveryGridInput guards the grid key's explicit field
+// list: a field added to orbit.Elements or orbit.EphemerisConfig is a grid
+// input the key must encode before this count moves.
+func TestMemoKeyCoversEveryGridInput(t *testing.T) {
+	if n := reflect.TypeOf(orbit.Elements{}).NumField(); n != 10 {
+		t.Errorf("orbit.Elements has %d fields; keyInputs.grid encodes 10", n)
+	}
+	if n := reflect.TypeOf(orbit.EphemerisConfig{}).NumField(); n != 4 {
+		t.Errorf("orbit.EphemerisConfig has %d fields; keyInputs.grid encodes 4", n)
+	}
+	props := fossaProps(t)
+	cfg := orbit.EphemerisConfig{ScanStep: time.Minute}
+	base, ok := gridKey(props, memoStart, memoStart.Add(time.Hour), cfg)
+	if !ok {
+		t.Fatal("UTC inputs are unkeyable")
+	}
+	els := props[1].Elements()
+	changed := map[string]func(*orbit.Elements){
+		"NoradID":      func(e *orbit.Elements) { e.NoradID++ },
+		"Name":         func(e *orbit.Elements) { e.Name += "x" },
+		"Epoch":        func(e *orbit.Elements) { e.Epoch = e.Epoch.Add(time.Nanosecond) },
+		"BStar":        func(e *orbit.Elements) { e.BStar = -e.BStar },
+		"Inclination":  func(e *orbit.Elements) { e.Inclination += 1e-12 },
+		"RAAN":         func(e *orbit.Elements) { e.RAAN += 1e-12 },
+		"Eccentricity": func(e *orbit.Elements) { e.Eccentricity += 1e-12 },
+		"ArgPerigee":   func(e *orbit.Elements) { e.ArgPerigee += 1e-12 },
+		"MeanAnomaly":  func(e *orbit.Elements) { e.MeanAnomaly += 1e-12 },
+		"MeanMotion":   func(e *orbit.Elements) { e.MeanMotion += 1e-12 },
+	}
+	for name, change := range changed {
+		e := els
+		change(&e)
+		p, err := orbit.NewPropagator(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alt := append([]*orbit.Propagator(nil), props...)
+		alt[1] = p
+		if k, _ := gridKey(alt, memoStart, memoStart.Add(time.Hour), cfg); k == base {
+			t.Errorf("changing Elements.%s leaves the grid key unchanged", name)
+		}
+	}
+	configs := map[string]orbit.EphemerisConfig{
+		"ScanStep":         {ScanStep: 2 * time.Minute},
+		"SampleStep":       {ScanStep: time.Minute, SampleStep: time.Minute},
+		"MaxInterpErrorKm": {ScanStep: time.Minute, MaxInterpErrorKm: 0.01},
+		"Exact":            {ScanStep: time.Minute, Exact: true},
+	}
+	for name, c := range configs {
+		if k, _ := gridKey(props, memoStart, memoStart.Add(time.Hour), c); k == base {
+			t.Errorf("changing EphemerisConfig.%s leaves the grid key unchanged", name)
+		}
+	}
+	for name, span := range map[string][2]time.Time{
+		"start": {memoStart.Add(time.Nanosecond), memoStart.Add(time.Hour)},
+		"end":   {memoStart, memoStart.Add(time.Hour + time.Nanosecond)},
+	} {
+		if k, _ := gridKey(props, span[0], span[1], cfg); k == base {
+			t.Errorf("changing the %s leaves the grid key unchanged", name)
+		}
+	}
+	// Years 0 and 9999 fall outside UnixNano's range; they must key apart.
+	y0, _ := gridKey(props, time.Date(0, 1, 1, 0, 0, 0, 0, time.UTC), memoStart, cfg)
+	y9999, _ := gridKey(props, time.Date(9999, 1, 1, 0, 0, 0, 0, time.UTC), memoStart, cfg)
+	if y0 == y9999 || y0 == base {
+		t.Error("start years 0 and 9999 do not key apart")
+	}
+	if _, ok := gridKey(props, memoStart.In(time.FixedZone("", 3600)), memoStart.Add(time.Hour), cfg); ok {
+		t.Error("a start outside UTC is keyable; its zone reaches result bytes")
+	}
+}
+
+// TestMemoServesTheGridItFiled pins the hit path: the same inputs return
+// the filed grid itself, other inputs miss.
+func TestMemoServesTheGridItFiled(t *testing.T) {
+	reg := obs.New()
+	m := NewMemo(64<<20, reg)
+	ctx := context.Background()
+	first, err := memoGrid(t, ctx, m, memoStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := memoGrid(t, ctx, m, memoStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Fatal("same inputs propagated a new grid instead of the filed one")
+	}
+	other, err := memoGrid(t, ctx, m, memoStart.Add(time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other == first {
+		t.Fatal("a grid of another start was served from the memo")
+	}
+	if h, mi := m.hits[kindGrid].Value(), m.misses[kindGrid].Value(); h != 1 || mi != 2 {
+		t.Fatalf("grid hits/misses = %d/%d, want 1/2", h, mi)
+	}
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sinet_memo_bytes " + strconv.FormatFloat(float64(first.Bytes()+other.Bytes()), 'g', -1, 64); !strings.Contains(out.String(), want) {
+		t.Fatalf("scrape lacks %q:\n%s", want, out.String())
+	}
+}
+
+// TestMemoCanceledPropagationFilesNothing pins that a grid enters the memo
+// only after its ephemeris phase returned nil.
+func TestMemoCanceledPropagationFilesNothing(t *testing.T) {
+	m := NewMemo(64<<20, nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := memoGrid(t, ctx, m, memoStart); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled propagation returned %v, want context.Canceled", err)
+	}
+	if n := m.lru.Len(); n != 0 {
+		t.Fatalf("canceled propagation filed %d entries", n)
+	}
+	// A canceled active campaign files no plan either.
+	_, err := RunActiveCtx(ctx, ActiveConfig{Seed: 1, Start: memoStart, Days: 1,
+		Constellation: ptr(constellation.FOSSA(memoStart)), RunContext: RunContext{Memo: m}})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled campaign returned %v, want context.Canceled", err)
+	}
+	if n := m.lru.Len(); n != 0 {
+		t.Fatalf("canceled campaign filed %d entries", n)
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// TestMemoRejectsAnEntryLargerThanTheBudget: a grid that alone exceeds
+// the budget is recomputed every time rather than evicting everything
+// else for itself.
+func TestMemoRejectsAnEntryLargerThanTheBudget(t *testing.T) {
+	ctx := context.Background()
+	probe, err := memoGrid(t, ctx, nil, memoStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemo(probe.Bytes()-1, nil)
+	small, err := memoGridSpan(t, ctx, m, memoStart, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		big, err := memoGrid(t, ctx, m, memoStart)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if big == probe || m.lru.Len() != 1 || m.lru.Bytes() != small.Bytes() {
+			t.Fatalf("oversized grid stored: %d entries, %d bytes", m.lru.Len(), m.lru.Bytes())
+		}
+	}
+	if got, _ := memoGridSpan(t, ctx, m, memoStart, time.Hour); got != small {
+		t.Fatal("filing an oversized grid evicted the small one")
+	}
+}
+
+// TestMemoEvictsLeastRecentlyUsed: with room for two grids, filing a
+// third evicts the one looked up least recently.
+func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
+	ctx := context.Background()
+	probe, err := memoGrid(t, ctx, nil, memoStart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	m := NewMemo(probe.Bytes()*5/2, reg)
+	a, _ := memoGrid(t, ctx, m, memoStart)
+	b, _ := memoGrid(t, ctx, m, memoStart.Add(time.Minute))
+	if got, _ := memoGrid(t, ctx, m, memoStart); got != a { // a is now the most recently used
+		t.Fatal("a missed before any eviction")
+	}
+	if _, err := memoGrid(t, ctx, m, memoStart.Add(2*time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := memoGrid(t, ctx, m, memoStart); got != a {
+		t.Fatal("recently used grid a was evicted")
+	}
+	if got, _ := memoGrid(t, ctx, m, memoStart.Add(time.Minute)); got == b {
+		t.Fatal("least recently used grid b survived the third filing")
+	}
+	if n := m.evictions.Value(); n < 1 {
+		t.Fatalf("evictions = %d, want at least 1", n)
+	}
+}

@@ -239,23 +239,26 @@ func RunPassiveCtx(ctx context.Context, cfg PassiveConfig) (*PassiveResult, erro
 		Exact:            cfg.ExactEphemeris,
 		MaxInterpErrorKm: cfg.MaxInterpErrorKm,
 	}
-	consCtxs := make([]consCtx, len(cfg.Constellations))
-	grids := make([]*orbit.EphemerisGrid, len(cfg.Constellations))
+	consProps := make([][]*orbit.Propagator, len(cfg.Constellations))
 	for ci, cons := range cfg.Constellations {
 		props, err := cons.Propagators()
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
-		grid := orbit.NewEphemerisGrid(props, cfg.Start, end, ephCfg)
+		consProps[ci] = props
+	}
+	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, end, ephCfg, consProps...)
+	if err != nil {
+		return nil, err
+	}
+	consCtxs := make([]consCtx, len(cfg.Constellations))
+	for ci, cons := range cfg.Constellations {
+		props, grid := consProps[ci], grids[ci]
 		gateways := make(map[int]*satellite.Gateway, len(props))
 		for i, p := range props {
 			gateways[p.Elements().NoradID] = satellite.NewGateway(grid.Sat(i), cons.BeaconInterval, 0)
 		}
 		consCtxs[ci] = consCtx{cons: cons, props: props, grid: grid, gateways: gateways}
-		grids[ci] = grid
-	}
-	if err := propagate(ctx, cfg.Progress, grids...); err != nil {
-		return nil, err
 	}
 
 	// Fan the (site × constellation) pairs across workers.

@@ -185,11 +185,16 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	end := cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 	horizon := end.Add(graceAfterEnd)
 
-	grid := orbit.NewEphemerisGrid(props, cfg.Start, horizon, orbit.EphemerisConfig{
+	// Phase 1: propagate the shared ephemeris rows.
+	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, horizon, orbit.EphemerisConfig{
 		ScanStep:         cfg.SnapshotStep,
 		Exact:            cfg.ExactEphemeris,
 		MaxInterpErrorKm: cfg.MaxInterpErrorKm,
-	})
+	}, props)
+	if err != nil {
+		return nil, err
+	}
+	grid := grids[0]
 
 	// Fault schedules are derived up front on named streams, so the same
 	// seed and config always churn the same links and stations no matter
@@ -239,11 +244,6 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 		if err != nil {
 			return nil, err
 		}
-	}
-
-	// Phase 1: propagate the shared ephemeris rows.
-	if err := propagate(ctx, cfg.Progress, grid); err != nil {
-		return nil, err
 	}
 
 	// Phase 2: build the topology snapshots (parallel when the ephemeris

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"github.com/sinet-io/sinet/internal/orbit"
 	"github.com/sinet-io/sinet/internal/sim"
@@ -14,7 +15,7 @@ import (
 // runs the campaign plain. It is excluded from JSON serialization, so it
 // never reaches a result's Config or a derived content key.
 //
-// Progress, Checkpoint and Resume observe execution without
+// Progress, Checkpoint, Resume and Memo observe or skip execution without
 // parameterizing it: attaching them never changes campaign results. Shard
 // does parameterize the run, so callers must fold shard identity into any
 // derived content key (see ShardWindow).
@@ -32,6 +33,11 @@ type RunContext struct {
 	// and returns right after that phase: the result is a shard fragment,
 	// not a full campaign (see ShardWindow).
 	Shard *ShardWindow
+	// Memo, when non-nil, serves seed-independent geometry computed by
+	// earlier runs — propagated ephemeris grids and active plan units —
+	// and files what this run computes (see Memo). Like Resume it never
+	// changes results; nil computes everything.
+	Memo *Memo
 }
 
 // ProgressFunc observes a campaign's execution phases: it is called with a
@@ -44,16 +50,37 @@ type RunContext struct {
 // observes execution, it does not parameterize it.
 type ProgressFunc func(phase string, completed, total int)
 
-// propagate runs a campaign's "ephemeris" phase: it samples every row of
-// the given grids across the worker pool, then finishes each grid. Each
-// worker fills only its own row, so the fan-out never races. Grid rows
-// are inputs, not outputs — they rebuild on resume and never checkpoint.
-// The context is checked per satellite.
-func propagate(ctx context.Context, progress ProgressFunc, grids ...*orbit.EphemerisGrid) error {
+// propagate runs a campaign's "ephemeris" phase: it returns one
+// propagated grid per propagator set, each over [start, end] under cfg.
+// Grids rc.Memo holds are reused as they are; the rest are built and
+// their rows sampled across the worker pool, then finished and filed in
+// the memo once the phase returned nil, so a canceled or failed
+// propagation never enters it. Each worker fills only its own row, so the
+// fan-out never races. Grid rows are inputs, not outputs — they rebuild
+// on resume and never checkpoint. The context is checked per satellite.
+func propagate(ctx context.Context, rc RunContext, start, end time.Time, cfg orbit.EphemerisConfig, props ...[]*orbit.Propagator) ([]*orbit.EphemerisGrid, error) {
+	grids := make([]*orbit.EphemerisGrid, len(props))
+	type built struct {
+		grid  int
+		key   memoKey
+		keyed bool
+	}
+	var fresh []built
 	type row struct{ grid, sat int }
 	var rows []row
-	for gi, g := range grids {
-		for si := 0; si < g.Sats(); si++ {
+	for gi, ps := range props {
+		b := built{grid: gi}
+		if rc.Memo != nil {
+			if b.key, b.keyed = gridKey(ps, start, end, cfg); b.keyed {
+				if g, ok := rc.Memo.get(b.key, kindGrid); ok {
+					grids[gi] = g.(*orbit.EphemerisGrid)
+					continue
+				}
+			}
+		}
+		grids[gi] = orbit.NewEphemerisGrid(ps, start, end, cfg)
+		fresh = append(fresh, b)
+		for si := 0; si < grids[gi].Sats(); si++ {
 			rows = append(rows, row{gi, si})
 		}
 	}
@@ -63,12 +90,16 @@ func propagate(ctx context.Context, progress ProgressFunc, grids ...*orbit.Ephem
 		}
 		grids[rows[i].grid].Propagate(rows[i].sat)
 		return nil
-	}, progress, tracing.Int("units", len(rows)))
+	}, rc.Progress, tracing.Int("units", len(rows)), tracing.Int("memo_grids", len(props)-len(fresh)))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for _, g := range grids {
+	for _, b := range fresh {
+		g := grids[b.grid]
 		g.Finish()
+		if b.keyed {
+			rc.Memo.put(b.key, g, g.Bytes())
+		}
 	}
-	return nil
+	return grids, nil
 }

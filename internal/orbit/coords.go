@@ -152,7 +152,7 @@ func TEMEToECEFVelGMST(rTEME, vTEME Vec3, theta float64) (rECEF, vECEF Vec3) {
 
 // rotZ rotates v about the +Z axis by -theta (frame rotation by +theta).
 func rotZ(v Vec3, theta float64) Vec3 {
-	c, s := math.Cos(theta), math.Sin(theta)
+	s, c := math.Sincos(theta)
 	return Vec3{
 		X: c*v.X + s*v.Y,
 		Y: -s*v.X + c*v.Y,

@@ -44,6 +44,9 @@ type Propagator struct {
 	// Recovered (un-Kozai'd) mean motion and semi-major axis.
 	noUnkozai float64
 	ao        float64
+	// Sine and cosine of the inclination, which near-earth SGP4 holds
+	// constant.
+	sinio, cosio float64
 
 	isimp bool
 
@@ -75,7 +78,8 @@ func NewPropagator(e Elements) (*Propagator, error) {
 	inclo := e.Inclination
 	noKozai := e.MeanMotion
 
-	cosio := math.Cos(inclo)
+	sinio, cosio := math.Sincos(inclo)
+	p.sinio, p.cosio = sinio, cosio
 	cosio2 := cosio * cosio
 	eccsq := ecco * ecco
 	omeosq := 1.0 - eccsq
@@ -90,7 +94,6 @@ func NewPropagator(e Elements) (*Propagator, error) {
 	p.noUnkozai = noKozai / (1.0 + del)
 
 	p.ao = math.Pow(xke/p.noUnkozai, x2o3)
-	sinio := math.Sin(inclo)
 	po := p.ao * omeosq
 	con42 := 1.0 - 5.0*cosio2
 	p.con41 = -con42 - cosio2 - cosio2
@@ -245,7 +248,8 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	em := p.els.Eccentricity
 	inclm := p.els.Inclination
 
-	am := math.Pow(xke/nm, x2o3) * tempa * tempa
+	// p.ao is math.Pow(xke/nm, x2o3) at this nm, bit for bit.
+	am := p.ao * tempa * tempa
 	nm = xke / math.Pow(am, 1.5)
 	em -= tempe
 
@@ -263,8 +267,7 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	xlm = wrapTwoPi(xlm)
 	mm = wrapTwoPi(xlm - argpm - nodem)
 
-	sinim := math.Sin(inclm)
-	cosim := math.Cos(inclm)
+	sinim, cosim := p.sinio, p.cosio
 
 	// No deep-space contributions: near-earth only.
 	ep := em
@@ -276,9 +279,12 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	cosip := cosim
 
 	// Long-period periodics.
-	axnl := ep * math.Cos(argpp)
+	// math.Sincos(x) is (math.Sin(x), math.Cos(x)) bit for bit: one
+	// argument reduction, the same polynomials.
+	sinargp, cosargp := math.Sincos(argpp)
+	axnl := ep * cosargp
 	temp := 1.0 / (am * (1.0 - ep*ep))
-	aynl := ep*math.Sin(argpp) + temp*p.aycof
+	aynl := ep*sinargp + temp*p.aycof
 	xl := mp + argpp + nodep + temp*p.xlcof*axnl
 
 	// Solve Kepler's equation.
@@ -288,8 +294,7 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	ktr := 1
 	var sineo1, coseo1 float64
 	for math.Abs(tem5) >= 1.0e-12 && ktr <= 10 {
-		sineo1 = math.Sin(eo1)
-		coseo1 = math.Cos(eo1)
+		sineo1, coseo1 = math.Sincos(eo1)
 		tem5 = 1.0 - coseo1*axnl - sineo1*aynl
 		tem5 = (u - aynl*coseo1 + axnl*sineo1 - eo1) / tem5
 		if math.Abs(tem5) >= 0.95 {
@@ -335,12 +340,9 @@ func (p *Propagator) PropagateMinutes(tsince float64) (State, error) {
 	rvdot := rvdotl + nm*temp1*(p.x1mth2*cos2u+1.5*p.con41)/xke
 
 	// Orientation vectors.
-	sinsu := math.Sin(su)
-	cossu := math.Cos(su)
-	snod := math.Sin(xnode)
-	cnod := math.Cos(xnode)
-	sini := math.Sin(xinc)
-	cosi := math.Cos(xinc)
+	sinsu, cossu := math.Sincos(su)
+	snod, cnod := math.Sincos(xnode)
+	sini, cosi := math.Sincos(xinc)
 	xmx := -snod * cosi
 	xmy := cnod * cosi
 	ux := xmx*sinsu + cnod*cossu

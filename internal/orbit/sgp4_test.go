@@ -3,6 +3,7 @@ package orbit
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -261,6 +262,43 @@ func TestSubpointWithinInclination(t *testing.T) {
 		}
 		if g.Alt < 300 || g.Alt > 400 {
 			t.Errorf("t=+%dm: subpoint altitude %.1f outside ISS band", m, g.Alt)
+		}
+	}
+}
+
+// TestSincosMatchesSinCos pins the identity PropagateMinutes and rotZ rely
+// on: math.Sincos(x) returns (math.Sin(x), math.Cos(x)) bit for bit. The
+// inputs cover signed zeros, subnormals, multiples of π/4 (the octant
+// boundaries of the argument reduction), both sides of the 2^29 threshold
+// where the reduction switches to Payne–Hanek, the non-finite inputs and
+// a seeded random sweep of the magnitudes SGP4 feeds it.
+func TestSincosMatchesSinCos(t *testing.T) {
+	xs := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000fffffffffffff), 1e-310, -1e-300,
+		1 << 29, math.Nextafter(1<<29, 0), math.Nextafter(1<<29, math.Inf(1)),
+		-(1 << 29), 1e10, 1e300, math.MaxFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	for k := -64; k <= 64; k++ {
+		x := float64(k) * math.Pi / 4
+		xs = append(xs, x, math.Nextafter(x, math.Inf(1)), math.Nextafter(x, math.Inf(-1)))
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 200000; i++ {
+		// Angles of a few turns (orientation, Kepler), of many (secular
+		// drift over years), and of any exponent.
+		xs = append(xs, (rng.Float64()-0.5)*4*math.Pi, (rng.Float64()-0.5)*1e6,
+			math.Float64frombits(rng.Uint64()))
+	}
+	for _, x := range xs {
+		s, c := math.Sincos(x)
+		if math.Float64bits(s) != math.Float64bits(math.Sin(x)) || math.Float64bits(c) != math.Float64bits(math.Cos(x)) {
+			if math.IsNaN(x) && math.IsNaN(s) && math.IsNaN(c) && math.IsNaN(math.Sin(x)) && math.IsNaN(math.Cos(x)) {
+				continue // NaN payloads are not arithmetic results
+			}
+			t.Fatalf("Sincos(%v [%#016x]) = (%v, %v), Sin/Cos = (%v, %v)", x, math.Float64bits(x), s, c, math.Sin(x), math.Cos(x))
 		}
 	}
 }

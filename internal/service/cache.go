@@ -1,9 +1,9 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 
+	"github.com/sinet-io/sinet/internal/lru"
 	"github.com/sinet-io/sinet/internal/obs"
 )
 
@@ -12,11 +12,8 @@ import (
 // Entries are immutable once stored (callers must not mutate returned
 // slices), so hits are zero-copy. Safe for concurrent use.
 type Cache struct {
-	mu     sync.Mutex
-	budget int64
-	size   int64
-	ll     *list.List // front = most recently used
-	items  map[Key]*list.Element
+	mu  sync.Mutex
+	lru *lru.LRU[Key, []byte]
 
 	hits, misses, evictions uint64
 
@@ -26,23 +23,18 @@ type Cache struct {
 	mHits, mMisses, mEvictions *obs.Counter
 }
 
-type cacheEntry struct {
-	key  Key
-	data []byte
-}
-
 // NewCache creates a cache bounded to budget bytes of stored results.
 // A budget <= 0 yields a disabled cache: every Get misses, every Put is
 // dropped — the configuration the golden smoke test runs under.
 func NewCache(budget int64) *Cache {
-	return &Cache{budget: budget, ll: list.New(), items: map[Key]*list.Element{}}
+	return &Cache{lru: lru.New[Key, []byte](budget)}
 }
 
 // Get returns the cached result bytes for key, marking it recently used.
 func (c *Cache) Get(key Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[key]
+	data, ok := c.lru.Get(key)
 	if !ok {
 		c.misses++
 		c.mMisses.Inc()
@@ -50,40 +42,20 @@ func (c *Cache) Get(key Key) ([]byte, bool) {
 	}
 	c.hits++
 	c.mHits.Inc()
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).data, true
+	return data, true
 }
 
 // Put stores the result bytes under key, evicting least-recently-used
 // entries until the byte budget holds. An entry larger than the whole
 // budget is not stored at all (it would evict everything for one tenant),
-// and re-putting an existing key refreshes its recency without resizing.
+// and re-putting an existing key refreshes its recency: the key is a
+// content address, so the bytes and their size stay the same.
 func (c *Cache) Put(key Key, data []byte) {
-	if int64(len(data)) > c.budget {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		// Same key means same content (the key is a content address), so
-		// only the recency changes.
-		c.ll.MoveToFront(el)
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, data: data})
-	c.size += int64(len(data))
-	for c.size > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, ent.key)
-		c.size -= int64(len(ent.data))
-		c.evictions++
-		c.mEvictions.Inc()
-	}
+	n := c.lru.Put(key, data, int64(len(data)))
+	c.evictions += uint64(n)
+	c.mEvictions.Add(uint64(n))
 }
 
 // instrument registers the cache's telemetry into r: hit/miss/eviction
@@ -102,12 +74,12 @@ func (c *Cache) instrument(r *obs.Registry) {
 	r.GaugeFunc("sinet_cache_bytes", "Bytes of cached campaign results.", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return float64(c.size)
+		return float64(c.lru.Bytes())
 	})
 	r.GaugeFunc("sinet_cache_entries", "Cached campaign results.", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return float64(len(c.items))
+		return float64(c.lru.Len())
 	})
 }
 
@@ -128,9 +100,9 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := CacheStats{
-		Entries:     len(c.items),
-		Bytes:       c.size,
-		BudgetBytes: c.budget,
+		Entries:     c.lru.Len(),
+		Bytes:       c.lru.Bytes(),
+		BudgetBytes: c.lru.Budget(),
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Evictions:   c.evictions,

@@ -52,6 +52,7 @@ func TestKeyAndResultGoldens(t *testing.T) {
 			"5324995d88956de4ad1c1f5ca79b750853d2543b8360e2e4223ed96a3a27c554",
 		},
 	}
+	memo := core.NewMemo(64<<20, nil)
 	for _, tc := range cases {
 		spec, err := decodeStrict([]byte(tc.body))
 		if err != nil {
@@ -76,6 +77,13 @@ func TestKeyAndResultGoldens(t *testing.T) {
 			sum := sha256.Sum256(out)
 			if got := hex.EncodeToString(sum[:]); got != tc.sha {
 				t.Errorf("sha256(result) = %s, want %s", got, tc.sha)
+			}
+			// The same bytes through a memo, cold and then warmed.
+			for _, pass := range []string{"cold", "warmed"} {
+				sum := sha256.Sum256(runBytes(t, spec, RunContext{Memo: memo}))
+				if got := hex.EncodeToString(sum[:]); got != tc.sha {
+					t.Errorf("sha256(result) through a %s memo = %s, want %s", pass, got, tc.sha)
+				}
 			}
 		})
 	}

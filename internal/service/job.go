@@ -90,7 +90,8 @@ type Job struct {
 	lastBeat time.Time
 	// checkpoint accumulates the completed work units of every attempt;
 	// the next attempt (or the next process, via journal replay) resumes
-	// from it instead of recomputing.
+	// from it instead of recomputing. The terminal transition drops it:
+	// no attempt follows, and finished jobs stay registered.
 	checkpoint *core.Checkpoint
 
 	// trace is the job's distributed-trace identity: the root "job" span's
@@ -416,6 +417,7 @@ func (j *Job) finishLocked(state State, result []byte, errText string, cached bo
 	j.cached = cached
 	j.finished = time.Now().UTC()
 	j.phase = ""
+	j.checkpoint = nil
 	if j.rootSpan != nil {
 		// The root span closes with the terminal transition. Recording
 		// takes only the tracer's ring lock, never job or server locks, so

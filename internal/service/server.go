@@ -33,10 +33,11 @@ var (
 
 // RunContext carries the execution hooks of one job attempt: progress
 // reporting, checkpoint capture (each completed work unit is appended to
-// the job journal) and the resume point restored from an earlier attempt
-// or an earlier process. It is the campaigns' own core.RunContext; Run
-// sets its Shard from the spec. The zero value runs the campaign plain;
-// none of the hooks parameterize results.
+// the job journal), the resume point restored from an earlier attempt
+// or an earlier process, and the server's geometry memo. It is the
+// campaigns' own core.RunContext; Run sets its Shard from the spec. The
+// zero value runs the campaign plain; none of the hooks parameterize
+// results.
 type RunContext = core.RunContext
 
 // RunnerFunc executes a normalized spec. The default is Run; tests inject
@@ -115,11 +116,19 @@ type Config struct {
 	CacheFill func(ctx context.Context, key Key) ([]byte, bool)
 }
 
+// memoBudget bounds the server's geometry memo (core.Memo): about twice
+// the working set of servebench's 13-shape cold-mix cycle, whose
+// repeating geometry is ten grids and four plan snapshots (~6.1 MB). The
+// coverage and backhaul grids a cycle files once are the least recently
+// used, so they are evicted first.
+const memoBudget = 12 << 20
+
 // Server is the campaign-serving engine: registry, bounded queue, worker
 // pool, result cache and the HTTP API over them.
 type Server struct {
 	cfg     Config
 	cache   *Cache
+	memo    *core.Memo
 	runner  RunnerFunc
 	metrics *serverMetrics
 	logger  *slog.Logger
@@ -177,6 +186,7 @@ func New(cfg Config) (*Server, error) {
 	// registration; the orbit/sim hooks are process-global (see
 	// Config.Metrics) and only observe, never perturb, simulations.
 	s.metrics = newServerMetrics(cfg.Metrics, s)
+	s.memo = core.NewMemo(memoBudget, cfg.Metrics)
 	if cfg.Metrics != nil {
 		orbit.SetMetrics(cfg.Metrics)
 		sim.SetMetrics(cfg.Metrics)
@@ -653,6 +663,7 @@ func (s *Server) runAttempt(ctx context.Context, j *Job) (res any, err error) {
 			s.journalAppend(journal.Record{Op: journal.OpCheckpoint, JobID: j.ID, Phase: phase, Index: index, Total: total, Unit: unit})
 		},
 		Resume: j.resumePoint(),
+		Memo:   s.memo,
 	}
 	return s.runner(ctx, j.Spec, rc)
 }

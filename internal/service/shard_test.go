@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/sinet-io/sinet/internal/core"
 )
 
 // shardGoldenSpecs is one small campaign per job kind, each large enough
@@ -93,6 +95,47 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 			}
 			if !bytes.Equal(mergedBytes, golden) {
 				t.Fatalf("merged bytes (%d) differ from unsharded run (%d)", len(mergedBytes), len(golden))
+			}
+
+			// Through a memo warmed by the unsharded run, every shard and
+			// the merge serve the memo-free bytes: a shard restoring its
+			// units from the memo still returns all of them.
+			memo := core.NewMemo(64<<20, nil)
+			if got := runBytes(t, &parent, RunContext{Memo: memo}); !bytes.Equal(got, golden) {
+				t.Fatal("unsharded bytes differ through a cold memo")
+			}
+			for i, sub := range shards {
+				if got := runBytes(t, sub, RunContext{Memo: memo}); !bytes.Equal(got, blobs[i]) {
+					t.Fatalf("shard %d bytes differ through a warmed memo", i)
+				}
+			}
+			merged, err = Run(ctx, &parent, RunContext{
+				Resume: folded,
+				Memo:   memo,
+				Checkpoint: func(phase string, index, total int, unit []byte) {
+					t.Errorf("merge run through the memo recomputed %s unit %d/%d", phase, index, total)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mergedBytes, err = MarshalResult(merged); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(mergedBytes, golden) {
+				t.Fatal("merged bytes through a warmed memo differ from the unsharded run")
+			}
+
+			// Shards filing into a cold memo one window at a time leave
+			// entries an unsharded run of the same geometry restores from.
+			memo = core.NewMemo(64<<20, nil)
+			for i, sub := range shards {
+				if got := runBytes(t, sub, RunContext{Memo: memo}); !bytes.Equal(got, blobs[i]) {
+					t.Fatalf("shard %d bytes differ through a cold memo", i)
+				}
+			}
+			if got := runBytes(t, &parent, RunContext{Memo: memo}); !bytes.Equal(got, golden) {
+				t.Fatal("unsharded bytes differ through a memo the shards filled")
 			}
 		})
 	}
