@@ -42,10 +42,12 @@ bench:
 
 # bench-smoke runs one iteration of the pass-prediction benches, the 1k
 # mega-constellation sweep, the zero-alloc ephemeris query benches, the
-# ground-segment downlink sweep, and the smallest topology-build case as a
-# compile-and-run check; real measurements use `go test -bench . -benchtime 5s`.
+# ground-segment downlink sweep, the smallest topology-build case and the
+# journal's durable and write-behind appends as a compile-and-run check;
+# real measurements use `go test -bench . -benchtime 5s`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 
 # fuzz-smoke briefly exercises each fuzz target; the committed corpora under
 # testdata/fuzz/ already run as regression cases in plain `make test`.

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -262,10 +264,30 @@ func TestClusterProxiedSSE(t *testing.T) {
 	}
 }
 
+// lockedBuffer is a bytes.Buffer safe for concurrent writes and reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // TestClusterWorkerDeathFailover is the availability pin: a worker that
 // goes dark while holding a shard costs a failover, not the campaign.
-// One worker wedges on the first shard-0 attempt; the test kills that
-// worker's listener mid-job and the coordinator re-runs the shard on a
+// One worker wedges on the first shard-0 attempt; once the coordinator's
+// long poll of that shard is pending there, the test kills the worker's
+// listener. The pending poll fails, the next ones find no listener, and
+// after maxPollFailures of them the coordinator re-runs the shard on a
 // surviving peer, finishing with bytes identical to a direct run.
 func TestClusterWorkerDeathFailover(t *testing.T) {
 	if testing.Short() {
@@ -274,8 +296,14 @@ func TestClusterWorkerDeathFailover(t *testing.T) {
 	var wedged atomic.Bool
 	var wedgedIdx atomic.Int32
 	gotWedge := make(chan struct{})
+	log := newWorkerLog()
+	var logs lockedBuffer
 	tc := startCluster(t, workerOpts{
-		n: 2,
+		n:    2,
+		wrap: log.wrap,
+		coordCfg: func(c *Config) {
+			c.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+		},
 		runner: func(i int) service.RunnerFunc {
 			return func(ctx context.Context, spec *service.JobSpec, rc service.RunContext) (any, error) {
 				if spec.Shard != nil && spec.Shard.Index == 0 && wedged.CompareAndSwap(false, true) {
@@ -297,14 +325,21 @@ func TestClusterWorkerDeathFailover(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("no worker ever picked up shard 0")
 	}
-	// Kill the wedged worker's listener: its status polls start failing
+	dead := int(wedgedIdx.Load())
+	for log.pendingOn(dead) == 0 {
+		<-log.polls // until a long poll is pending on the wedged worker
+	}
+	// Kill the wedged worker's listener: its pending status poll fails,
 	// and the coordinator must move the shard to the survivor.
-	tc.servers[wedgedIdx.Load()].CloseClientConnections()
-	tc.servers[wedgedIdx.Load()].Close()
+	tc.servers[dead].CloseClientConnections()
+	tc.servers[dead].Close()
 
 	data := awaitResult(t, tc.coordTS.URL, id)
 	if !bytes.Equal(data, golden) {
 		t.Fatalf("post-failover bytes (%d) differ from direct run (%d)", len(data), len(golden))
+	}
+	if !strings.Contains(logs.String(), "stopped answering") {
+		t.Fatalf("the shard did not fail over by the poll-failure rule:\n%s", logs.String())
 	}
 	scrape := scrapeOwn(t, tc)
 	if !strings.Contains(scrape, "sinet_cluster_failovers_total") {
@@ -335,6 +370,60 @@ func scrapeOwn(t *testing.T, tc *testCluster) string {
 		t.Fatal(err)
 	}
 	return buf.String()
+}
+
+// TestClusterRoutesEvictLeastRecentlyUsed: the coordinator keeps at most
+// maxRoutes proxied-job routes and drops the least recently used. A job
+// a client keeps polling still proxies to its worker after maxRoutes
+// later submits; a job nobody asked for answers 404 once they pushed
+// its route out. The fake worker accepts every submit under a fresh ID
+// and reports every job running.
+func TestClusterRoutesEvictLeastRecentlyUsed(t *testing.T) {
+	var submits atomic.Int32
+	tc := startCluster(t, workerOpts{n: 1, wrap: func(h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			id, isJob := strings.CutPrefix(r.URL.Path, "/v1/jobs/")
+			switch {
+			case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusAccepted)
+				fmt.Fprintf(w, `{"id":"w%d","state":"queued"}`, submits.Add(1))
+			case r.Method == http.MethodGet && isJob:
+				w.Header().Set("Content-Type", "application/json")
+				fmt.Fprintf(w, `{"id":%q,"state":"running"}`, id)
+			default:
+				h.ServeHTTP(w, r)
+			}
+		})
+	}})
+	spec := clusterGoldenSpecs["passive"] // under threshold: proxied
+	polled, idle := submitJob(t, tc.coordTS.URL, spec), submitJob(t, tc.coordTS.URL, spec)
+	status := func(id string) int {
+		resp, err := http.Get(tc.coordTS.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v service.JobView
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&v); err != nil || v.ID != id || v.State != service.StateRunning {
+				t.Fatalf("status of %s answered %+v (%v), want the worker's running view", id, v, err)
+			}
+		}
+		return resp.StatusCode
+	}
+	for i := 0; i < maxRoutes; i++ {
+		if i%(maxRoutes/4) == 0 && status(polled) != http.StatusOK {
+			t.Fatalf("polled job %s lost its route after %d later submits", polled, i)
+		}
+		submitJob(t, tc.coordTS.URL, spec)
+	}
+	if code := status(polled); code != http.StatusOK {
+		t.Fatalf("polled job %s answered %d after %d later submits, want 200 from its worker", polled, code, maxRoutes)
+	}
+	if code := status(idle); code != http.StatusNotFound {
+		t.Fatalf("unpolled job %s answered %d after %d later submits, want 404", idle, code, maxRoutes)
+	}
 }
 
 // TestClusterRetryAfterPropagation is the regression pin for pushback

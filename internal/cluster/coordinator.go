@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/sinet-io/sinet/internal/lru"
 	"github.com/sinet-io/sinet/internal/obs"
 	"github.com/sinet-io/sinet/internal/service"
 	"github.com/sinet-io/sinet/internal/tracing"
@@ -74,14 +75,16 @@ type Coordinator struct {
 	tracer  *tracing.Tracer
 	reqSeq  atomic.Uint64
 
-	mu    sync.Mutex
-	route map[string]routeEntry // proxied job ID -> owning peer + trace
-	load  map[string]int        // peer -> in-flight coordinator-initiated work
-	up    map[string]bool       // peer -> last probe verdict
+	mu     sync.Mutex
+	routes *lru.LRU[string, routeEntry] // proxied job ID -> owning peer + trace
+	load   map[string]int               // peer -> in-flight coordinator-initiated work
+	up     map[string]bool              // peer -> last probe verdict
 
-	probeCtx    context.Context
-	probeCancel context.CancelFunc
-	probeWG     sync.WaitGroup
+	// stopping is canceled when Shutdown starts: it ends the peer probes
+	// and releases the proxied status waits still pending on workers.
+	stopping context.Context
+	stop     context.CancelFunc
+	probeWG  sync.WaitGroup
 
 	scrape scrapeCache
 }
@@ -114,7 +117,7 @@ func New(cfg Config) (*Coordinator, error) {
 		metrics: newClusterMetrics(cfg.Metrics, cfg.Peers),
 		logger:  cfg.Logger,
 		tracer:  cfg.Tracer,
-		route:   map[string]routeEntry{},
+		routes:  lru.New[string, routeEntry](maxRoutes),
 		load:    map[string]int{},
 		up:      map[string]bool{},
 	}
@@ -130,7 +133,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.local = srv
 	c.localH = srv.Handler()
-	c.probeCtx, c.probeCancel = context.WithCancel(context.Background())
+	c.stopping, c.stop = context.WithCancel(context.Background())
 	for _, peer := range cfg.Peers {
 		c.probeWG.Add(1)
 		go c.probe(peer)
@@ -138,9 +141,10 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Shutdown stops the probes and drains the embedded server.
+// Shutdown stops the probes, releases pending proxied status waits and
+// drains the embedded server.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.probeCancel()
+	c.stop()
 	c.probeWG.Wait()
 	return c.local.Shutdown(ctx)
 }
@@ -162,7 +166,7 @@ func (c *Coordinator) probe(peer string) {
 		start := time.Now()
 		// The verdict is the status alone: a transport error leaves resp
 		// nil, and the body is not read for anything.
-		resp, _, _ := exchange(c.probeCtx, c.client, http.MethodGet, peer+"/readyz", nil, "", probeTimeout, 4096)
+		resp, _, _ := exchange(c.stopping, c.client, http.MethodGet, peer+"/readyz", nil, "", probeTimeout, 4096)
 		up := resp != nil && resp.StatusCode == http.StatusOK
 		latency := time.Since(start)
 		c.setUp(peer, up)
@@ -174,7 +178,7 @@ func (c *Coordinator) probe(peer string) {
 		c.metrics.peerLatency[peer].Set(latency.Milliseconds())
 		delay := c.cfg.ProbeInterval + time.Duration(rng.Float64()*float64(c.cfg.ProbeInterval)/4)
 		select {
-		case <-c.probeCtx.Done():
+		case <-c.stopping.Done():
 			return
 		case <-time.After(delay):
 		}
@@ -254,6 +258,22 @@ func (c *Coordinator) candidates(key service.Key) []string {
 type routeEntry struct {
 	peer  string
 	trace tracing.TraceID
+}
+
+// maxRoutes bounds the proxied-job routes a coordinator keeps. The
+// coordinator never learns when a proxied job ends, so routes go least
+// recently used first: a submit files its job's route and every status,
+// result, events, cancel or trace request for the job refreshes it, so
+// only a route nobody asked for over maxRoutes later proxied submits and
+// lookups is dropped, and its job ID then answers 404 here.
+const maxRoutes = 4096
+
+// route returns where a proxied job went, marking its route most
+// recently used.
+func (c *Coordinator) route(id string) (routeEntry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.routes.Get(id)
 }
 
 // requestID returns the request's correlation ID: the client's own
@@ -538,7 +558,7 @@ func (c *Coordinator) proxySubmit(w http.ResponseWriter, r *http.Request, key se
 			}
 			if json.Unmarshal(body, &accepted) == nil && accepted.ID != "" {
 				c.mu.Lock()
-				c.route[accepted.ID] = routeEntry{peer: peer, trace: hop.TraceID}
+				c.routes.Put(accepted.ID, routeEntry{peer: peer, trace: hop.TraceID}, 1)
 				c.mu.Unlock()
 			}
 		}
@@ -552,32 +572,35 @@ func (c *Coordinator) proxySubmit(w http.ResponseWriter, r *http.Request, key se
 
 // proxyJob routes a status/result/events/cancel request: jobs the
 // coordinator proxied go to their recorded worker, everything else —
-// coordinator-owned jobs and unknown IDs — to the embedded server.
+// coordinator-owned jobs and unknown IDs — to the embedded server. A
+// status wait (?wait=) pending on a worker must not hold up the
+// coordinator's drain: once Shutdown starts, the wait is abandoned and
+// the worker asked again without it, so the client gets the job's
+// current view at once, as the embedded server answers its own pending
+// waits when it drains.
 func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	c.mu.Lock()
-	ent, proxied := c.route[id]
-	c.mu.Unlock()
+	ent, proxied := c.route(r.PathValue("id"))
 	if !proxied {
 		c.localH.ServeHTTP(w, r)
 		return
 	}
-	u := ent.peer + r.URL.Path
-	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, nil)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	reqID := c.requestID(r)
 	w.Header().Set("X-Request-Id", reqID)
-	req.Header.Set("X-Request-Id", reqID)
-	if sc := tracing.FromRequest(r); sc.Valid() {
-		tracing.Inject(req, sc)
+	ctx, cancel := context.WithCancel(r.Context())
+	defer cancel()
+	query := r.URL.Query()
+	var stopWait func() bool
+	if query.Has("wait") {
+		stopWait = context.AfterFunc(c.stopping, cancel)
 	}
-	resp, err := c.client.Do(req)
+	resp, err := c.forward(ctx, r, ent.peer, r.URL.RawQuery, reqID)
+	if stopWait != nil && !stopWait() && r.Context().Err() == nil {
+		if err == nil {
+			resp.Body.Close()
+		}
+		query.Del("wait")
+		resp, err = c.forward(r.Context(), r, ent.peer, query.Encode(), reqID)
+	}
 	if err != nil {
 		c.metrics.proxied.With("502").Inc()
 		writeError(w, http.StatusBadGateway, fmt.Errorf("cluster: worker %s unreachable: %w", ent.peer, err))
@@ -588,6 +611,24 @@ func (c *Coordinator) proxyJob(w http.ResponseWriter, r *http.Request) {
 	copyHeader(w, resp)
 	w.WriteHeader(resp.StatusCode)
 	streamBody(w, resp.Body)
+}
+
+// forward sends a proxied job request on to the job's worker under ctx,
+// with query as its query string.
+func (c *Coordinator) forward(ctx context.Context, r *http.Request, peer, query, reqID string) (*http.Response, error) {
+	u := peer + r.URL.Path
+	if query != "" {
+		u += "?" + query
+	}
+	req, err := http.NewRequestWithContext(ctx, r.Method, u, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("X-Request-Id", reqID)
+	if sc := tracing.FromRequest(r); sc.Valid() {
+		tracing.Inject(req, sc)
+	}
+	return c.client.Do(req)
 }
 
 // relay writes an already-read upstream response downstream, preserving

@@ -79,7 +79,13 @@ func newJitterRNG(name string) *sim.RNG { return sim.NewRNG(0, name) }
 // a worker dying mid-shard without ever wedging a campaign.
 const remoteMaxRounds = 3
 
-// remotePollInterval paces the status poll of an in-flight remote shard.
+// remoteStatusWait is the long-poll wait of a shard's status request:
+// the worker answers once the shard is terminal, or after this long with
+// its current view. It stays below the 10 s status exchange timeout, so
+// a live worker always answers before the exchange gives up.
+const remoteStatusWait = 8 * time.Second
+
+// remotePollInterval is the pause after a failed status poll.
 const remotePollInterval = 50 * time.Millisecond
 
 // runRemote executes one (usually shard) spec on the fleet and returns
@@ -157,11 +163,16 @@ func (c *Coordinator) waitRetry(ctx context.Context, key service.Key, attempt in
 	}
 }
 
-// runOn submits the spec to one worker, polls it to a terminal state and
-// fetches the result bytes. Transport errors mid-poll mean the worker
-// died — the returned (retryable) error sends the caller to the next
-// ring peer, whose run of the same content-addressed spec yields the
-// same bytes. On context cancellation the remote job gets a best-effort
+// runOn submits the spec to one worker, long-polls it to a terminal
+// state and fetches the result bytes. Each status request waits on the
+// worker until the job is terminal (or remoteStatusWait passes), so the
+// shard's completion reaches the coordinator as it happens and the loop
+// never sleeps between answered polls. Transport errors mid-poll mean
+// the worker died: after maxPollFailures of them in a row, each followed
+// by a remotePollInterval pause, the returned (retryable) error sends
+// the caller to the next ring peer, whose run of the same
+// content-addressed spec yields the same bytes. On context cancellation
+// the pending poll is abandoned and the remote job gets a best-effort
 // DELETE so the fleet stops computing for nobody.
 func (c *Coordinator) runOn(ctx context.Context, peer string, canonical []byte) ([]byte, error) {
 	c.addLoad(peer, 1)
@@ -184,11 +195,6 @@ func (c *Coordinator) runOn(ctx context.Context, peer string, canonical []byte) 
 	const maxPollFailures = 5
 	failures := 0
 	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(remotePollInterval):
-		}
 		view, err := c.statusOn(ctx, peer, id)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -196,6 +202,11 @@ func (c *Coordinator) runOn(ctx context.Context, peer string, canonical []byte) 
 			}
 			if failures++; failures >= maxPollFailures {
 				return nil, fmt.Errorf("worker %s stopped answering for job %s: %w", peer, id, err)
+			}
+			select {
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			case <-time.After(remotePollInterval):
 			}
 			continue
 		}
@@ -240,9 +251,10 @@ func (c *Coordinator) submitOn(ctx context.Context, peer string, canonical []byt
 	}
 }
 
-// statusOn fetches one remote job's view.
+// statusOn long-polls one remote job's view: the worker answers once the
+// job is terminal or remoteStatusWait has passed.
 func (c *Coordinator) statusOn(ctx context.Context, peer, id string) (*service.JobView, error) {
-	resp, body, err := exchange(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id, nil, "", 10*time.Second, 1<<20)
+	resp, body, err := exchange(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id+"?wait="+remoteStatusWait.String(), nil, "", 10*time.Second, 1<<20)
 	if err != nil {
 		return nil, err
 	}

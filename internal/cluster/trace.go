@@ -31,9 +31,7 @@ import (
 //     tracer's documented crash contract (journal durable, tracer not).
 func (c *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.mu.Lock()
-	ent, proxied := c.route[id]
-	c.mu.Unlock()
+	ent, proxied := c.route(id)
 	if !proxied {
 		jt, ok := c.local.JobTraceByID(id)
 		if !ok {

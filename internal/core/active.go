@@ -228,8 +228,10 @@ type activeRunner struct {
 	end     time.Time
 	weather WeatherProvider
 
-	nodes    []*node.Node
-	outcomes map[string]map[uint64]*PacketOutcome
+	nodes []*node.Node
+	// observers holds each node's look frame, by index into nodes.
+	observers []orbit.Observer
+	outcomes  map[string]map[uint64]*PacketOutcome
 
 	gateways map[int]*satellite.Gateway
 	// drains maps satellite → sorted scheduled drain times.
@@ -317,6 +319,7 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		}
 		n := node.New(id, loc, cfg.NodeAntenna, cfg.Policy, meter)
 		r.nodes = append(r.nodes, n)
+		r.observers = append(r.observers, orbit.NewObserver(loc))
 		r.outcomes[id] = map[uint64]*PacketOutcome{}
 		r.res.Meters[id] = meter
 
@@ -597,6 +600,7 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 
 	type attempt struct {
 		n       *node.Node
+		site    orbit.Observer
 		reading *node.Reading
 		out     *PacketOutcome
 		tx      mac.Transmission
@@ -605,7 +609,7 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 	var attempts []attempt
 
 	scheduleAware := r.cfg.ScheduleAwareMinElevationRad > 0
-	for _, n := range r.nodes {
+	for ni, n := range r.nodes {
 		if !n.Pending() {
 			continue
 		}
@@ -616,7 +620,7 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 		if n.Meter.Mode() != energy.Rx {
 			continue
 		}
-		la, err := gw.GeometryAt(n.Location, at)
+		la, err := gw.GeometryAt(r.observers[ni], at)
 		if err != nil || la.Elevation <= 0 {
 			continue
 		}
@@ -654,7 +658,7 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 			r.res.MacStats.UnnecessaryRetx++
 		}
 		attempts = append(attempts, attempt{
-			n: n, reading: reading, out: out,
+			n: n, site: r.observers[ni], reading: reading, out: out,
 			tx: mac.Transmission{
 				Frame: mac.Frame{Type: mac.FrameDataUp, SatNoradID: gwID, NodeID: n.ID, SeqID: reading.SeqID, PayloadBytes: reading.PayloadBytes, Attempt: reading.Attempts - 1},
 				Start: start, End: start.Add(airtime), SNRDB: up.SNRDB,
@@ -706,7 +710,7 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 				}
 			}
 			// ACK comes back over the downlink channel.
-			la, err := gw.GeometryAt(a.n.Location, a.tx.End)
+			la, err := gw.GeometryAt(a.site, a.tx.End)
 			if err == nil {
 				geom := radio.Geometry{At: a.tx.End, DistanceKm: la.RangeKm, ElevationRad: la.Elevation, RangeRateKmS: la.RangeRate}
 				ackOK = r.ackLinks[a.n.ID].Transmit(geom, r.weather.At(a.tx.End), 12).Decoded

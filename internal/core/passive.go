@@ -352,14 +352,16 @@ func runPassiveSiteConstellation(ctx context.Context, cfg PassiveConfig, site Si
 	if cfg.Radio != nil {
 		rxParams = *cfg.Radio
 	}
-	// A site has a handful of stations, so the per-station state is two
+	// A site has a handful of stations, so the per-station state is
 	// parallel slices with a linear ID lookup — cheaper to build and to
 	// query than string-keyed maps.
 	links := make([]*radio.Link, len(stations))
+	observers := make([]orbit.Observer, len(stations))
 	for si, st := range stations {
 		model := channel.NewModel(sim.NewRNG(cfg.Seed, "chan/"+st.ID+"/"+cons.Name))
 		model.ShadowSigmaDB = 1.8
 		links[si] = radio.NewLink(rxParams, DtSDownlinkBudget(cons.TxPowerDBm), model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "rx/"+st.ID+"/"+cons.Name))
+		observers[si] = orbit.NewObserver(st.Location)
 	}
 	stationIdx := func(id string) int {
 		for si := range stations {
@@ -410,7 +412,7 @@ func runPassiveSiteConstellation(ctx context.Context, cfg PassiveConfig, site Si
 			stat.Covered = true
 			stat.BeaconsSent++
 
-			la, err := gw.GeometryAt(covering.Location, bt)
+			la, err := gw.GeometryAt(observers[si], bt)
 			if err != nil {
 				continue
 			}

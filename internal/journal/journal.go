@@ -95,10 +95,12 @@ const frameHeaderLen = 8
 // ErrClosed is returned by Append after Close.
 var ErrClosed = errors.New("journal: closed")
 
-// Journal is an open, appendable job log. Append is safe for concurrent
-// use; writers share batched fsyncs (group commit): every Append returns
-// only after its record is synced, but concurrent appenders coalesce into
-// a single Sync call.
+// Journal is an open, appendable job log. Append and AppendBehind are
+// safe for concurrent use. Writers share batched fsyncs (group commit):
+// every Append returns only after its record is synced, but concurrent
+// appenders coalesce into a single Sync call. AppendBehind returns once
+// its frame is written; the next Append's sync, or Close, covers it,
+// because a sync covers every frame written before it.
 type Journal struct {
 	hook Hook
 
@@ -217,29 +219,45 @@ func AppendFrame(dst []byte, rec Record) ([]byte, error) {
 // appenders share fsyncs: the caller whose record is already covered by
 // an in-flight or completed sync never issues its own.
 func (j *Journal) Append(rec Record) error {
-	frame, err := AppendFrame(nil, rec)
+	seq, err := j.write(rec)
 	if err != nil {
 		return err
 	}
+	return j.syncTo(seq)
+}
+
+// AppendBehind writes one record and returns without waiting for an
+// fsync (write-behind). The frame is durable once a later Append returns
+// or Close syncs the file. Until then a killed process keeps it (the
+// kernel holds the write), but a power loss may drop it along with every
+// frame written after the last sync; replay cannot tell such a loss from
+// the records never having been written.
+func (j *Journal) AppendBehind(rec Record) error {
+	_, err := j.write(rec)
+	return err
+}
+
+// write appends rec's frame to the file and returns its sequence number.
+func (j *Journal) write(rec Record) (uint64, error) {
+	frame, err := AppendFrame(nil, rec)
+	if err != nil {
+		return 0, err
+	}
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	if j.hook != nil {
 		if err := j.hook("write"); err != nil {
-			j.mu.Unlock()
-			return fmt.Errorf("journal: write: %w", err)
+			return 0, fmt.Errorf("journal: write: %w", err)
 		}
 	}
 	if _, err := j.f.Write(frame); err != nil {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: write: %w", err)
+		return 0, fmt.Errorf("journal: write: %w", err)
 	}
 	j.writeSeq++
-	seq := j.writeSeq
-	j.mu.Unlock()
-	return j.syncTo(seq)
+	return j.writeSeq, nil
 }
 
 // syncTo blocks until frames up to seq are durable, performing (or

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -273,6 +274,111 @@ func TestGroupCommitBatchesSyncs(t *testing.T) {
 	}
 	if len(recs) != total {
 		t.Fatalf("replayed %d records, want %d", len(recs), total)
+	}
+}
+
+// TestAppendBehindIsCoveredByTheNextSync pins the write-behind contract:
+// AppendBehind issues no fsync, the next durable Append covers every
+// frame written before it with one sync, and Close covers the frames
+// written after it, so every record replays.
+func TestAppendBehindIsCoveredByTheNextSync(t *testing.T) {
+	path := tempJournal(t)
+	syncs := 0
+	j, _, err := Open(path, Options{Hook: func(op string) error {
+		if op == "sync" {
+			syncs++
+		}
+		return nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, j, Record{Op: OpStart, JobID: "j1", Attempt: 1})
+	for i := 0; i < 3; i++ {
+		if err := j.AppendBehind(Record{Op: OpCheckpoint, JobID: "j1", Phase: "contacts", Index: i, Total: 4}); err != nil {
+			t.Fatalf("AppendBehind: %v", err)
+		}
+	}
+	if syncs != 1 {
+		t.Fatalf("%d syncs after one Append and three AppendBehind, want 1", syncs)
+	}
+	mustAppend(t, j, Record{Op: OpDone, JobID: "j1"})
+	if syncs != 2 {
+		t.Fatalf("%d syncs after the covering Append, want 2", syncs)
+	}
+	if j.syncSeq != j.writeSeq {
+		t.Fatalf("the covering sync reached frame %d of %d", j.syncSeq, j.writeSeq)
+	}
+	if err := j.AppendBehind(Record{Op: OpCheckpoint, JobID: "j2", Phase: "contacts", Total: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendBehind(Record{Op: OpCheckpoint, JobID: "j2"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AppendBehind after Close = %v, want ErrClosed", err)
+	}
+	_, recs, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []Op
+	for _, r := range recs {
+		ops = append(ops, r.Op)
+	}
+	want := []Op{OpStart, OpCheckpoint, OpCheckpoint, OpCheckpoint, OpDone, OpCheckpoint}
+	if fmt.Sprint(ops) != fmt.Sprint(want) {
+		t.Fatalf("replayed %v, want %v", ops, want)
+	}
+	for i, r := range recs[1:4] {
+		if r.Index != i {
+			t.Fatalf("checkpoint %d replayed with index %d", i, r.Index)
+		}
+	}
+}
+
+// TestAppendBehindMixesWithAppend runs write-behind and durable appends
+// from several goroutines at once: every record replays after Close.
+func TestAppendBehindMixesWithAppend(t *testing.T) {
+	path := tempJournal(t)
+	j, _, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, per = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				rec := Record{Op: OpCheckpoint, JobID: "j1", Index: w*per + i}
+				write := j.AppendBehind
+				if i%4 == 3 {
+					rec.Op = OpRetry
+					write = j.Append
+				}
+				if err := write(rec); err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := Open(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for _, r := range recs {
+		seen[r.Index] = true
+	}
+	if len(recs) != writers*per || len(seen) != writers*per {
+		t.Fatalf("replayed %d records (%d distinct), want %d", len(recs), len(seen), writers*per)
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package lru is the byte-budgeted least-recently-used store behind the
-// serving layer's result cache and the campaigns' geometry memo.
+// serving layer's result cache, the campaigns' geometry memo and the
+// cluster coordinator's proxied-job routes (one budget unit per route).
 package lru
 
 import "container/list"

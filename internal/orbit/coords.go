@@ -177,31 +177,33 @@ func (l LookAngles) ElevationDeg() float64 { return l.Elevation * rad2Deg }
 // Look computes look angles from an observer to a satellite whose position
 // and velocity are given in ECEF km / km/s.
 func Look(observer Geodetic, rSatECEF, vSatECEF Vec3) LookAngles {
-	return newObserverFrame(observer).look(rSatECEF, vSatECEF)
+	return NewObserver(observer).Look(rSatECEF, vSatECEF)
 }
 
-// observerFrame caches the site-dependent terms of Look — the observer's
-// ECEF position and the SEZ rotation sines/cosines — so repeated queries
-// against one site skip recomputing them. look produces bit-identical
-// results to Look because the per-query arithmetic is unchanged.
-type observerFrame struct {
+// Observer holds the site-dependent terms of Look — the observer's ECEF
+// position and the SEZ rotation sines/cosines — so a caller querying one
+// site many times builds them once. Observer.Look produces bit-identical
+// results to Look because the per-query arithmetic is unchanged. An
+// Observer is immutable and safe for concurrent use.
+type Observer struct {
 	rObs                           Vec3
 	sinLat, cosLat, sinLon, cosLon float64
 }
 
-func newObserverFrame(observer Geodetic) observerFrame {
-	return observerFrame{
-		rObs:   observer.ECEF(),
-		sinLat: math.Sin(observer.Lat),
-		cosLat: math.Cos(observer.Lat),
-		sinLon: math.Sin(observer.Lon),
-		cosLon: math.Cos(observer.Lon),
+// NewObserver builds the look frame of a ground site.
+func NewObserver(site Geodetic) Observer {
+	return Observer{
+		rObs:   site.ECEF(),
+		sinLat: math.Sin(site.Lat),
+		cosLat: math.Cos(site.Lat),
+		sinLon: math.Sin(site.Lon),
+		cosLon: math.Cos(site.Lon),
 	}
 }
 
-// look computes look angles from the cached observer frame to a satellite
-// whose position and velocity are given in ECEF km / km/s.
-func (f observerFrame) look(rSatECEF, vSatECEF Vec3) LookAngles {
+// Look computes look angles from the observer to a satellite whose
+// position and velocity are given in ECEF km / km/s.
+func (f Observer) Look(rSatECEF, vSatECEF Vec3) LookAngles {
 	rho := rSatECEF.Sub(f.rObs)
 
 	sinLat, cosLat := f.sinLat, f.cosLat
@@ -233,7 +235,7 @@ func (f observerFrame) look(rSatECEF, vSatECEF Vec3) LookAngles {
 // per-step predicate: it visits every (site × satellite × step) and
 // dominates mega-constellation searches, so the trigonometry is reserved
 // for the handful of instants that build actual passes.
-func (f observerFrame) aboveMask(rSat Vec3, sinMinEl, sin2MinEl float64) bool {
+func (f Observer) aboveMask(rSat Vec3, sinMinEl, sin2MinEl float64) bool {
 	rx := rSat.X - f.rObs.X
 	ry := rSat.Y - f.rObs.Y
 	rz := rSat.Z - f.rObs.Z
@@ -247,10 +249,10 @@ func (f observerFrame) aboveMask(rSat Vec3, sinMinEl, sin2MinEl float64) bool {
 
 // elRange returns the elevation and slant range only — the two quantities
 // the TCA sweep of a pass needs per sample. The arithmetic is the el/range
-// subset of look() in the same order, so results are bit-identical to the
+// subset of Look in the same order, so results are bit-identical to the
 // full computation while skipping the azimuth atan2 and the range-rate
 // projection (and, upstream, the velocity interpolation).
-func (f observerFrame) elRange(rSat Vec3) (el, rangeKm float64) {
+func (f Observer) elRange(rSat Vec3) (el, rangeKm float64) {
 	rho := rSat.Sub(f.rObs)
 	zenith := f.cosLat*f.cosLon*rho.X + f.cosLat*f.sinLon*rho.Y + f.sinLat*rho.Z
 	rangeKm = rho.Norm()
@@ -271,7 +273,7 @@ func SlantRange(observer Geodetic, rSatECEF Vec3) float64 {
 // satellites per time step and cannot afford per-query trigonometry. A
 // GroundMask is immutable and safe for concurrent use.
 type GroundMask struct {
-	frame               observerFrame
+	frame               Observer
 	sinMinEl, sin2MinEl float64
 }
 
@@ -279,7 +281,7 @@ type GroundMask struct {
 // elevation mask (radians above the local horizon).
 func NewGroundMask(site Geodetic, minElevationRad float64) GroundMask {
 	s := math.Sin(minElevationRad)
-	return GroundMask{frame: newObserverFrame(site), sinMinEl: s, sin2MinEl: s * s}
+	return GroundMask{frame: NewObserver(site), sinMinEl: s, sin2MinEl: s * s}
 }
 
 // Above reports whether a satellite at ECEF position rSat sits at or above

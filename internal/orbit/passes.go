@@ -79,7 +79,7 @@ func (pp *PassPredictor) SetSource(src StateSource) {
 // batch at the end.
 type scan struct {
 	pp    *PassPredictor
-	frame observerFrame
+	frame Observer
 	minEl float64
 	sinEl float64 // sin(minEl)
 	sin2  float64 // sin²(minEl)
@@ -98,7 +98,7 @@ type scan struct {
 
 func (pp *PassPredictor) newScan(site Geodetic, minEl float64) scan {
 	s := math.Sin(minEl)
-	sc := scan{pp: pp, frame: newObserverFrame(site), minEl: minEl, sinEl: s, sin2: s * s}
+	sc := scan{pp: pp, frame: NewObserver(site), minEl: minEl, sinEl: s, sin2: s * s}
 	if pp.eph != nil {
 		sc.m = metrics.Load()
 	}
@@ -197,13 +197,13 @@ func (sc *scan) look(t time.Time) (LookAngles, error) {
 		if err != nil {
 			return LookAngles{}, err
 		}
-		return sc.frame.look(r, v), nil
+		return sc.frame.Look(r, v), nil
 	}
 	r, v, err := sc.pp.src.PositionECEF(t)
 	if err != nil {
 		return LookAngles{}, err
 	}
-	return sc.frame.look(r, v), nil
+	return sc.frame.Look(r, v), nil
 }
 
 // LookAt returns full look angles from the site at time t.
@@ -212,7 +212,7 @@ func (pp *PassPredictor) LookAt(site Geodetic, t time.Time) (LookAngles, error) 
 	if err != nil {
 		return LookAngles{}, err
 	}
-	return newObserverFrame(site).look(r, v), nil
+	return NewObserver(site).Look(r, v), nil
 }
 
 // Passes returns every contact window with max elevation above minElevation

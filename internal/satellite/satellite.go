@@ -139,14 +139,15 @@ func (g *Gateway) AppendBeaconTimes(dst []time.Time, start, end time.Time) []tim
 	return dst
 }
 
-// GeometryAt returns the look geometry from a ground point to the gateway
-// at time t.
-func (g *Gateway) GeometryAt(site orbit.Geodetic, t time.Time) (orbit.LookAngles, error) {
+// GeometryAt returns the look geometry from a ground point, given as its
+// observer frame (built once per site with orbit.NewObserver), to the
+// gateway at time t.
+func (g *Gateway) GeometryAt(site orbit.Observer, t time.Time) (orbit.LookAngles, error) {
 	r, v, err := g.Src.PositionECEF(t)
 	if err != nil {
 		return orbit.LookAngles{}, err
 	}
-	return orbit.Look(site, r, v), nil
+	return site.Look(r, v), nil
 }
 
 // AltitudeAt returns the satellite altitude at t.

@@ -120,7 +120,7 @@ func TestBeaconTimesDegenerate(t *testing.T) {
 func TestGeometryAt(t *testing.T) {
 	g := testGateway(t)
 	site := orbit.NewGeodeticDeg(22.3, 114.2, 0)
-	la, err := g.GeometryAt(site, epoch.Add(30*time.Minute))
+	la, err := g.GeometryAt(orbit.NewObserver(site), epoch.Add(30*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -49,6 +51,44 @@ func BenchmarkCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := c.Get(keys[i%len(keys)]); !ok {
 			b.Fatal("unexpected miss")
+		}
+	}
+}
+
+// BenchmarkSplitFold measures the coordinator's own work around a
+// two-shard routing campaign: SplitSpec deriving the shard sub-specs,
+// then FoldShards decoding the two shard results into one resume point.
+// The shard runs themselves happen once, before the timer starts.
+func BenchmarkSplitFold(b *testing.B) {
+	var parent JobSpec
+	if err := json.Unmarshal([]byte(`{"kind":"routing","routing":{"seed":3,"packet_interval":"2h"}}`), &parent); err != nil {
+		b.Fatal(err)
+	}
+	if err := parent.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	shards, err := SplitSpec(&parent, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	blobs := make([][]byte, len(shards))
+	for i, sub := range shards {
+		res, err := Run(context.Background(), sub, RunContext{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if blobs[i], err = MarshalResult(res); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(len(blobs[0]) + len(blobs[1])))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SplitSpec(&parent, 2); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := FoldShards(blobs); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -91,7 +91,8 @@ type Job struct {
 	// checkpoint accumulates the completed work units of every attempt;
 	// the next attempt (or the next process, via journal replay) resumes
 	// from it instead of recomputing. The terminal transition drops it:
-	// no attempt follows, and finished jobs stay registered.
+	// no attempt follows, and a finished job stays in the server's table
+	// until maxFinishedJobs later ones push it out.
 	checkpoint *core.Checkpoint
 
 	// trace is the job's distributed-trace identity: the root "job" span's

@@ -78,10 +78,11 @@ type Config struct {
 	// identical with tracing on and off. Nil disables tracing.
 	Tracer *tracing.Tracer
 	// JournalPath, when non-empty, enables the durable job journal: every
-	// submit/start/checkpoint/retry/terminal transition is appended and
-	// fsynced, and New replays the file to re-admit jobs a crashed process
-	// left incomplete — under their original IDs, resuming from their last
-	// checkpoint. Empty disables durability entirely.
+	// submit/start/retry/terminal transition is appended and fsynced,
+	// every checkpoint appended for the next fsync to cover, and New
+	// replays the file to re-admit jobs a crashed process left incomplete
+	// — under their original IDs, resuming from their last checkpoint.
+	// Empty disables durability entirely.
 	JournalPath string
 	// JournalHook, when non-nil, is called before every journal write and
 	// sync — the chaos-injection point (see internal/fault). A returned
@@ -123,6 +124,18 @@ type Config struct {
 // used, so they are evicted first.
 const memoBudget = 12 << 20
 
+// maxFinishedJobs bounds the terminal jobs a server keeps answering
+// status and result requests for: once more are kept, the oldest
+// finished job leaves the table and its ID answers 404. Queued and
+// running jobs are never evicted. A client fetches a result right after
+// its job finishes, and the bytes of an evicted done job stay in the
+// result cache, so resubmitting its spec is a cache hit while they last.
+const maxFinishedJobs = 1024
+
+// maxStatusWait caps the wait a status request may ask for
+// (GET /v1/jobs/{id}?wait=<duration>).
+const maxStatusWait = 30 * time.Second
+
 // Server is the campaign-serving engine: registry, bounded queue, worker
 // pool, result cache and the HTTP API over them.
 type Server struct {
@@ -137,6 +150,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
+	finished []string     // IDs of the terminal jobs in jobs, oldest first
 	inflight map[Key]*Job // queued or running, by content key
 	draining bool
 	seq      uint64
@@ -148,6 +162,11 @@ type Server struct {
 
 	journal      *journal.Journal
 	closeJournal sync.Once
+
+	// drained is closed when Shutdown returns, releasing every pending
+	// status wait.
+	drained  chan struct{}
+	endDrain sync.Once
 
 	simulations atomic.Uint64
 	started     time.Time
@@ -178,6 +197,7 @@ func New(cfg Config) (*Server, error) {
 		jobs:       map[string]*Job{},
 		inflight:   map[Key]*Job{},
 		queue:      make(chan *Job, cfg.QueueDepth),
+		drained:    make(chan struct{}),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		started:    time.Now().UTC(),
@@ -336,12 +356,20 @@ func (s *Server) logReplaySkip(id string, err error) {
 
 // journalAppend persists one record when the journal is enabled. Append
 // errors degrade durability, never availability: they are counted and
-// logged, and the job proceeds.
+// logged, and the job proceeds. Checkpoint records are written behind:
+// the campaign does not wait for their fsync, because a checkpoint lost
+// to a power failure costs only recomputation, never bytes. Every other
+// record waits for its group commit, which also covers the checkpoints
+// written before it.
 func (s *Server) journalAppend(rec journal.Record) {
 	if s.journal == nil {
 		return
 	}
-	if err := s.journal.Append(rec); err != nil {
+	write := s.journal.Append
+	if rec.Op == journal.OpCheckpoint {
+		write = s.journal.AppendBehind
+	}
+	if err := write(rec); err != nil {
 		if errors.Is(err, journal.ErrClosed) {
 			return // shutdown race: the drain already closed the file
 		}
@@ -444,6 +472,7 @@ func (s *Server) SubmitTraced(spec *JobSpec, parent tracing.SpanContext) (job *J
 		admit(root.Context(), "cache_hit")
 		j.finish(StateDone, data, "", true)
 		s.jobs[id] = j
+		s.retireLocked(j)
 		s.mu.Unlock()
 		s.metrics.observeFinished(spec.Kind, StateDone, 0)
 		s.logJob(j, "job served from cache", slog.Int("bytes", len(data)))
@@ -532,6 +561,17 @@ func (s *Server) cancelQueued(j *Job) {
 		s.conclude(j, nil, 0, StateCanceled, nil, context.Canceled.Error(), false)
 	}
 	s.forgetInflight(j)
+}
+
+// retireLocked files a terminal job as the newest finished one and drops
+// the oldest finished job from the table once more than maxFinishedJobs
+// are kept. s.mu must be held.
+func (s *Server) retireLocked(j *Job) {
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > maxFinishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 }
 
 // forgetInflight drops the job from the dedup index once it can no longer
@@ -701,7 +741,8 @@ func retryDelay(key Key, attempt int, base time.Duration) time.Duration {
 // conclude is the one terminal transition of a job: it closes the
 // attempt span (nil when no attempt ran) with its outcome, caches done
 // bytes, journals the terminal record, finishes the job, drops it from
-// the dedup index, counts it and logs it. Only a job a worker computed
+// the dedup index, files it among the finished jobs, counts it and logs
+// it. Only a job a worker computed
 // samples sinet_campaign_seconds, over its final attempt's pickup to
 // terminal state. A job cancelQueued concludes is already finished by
 // requestCancel's claim; finish is idempotent.
@@ -726,6 +767,9 @@ func (s *Server) conclude(j *Job, att *tracing.Span, attempt int, state State, d
 	s.journalAppend(rec)
 	j.finish(state, data, msg, cached)
 	s.forgetInflight(j)
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
 	var seconds float64
 	if !cached {
 		seconds = j.runtime().Seconds()
@@ -804,9 +848,10 @@ func (s *Server) enqueueRetry(j *Job) bool {
 // backoff) is canceled, running campaigns have their contexts cancelled so
 // they unwind with context.Canceled, and the workers are awaited up to
 // ctx's deadline. On a clean drain the journal is synced and closed.
-// Shutdown is idempotent: a second call re-waits for the workers and
-// returns cleanly.
+// When it returns, every pending status wait returns too. Shutdown is
+// idempotent: a second call re-waits for the workers and returns cleanly.
 func (s *Server) Shutdown(ctx context.Context) error {
+	defer s.endDrain.Do(func() { close(s.drained) })
 	s.mu.Lock()
 	first := !s.draining
 	s.draining = true
@@ -899,6 +944,7 @@ func (s *Server) Stats() Stats {
 //
 //	POST   /v1/jobs             submit a JobSpec        → 202 JobView (+deduped)
 //	GET    /v1/jobs/{id}        job status              → 200 JobView
+//	                            (?wait=<duration>: once terminal, or after the wait)
 //	GET    /v1/jobs/{id}/result terminal result bytes   → 200 raw JSON
 //	DELETE /v1/jobs/{id}        cancel                  → 202 JobView
 //	GET    /v1/jobs/{id}/events SSE progress stream     → text/event-stream
@@ -1043,11 +1089,35 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, SubmitResponse{JobView: job.View(), Deduped: deduped})
 }
 
+// handleStatus answers a job's view. With ?wait=<duration> it is a long
+// poll: it answers as soon as the job is terminal, at once if it already
+// is, and otherwise once the wait (capped at maxStatusWait) elapses, the
+// request ends or the server's drain ends, whichever comes first. A
+// cluster coordinator learns a shard's completion this way.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	var wait time.Duration
+	if q := r.URL.Query(); q.Has("wait") {
+		d, err := time.ParseDuration(q.Get("wait"))
+		if err != nil || d < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("wait must be a non-negative duration, got %q", q.Get("wait")))
+			return
+		}
+		wait = min(d, maxStatusWait)
+	}
 	job, ok := s.Job(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusNotFound, errors.New("unknown job"))
 		return
+	}
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		select {
+		case <-job.Done():
+		case <-timer.C:
+		case <-r.Context().Done():
+		case <-s.drained:
+		}
+		timer.Stop()
 	}
 	writeJSON(w, http.StatusOK, job.View())
 }
