@@ -42,12 +42,14 @@ bench:
 
 # bench-smoke runs one iteration of the pass-prediction benches, the 1k
 # mega-constellation sweep, the zero-alloc ephemeris query benches, the
-# ground-segment downlink sweep, the smallest topology-build case and the
-# journal's durable and write-behind appends as a compile-and-run check;
-# real measurements use `go test -bench . -benchtime 5s`.
+# ground-segment downlink sweep, the smallest topology-build case, the
+# journal's durable and write-behind appends, the event engine and the
+# earliest-delivery search as a compile-and-run check; real measurements
+# use `go test -bench . -benchtime 5s`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
+	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$|BenchmarkDeliverySearch$$' -benchtime 1x -benchmem ./internal/sim/ ./internal/netgraph/
 
 # fuzz-smoke briefly exercises each fuzz target; the committed corpora under
 # testdata/fuzz/ already run as regression cases in plain `make test`.

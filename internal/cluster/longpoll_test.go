@@ -177,11 +177,16 @@ func TestClusterDrainCancelsPendingPolls(t *testing.T) {
 // the coordinator's HTTP server.
 func TestClusterDrainReleasesProxiedWait(t *testing.T) {
 	log := newWorkerLog()
+	started := make(chan struct{}, 1)
 	tc := startCluster(t, workerOpts{
 		n:    2,
 		wrap: log.wrap,
 		runner: func(int) service.RunnerFunc {
 			return func(ctx context.Context, _ *service.JobSpec, _ service.RunContext) (any, error) {
+				select {
+				case started <- struct{}{}:
+				default: // only the first start is waited for
+				}
 				<-ctx.Done() // the job runs until its worker drains
 				return nil, ctx.Err()
 			}
@@ -205,6 +210,9 @@ func TestClusterDrainReleasesProxiedWait(t *testing.T) {
 	if polled := <-log.polls; polled != id {
 		t.Fatalf("the worker was long-polled for %s, want %s", polled, id)
 	}
+	// The drain's re-ask must find the job running: wait for a worker to
+	// have picked it up.
+	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := tc.coord.Shutdown(ctx); err != nil {

@@ -210,7 +210,8 @@ type ActiveResult struct {
 // work unit. It holds only pure serializable values so completed units
 // checkpoint and restore byte-exactly; the gateway and fault schedule
 // objects that accompany it at simulation time are rebuilt after the
-// fan-out.
+// fan-out. A plan is read-only once computed: the memo shares one plan
+// among every run that hits it.
 type satPlan struct {
 	// Beacons holds the satellite's beacon instants, one slice per
 	// plantation pass.
@@ -219,6 +220,57 @@ type satPlan struct {
 	Wake []orbit.Window `json:"wake,omitempty"`
 	// Drains are the booked downlink drain sessions.
 	Drains []time.Time `json:"drains,omitempty"`
+
+	// flat is every beacon instant in pass order: the one array the
+	// passes of Beacons are sliced from. It is nil on a plan decoded
+	// from a checkpoint, whose passes each have their own array.
+	flat []time.Time
+}
+
+// beacons returns every beacon instant of p in pass order.
+func (p *satPlan) beacons() []time.Time {
+	if p.flat != nil {
+		return p.flat
+	}
+	var all []time.Time
+	for _, bts := range p.Beacons {
+		all = append(all, bts...)
+	}
+	return all
+}
+
+// planBeacons fills p's beacons for passes, slicing every pass from one
+// array sized for the most beacons the passes can hold. A pass without
+// beacons keeps a nil slice, so the plan marshals as per-pass slices did.
+func planBeacons(p *satPlan, gw *satellite.Gateway, passes []orbit.Pass) {
+	if len(passes) == 0 {
+		return
+	}
+	n := 0
+	for _, pass := range passes {
+		if gw.BeaconInterval > 0 {
+			n += int(pass.LOS.Sub(pass.AOS)/gw.BeaconInterval) + 1
+		}
+	}
+	p.flat = make([]time.Time, 0, n)
+	p.Beacons = make([][]time.Time, len(passes))
+	for k, pass := range passes {
+		lo := len(p.flat)
+		p.flat = gw.AppendBeaconTimes(p.flat, pass.AOS, pass.LOS)
+		if hi := len(p.flat); hi > lo {
+			p.Beacons[k] = p.flat[lo:hi:hi]
+		}
+	}
+}
+
+// attempt is one node's uplink in a beacon round.
+type attempt struct {
+	n       *node.Node
+	site    orbit.Observer
+	reading *node.Reading
+	out     *PacketOutcome
+	tx      mac.Transmission
+	decoded bool
 }
 
 // activeRunner holds the mutable state of one active campaign execution.
@@ -233,9 +285,7 @@ type activeRunner struct {
 	observers []orbit.Observer
 	outcomes  map[string]map[uint64]*PacketOutcome
 
-	gateways map[int]*satellite.Gateway
-	// drains maps satellite → sorted scheduled drain times.
-	drains map[int][]time.Time
+	gateways []*satellite.Gateway
 	// downLink / upLink / ackLink per node index keyed by node.
 	beaconLinks map[string]*radio.Link
 	upLinks     map[string]*radio.Link
@@ -245,12 +295,14 @@ type activeRunner struct {
 	jitter        *sim.RNG
 	beaconPayload int
 	drainDuration time.Duration
-	// satOutages holds each satellite's beacon-blackout schedule under
-	// fault injection (empty map when faults are off).
-	satOutages map[int]fault.Schedule
 	// wakeWindows are the predicted pass windows the schedule-aware node
 	// wakes for (empty when the optimization is off).
 	wakeWindows []orbit.Window
+
+	// Scratch of one beacon round, reused across rounds.
+	attempts  []attempt
+	txs       []mac.Transmission
+	surviving []bool
 
 	res *ActiveResult
 }
@@ -281,14 +333,11 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		engine:      sim.NewEngine(cfg.Start),
 		end:         end,
 		outcomes:    map[string]map[uint64]*PacketOutcome{},
-		gateways:    map[int]*satellite.Gateway{},
-		drains:      map[int][]time.Time{},
 		beaconLinks: map[string]*radio.Link{},
 		upLinks:     map[string]*radio.Link{},
 		ackLinks:    map[string]*radio.Link{},
 		delivery:    backhaul.NewDeliveryModel(sim.NewRNG(cfg.Seed, "active/delivery")),
 		jitter:      sim.NewRNG(cfg.Seed, "active/jitter"),
-		satOutages:  map[int]fault.Schedule{},
 		res:         &ActiveResult{Config: cfg, Meters: map[string]*energy.Meter{}},
 	}
 	if cfg.Weather != nil {
@@ -394,10 +443,12 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	// beacon/wake/drain times and recomputes only the rest. Gateways and
 	// fault schedules rebuild serially below — both are cheap and
 	// deterministic (named RNG streams), only the searches are expensive.
-	// The same restore serves the memo: a plan reads the grid, the site,
-	// the span, the beacon interval and the schedule-aware mask — and,
-	// with drain faults on, the seed, so only a fault-free plan is keyed.
-	planRC, filePlans := cfg.RunContext, func() {}
+	// The memo restores plans too, as values: a plan reads the grid, the
+	// site, the span, the beacon interval and the schedule-aware mask —
+	// and, with drain faults on, the seed, so only a fault-free plan is
+	// keyed.
+	plans := make([]satPlan, len(props))
+	planRC, held, filePlans := cfg.RunContext, []bool(nil), func() {}
 	if cfg.Memo != nil && !drainFaults {
 		k := newKeyInputs(kindPlan)
 		k.grid(props, cfg.Start, horizon, ephCfg)
@@ -408,11 +459,10 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		k.int(int64(cons.BeaconInterval))
 		k.float(cfg.ScheduleAwareMinElevationRad)
 		if key, ok := k.sum(); ok {
-			planRC, filePlans = cfg.Memo.restoring(cfg.RunContext, key, "plan", len(props))
+			planRC, held, filePlans = cfg.Memo.restorePlans(cfg.RunContext, key, plans)
 		}
 	}
-	plans := make([]satPlan, len(props))
-	if err := forEachCheckpointed(ctx, planRC, "plan", plans, func(i int) (satPlan, error) {
+	if err := forEachCheckpointed(ctx, planRC, "plan", plans, held, func(i int) (satPlan, error) {
 		if err := ctx.Err(); err != nil {
 			return satPlan{}, err
 		}
@@ -434,9 +484,7 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 			passes = kept
 			plan.Wake = orbit.MergeWindows(passes)
 		}
-		for _, pass := range passes {
-			plan.Beacons = append(plan.Beacons, gw.BeaconTimes(pass.AOS, pass.LOS))
-		}
+		planBeacons(&plan, gw, passes)
 		var windows []orbit.Window
 		if drainFaults {
 			windows = segment.DownlinkWindowsUp(eph, cfg.Start, horizon, time.Minute, func(station int, at time.Time) bool {
@@ -461,29 +509,26 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		// simulates.
 		return r.res, nil
 	}
+	// Each satellite is two event series, its beacons and its drains, in
+	// the order a Schedule call per instant would take: the engine queues
+	// one entry per series, not one per beacon.
 	for i := range plans {
 		gw := satellite.NewGateway(grid.Sat(i), cons.BeaconInterval, cfg.SatBufferCapacity)
-		r.gateways[gw.NoradID] = gw
+		r.gateways = append(r.gateways, gw)
+		var outage fault.Schedule
 		if satFaults {
-			r.satOutages[gw.NoradID] = cfg.Faults.SatSchedule(cfg.Seed, gw.NoradID, cfg.Start, end)
+			outage = cfg.Faults.SatSchedule(cfg.Seed, gw.NoradID, cfg.Start, end)
 		}
 		r.wakeWindows = append(r.wakeWindows, plans[i].Wake...)
-		for _, bts := range plans[i].Beacons {
-			for _, bt := range bts {
-				bt := bt
-				gwID := gw.NoradID
-				if err := r.engine.Schedule(bt, func(*sim.Engine) { r.onBeacon(gwID, bt) }); err != nil {
-					return nil, err
-				}
-			}
+		if err := r.engine.ScheduleEach(plans[i].beacons(), func(_ *sim.Engine, at time.Time) {
+			r.onBeacon(gw, outage, at)
+		}); err != nil {
+			return nil, err
 		}
-		r.drains[gw.NoradID] = plans[i].Drains
-		for _, dt := range plans[i].Drains {
-			dt := dt
-			gwID := gw.NoradID
-			if err := r.engine.Schedule(dt, func(*sim.Engine) { r.onDrain(gwID, dt) }); err != nil {
-				return nil, err
-			}
+		if err := r.engine.ScheduleEach(plans[i].Drains, func(_ *sim.Engine, at time.Time) {
+			r.onDrain(gw, at)
+		}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -495,17 +540,18 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		}
 		r.wakeWindows = orbit.MergeWindows(passes)
 		// Put schedule-aware nodes back to sleep at each window end.
-		for _, w := range r.wakeWindows {
-			wEnd := w.End
-			if err := r.engine.Schedule(wEnd, func(*sim.Engine) {
-				for _, n := range r.nodes {
-					if n.Meter.Mode() == energy.Rx {
-						n.Meter.Transition(energy.Sleep, wEnd)
-					}
+		ends := make([]time.Time, len(r.wakeWindows))
+		for i, w := range r.wakeWindows {
+			ends[i] = w.End
+		}
+		if err := r.engine.ScheduleEach(ends, func(_ *sim.Engine, wEnd time.Time) {
+			for _, n := range r.nodes {
+				if n.Meter.Mode() == energy.Rx {
+					n.Meter.Transition(energy.Sleep, wEnd)
 				}
-			}); err != nil {
-				return nil, err
 			}
+		}); err != nil {
+			return nil, err
 		}
 	}
 
@@ -587,26 +633,16 @@ func (r *activeRunner) onSense(n *node.Node, at time.Time) {
 	}
 }
 
-// onBeacon handles one satellite beacon instant.
-func (r *activeRunner) onBeacon(gwID int, at time.Time) {
-	if sched, ok := r.satOutages[gwID]; ok && sched.Down(at) {
+// onBeacon handles one beacon instant of gw, whose blackouts are outage.
+func (r *activeRunner) onBeacon(gw *satellite.Gateway, outage fault.Schedule, at time.Time) {
+	if outage.Down(at) {
 		// Blacked-out satellite: no beacon goes out, so no node is granted
 		// the channel and the retransmission policy just keeps the packet
 		// queued for the next audible beacon.
 		return
 	}
-	gw := r.gateways[gwID]
 	w := r.weather.At(at)
-
-	type attempt struct {
-		n       *node.Node
-		site    orbit.Observer
-		reading *node.Reading
-		out     *PacketOutcome
-		tx      mac.Transmission
-		decoded bool
-	}
-	var attempts []attempt
+	attempts := r.attempts[:0]
 
 	scheduleAware := r.cfg.ScheduleAwareMinElevationRad > 0
 	for ni, n := range r.nodes {
@@ -660,7 +696,7 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 		attempts = append(attempts, attempt{
 			n: n, site: r.observers[ni], reading: reading, out: out,
 			tx: mac.Transmission{
-				Frame: mac.Frame{Type: mac.FrameDataUp, SatNoradID: gwID, NodeID: n.ID, SeqID: reading.SeqID, PayloadBytes: reading.PayloadBytes, Attempt: reading.Attempts - 1},
+				Frame: mac.Frame{Type: mac.FrameDataUp, SatNoradID: gw.NoradID, NodeID: n.ID, SeqID: reading.SeqID, PayloadBytes: reading.PayloadBytes, Attempt: reading.Attempts - 1},
 				Start: start, End: start.Add(airtime), SNRDB: up.SNRDB,
 			},
 			decoded: up.Decoded,
@@ -669,16 +705,19 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 		n.Meter.Transition(energy.Tx, start)
 		n.Meter.Transition(energy.Rx, start.Add(airtime))
 	}
+	r.attempts = attempts
 	if len(attempts) == 0 {
 		return
 	}
 
 	// Collision resolution across this beacon round.
-	txs := make([]mac.Transmission, len(attempts))
-	for i, a := range attempts {
-		txs[i] = a.tx
+	txs := r.txs[:0]
+	for _, a := range attempts {
+		txs = append(txs, a.tx)
 	}
-	surviving := map[int]bool{}
+	r.txs = txs
+	surviving := append(r.surviving[:0], make([]bool, len(attempts))...)
+	r.surviving = surviving
 	for _, idx := range r.cfg.Collisions.Survivors(txs) {
 		surviving[idx] = true
 	}
@@ -740,9 +779,8 @@ func (r *activeRunner) onBeacon(gwID int, at time.Time) {
 	}
 }
 
-// onDrain flushes a satellite's buffer at a scheduled downlink session.
-func (r *activeRunner) onDrain(gwID int, at time.Time) {
-	gw := r.gateways[gwID]
+// onDrain flushes gw's buffer at a scheduled downlink session.
+func (r *activeRunner) onDrain(gw *satellite.Gateway, at time.Time) {
 	for _, p := range gw.Buffer.Flush() {
 		out := r.outcomes[p.NodeID][p.SeqID]
 		if out == nil || !out.ServerAt.IsZero() {

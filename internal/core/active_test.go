@@ -1,12 +1,18 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
 	"github.com/sinet-io/sinet/internal/channel"
+	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/energy"
 	"github.com/sinet-io/sinet/internal/mac"
+	"github.com/sinet-io/sinet/internal/orbit"
+	"github.com/sinet-io/sinet/internal/satellite"
 )
 
 // cachedActive memoizes a 3-day default active run shared across tests.
@@ -324,6 +330,50 @@ func TestTerrestrialDeterministic(t *testing.T) {
 	for i := range a.Packets {
 		if a.Packets[i] != b.Packets[i] {
 			t.Fatalf("terrestrial packet %d differs", i)
+		}
+	}
+}
+
+// TestPlanBeaconsMarshalAsPerPassSlices: slicing every pass from one
+// array changes no unit byte. A plan marshals as it did with one
+// BeaconTimes slice per pass, empty passes and a zero beacon interval
+// included, and its flat series holds the passes' beacons in order.
+func TestPlanBeaconsMarshalAsPerPassSlices(t *testing.T) {
+	start := time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
+	props, err := constellation.Tianqi(start).Propagators()
+	if err != nil {
+		t.Fatal(err)
+	}
+	passes := []orbit.Pass{
+		{AOS: start.Add(time.Hour), LOS: start.Add(time.Hour + 10*time.Minute)},
+		{AOS: start.Add(2 * time.Hour), LOS: start.Add(2 * time.Hour)},
+		{AOS: start.Add(3*time.Hour + 7*time.Second), LOS: start.Add(3*time.Hour + 3*time.Minute)},
+	}
+	for _, interval := range []time.Duration{20 * time.Second, 0} {
+		gw := satellite.NewGateway(props[0], interval, 0)
+		var want satPlan
+		var flat []time.Time
+		for _, pass := range passes {
+			bts := gw.BeaconTimes(pass.AOS, pass.LOS)
+			want.Beacons = append(want.Beacons, bts)
+			flat = append(flat, bts...)
+		}
+		var got satPlan
+		planBeacons(&got, gw, passes)
+		wantJSON, _ := json.Marshal(want)
+		gotJSON, _ := json.Marshal(got)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("interval %v: plan marshals as\n%s\nwant\n%s", interval, gotJSON, wantJSON)
+		}
+		if !slices.EqualFunc(got.beacons(), flat, time.Time.Equal) {
+			t.Fatalf("interval %v: flat beacons %v, want %v", interval, got.beacons(), flat)
+		}
+		var decoded satPlan
+		if err := json.Unmarshal(gotJSON, &decoded); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(decoded.beacons(), flat, time.Time.Equal) {
+			t.Fatalf("interval %v: a decoded plan's beacons %v, want %v", interval, decoded.beacons(), flat)
 		}
 	}
 }

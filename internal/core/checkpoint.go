@@ -142,17 +142,18 @@ func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
 
 // forEachCheckpointed runs one checkpointable phase as one sim.Phase over
 // the units it does not restore: out's length is the unit count, fn(i)
-// computes unit i. Units present in rc.Resume are restored by JSON decode
-// instead of recomputed; newly computed units are serialized and handed
-// to rc.Checkpoint, each before its progress report. Progress spans the
-// whole phase (restored
+// computes unit i. held (nil for none) marks the slots of out the caller
+// already filled from the memo; they count as restored. Other units
+// present in rc.Resume are restored by JSON decode instead of recomputed;
+// newly computed units are serialized and handed to rc.Checkpoint, each
+// before its progress report. Progress spans the whole phase (restored
 // units count as already complete), preserving the strictly-increasing
 // contract. A non-nil rc.Shard narrows the phase to its window: only
 // in-window units restore or compute (saves still report the full phase
 // size, so shard snapshots fold directly into a full-phase resume point),
 // and progress totals cover the window. The phase span is annotated with
 // the restored/computed unit counts and, when sharded, the window.
-func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, fn func(i int) (T, error)) error {
+func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, held []bool, fn func(i int) (T, error)) error {
 	n := len(out)
 	shard, progress, save := rc.Shard, rc.Progress, rc.Checkpoint
 	if err := shard.validate(n); err != nil {
@@ -164,9 +165,15 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 	}
 	restored := make([]bool, n)
 	nRestored := 0
+	for i, ok := range held {
+		if ok {
+			restored[i] = true
+			nRestored++
+		}
+	}
 	if ps := rc.Resume.snapshot(phase, n); ps != nil {
 		for idx, raw := range ps.Units {
-			if idx < 0 || idx >= n || !shard.contains(idx) {
+			if idx < 0 || idx >= n || restored[idx] || !shard.contains(idx) {
 				continue
 			}
 			var v T

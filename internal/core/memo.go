@@ -3,7 +3,6 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"sync"
 	"time"
@@ -16,14 +15,14 @@ import (
 // Memo holds the seed-independent geometry of finished campaign phases
 // for later runs to reuse: propagated ephemeris grids, and the active
 // campaign's plan units. Each entry is keyed by a hash of exactly the
-// inputs it was computed from, so a hit returns the grid, or the unit
-// bytes, a recomputation would produce, and results stay byte-identical
+// inputs it was computed from, so a hit returns the grid, or the plan
+// values, a recomputation would produce, and results stay byte-identical
 // by construction. Entries are immutable and evicted least-recently-used
 // against a byte budget. A Memo is safe for concurrent use; a nil *Memo
 // holds nothing and every campaign computes as it would without one.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, or a plan's units by index
+	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid or *planEntry
 
 	hits, misses [2]*obs.Counter // by memoKind
 	evictions    *obs.Counter
@@ -158,63 +157,79 @@ func gridKey(props []*orbit.Propagator, start, end time.Time, cfg orbit.Ephemeri
 	return k.sum()
 }
 
-// restoring returns the RunContext a checkpointable phase of n units runs
-// under to reuse the units the memo holds under k, and the func that
-// files the phase's units once it returned nil. The context's Resume is
-// rc's own resume point plus the memo's units, so a memo unit restores
-// through the resume path: byte-exact by the resume contract, and shown
-// as a restored unit in progress and in the phase span. rc's own unit
-// wins an overlap, so a corrupt one is still recomputed. The context's
-// Checkpoint also collects each computed unit: a phase that computed any
-// files the memo's units plus its own as a new entry, since entries are
-// immutable. Memo units are not checkpointed, like any restored unit,
-// except in a shard run, whose units are its result: there the memo
-// units in the window that rc's resume point lacks go to rc.Checkpoint,
-// in index order, before the phase runs.
-func (m *Memo) restoring(rc RunContext, k memoKey, phase string, n int) (RunContext, func()) {
-	if m == nil {
-		return rc, func() {}
+// planEntry is a memoized active plan phase: the value of each unit a
+// run computed or reused, with the checkpoint bytes it marshals to. raw[i]
+// is nil for a unit the entry lacks. An entry is read-only once filed:
+// every run that hits it shares its values.
+type planEntry struct {
+	plans []satPlan
+	raw   [][]byte
+}
+
+// bytes approximates the memory e holds: its checkpoint bytes plus the
+// times of its values.
+func (e *planEntry) bytes() int64 {
+	const timeSize = 24 // bytes of one time.Time
+	var n int64
+	for i, raw := range e.raw {
+		if raw == nil {
+			continue
+		}
+		p := &e.plans[i]
+		n += int64(len(raw)) + timeSize*int64(len(p.flat)+len(p.Drains)+2*len(p.Wake))
 	}
-	var held, own map[int]json.RawMessage
+	return n
+}
+
+// restorePlans prepares the active plan phase over plans to reuse the
+// units the memo holds under k. Each held unit in rc's shard window goes
+// straight into its slot, and the returned mask marks those slots for
+// forEachCheckpointed to count as restored: progress and the phase span
+// show them as restored units, and a hit decodes no JSON. A unit rc's
+// resume point also holds restores from the memo. Held units are not
+// checkpointed, like any restored unit, except in a shard run, whose units
+// are its result: there the held bytes of the window's units that rc's
+// resume point lacks go to rc.Checkpoint, in index order, before the phase
+// runs. The returned context's Checkpoint also collects each computed
+// unit's bytes, and the returned func, called once the phase returned nil,
+// files the held units plus the computed ones as a new entry, since
+// entries are immutable.
+func (m *Memo) restorePlans(rc RunContext, k memoKey, plans []satPlan) (RunContext, []bool, func()) {
+	n := len(plans)
+	entry := &planEntry{plans: make([]satPlan, n), raw: make([][]byte, n)}
+	held := make([]bool, n)
 	if v, ok := m.get(k, kindPlan); ok {
-		held = v.(map[int]json.RawMessage)
-	}
-	if ps := rc.Resume.snapshot(phase, n); ps != nil {
-		own = ps.Units
-	}
-	restore := make(map[int]json.RawMessage, n)
-	units := make(map[int]json.RawMessage, n)
-	for i, raw := range held {
-		restore[i], units[i] = raw, raw
-	}
-	for i, raw := range own {
-		restore[i] = raw
-	}
-	if rc.Shard != nil && rc.Checkpoint != nil {
-		for i := rc.Shard.Lo; i < rc.Shard.Hi; i++ {
-			if raw, ok := held[i]; ok && own[i] == nil {
-				rc.Checkpoint(phase, i, n, raw)
+		old := v.(*planEntry)
+		copy(entry.plans, old.plans)
+		copy(entry.raw, old.raw)
+		own := rc.Resume.snapshot("plan", n)
+		for i, raw := range old.raw {
+			if raw == nil || !rc.Shard.contains(i) {
+				continue
+			}
+			plans[i], held[i] = old.plans[i], true
+			if rc.Shard != nil && rc.Checkpoint != nil && (own == nil || own.Units[i] == nil) {
+				rc.Checkpoint("plan", i, n, raw)
 			}
 		}
 	}
-	computed := false
+	computed := make([]bool, n)
 	out := rc
-	out.Resume = &Checkpoint{Phases: map[string]*PhaseSnapshot{phase: {Total: n, Units: restore}}}
 	out.Checkpoint = func(phase string, index, total int, unit []byte) {
-		units[index] = unit
-		computed = true
+		entry.raw[index], computed[index] = unit, true
 		if rc.Checkpoint != nil {
 			rc.Checkpoint(phase, index, total, unit)
 		}
 	}
-	return out, func() {
-		if !computed {
-			return
+	return out, held, func() {
+		filed := false
+		for i, c := range computed {
+			if c {
+				entry.plans[i], filed = plans[i], true
+			}
 		}
-		var size int64
-		for _, raw := range units {
-			size += int64(len(raw))
+		if filed {
+			m.put(k, entry, entry.bytes())
 		}
-		m.put(k, units, size)
 	}
 }

@@ -230,3 +230,57 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatalf("evictions = %d, want at least 1", n)
 	}
 }
+
+// TestMemoPlanHitRestoresTheComputedValues: a plan hit puts the values
+// the miss computed into their slots, shared, not copied or decoded, and
+// marks them held; a unit the entry lacks stays to compute.
+func TestMemoPlanHitRestoresTheComputedValues(t *testing.T) {
+	m := NewMemo(64<<20, nil)
+	k := memoKey{1}
+	plans := make([]satPlan, 2)
+	rc, held, file := m.restorePlans(RunContext{}, k, plans)
+	if held[0] || held[1] {
+		t.Fatal("a cold memo holds plan units")
+	}
+	plans[0] = satPlan{Drains: []time.Time{memoStart}}
+	rc.Checkpoint("plan", 0, 2, []byte(`{"drains":["2025-03-01T00:00:00Z"]}`))
+	file()
+
+	again := make([]satPlan, 2)
+	_, held, _ = m.restorePlans(RunContext{}, k, again)
+	if !held[0] || held[1] {
+		t.Fatalf("held = %v, want only the computed unit 0", held)
+	}
+	if &again[0].Drains[0] != &plans[0].Drains[0] {
+		t.Fatal("a hit restored a copy, not the values the miss computed")
+	}
+}
+
+// TestMemoPlanHitIsARestoredUnit: an active campaign hitting its plan in
+// the memo reports every plan unit restored up front and hands none to
+// Checkpoint, as a resumed run would.
+func TestMemoPlanHitIsARestoredUnit(t *testing.T) {
+	m := NewMemo(64<<20, nil)
+	run := func() (first [2]int, saved int) {
+		cfg := ActiveConfig{Seed: 1, Start: memoStart, Days: 1, Constellation: ptr(constellation.FOSSA(memoStart))}
+		cfg.Memo = m
+		cfg.Progress = func(phase string, completed, total int) {
+			if phase == "plan" && first[1] == 0 {
+				first = [2]int{completed, total}
+			}
+		}
+		cfg.Checkpoint = func(string, int, int, []byte) { saved++ }
+		if _, err := RunActiveCtx(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return first, saved
+	}
+	miss, missSaved := run()
+	if miss[0] != 1 || missSaved != miss[1] {
+		t.Fatalf("miss: first plan report %v and %d saved units, want 1 of n and n saved", miss, missSaved)
+	}
+	hit, hitSaved := run()
+	if hit[0] != hit[1] || hitSaved != 0 {
+		t.Fatalf("hit: first plan report %v and %d saved units, want n of n and none saved", hit, hitSaved)
+	}
+}

@@ -279,7 +279,7 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	wantRelay := cfg.Policy == PolicyRelay || cfg.Policy == PolicyCompare
 	perSat := make([][]RoutedPacket, len(props))
 	nSats := len(props)
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "packets", perSat, func(i int) ([]RoutedPacket, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "packets", perSat, nil, func(i int) ([]RoutedPacket, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -312,7 +312,8 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 					p.RelayHops = d.Hops()
 					p.RelayISLHops = d.ISLHops(graph)
 					p.RelayStation = d.Station
-					p.RelayPath = []int{norad}
+					p.RelayPath = make([]int, 1, 1+len(d.Path))
+					p.RelayPath[0] = norad
 					for _, h := range d.Path {
 						if !graph.IsStation(int(h.To)) {
 							p.RelayPath = append(p.RelayPath, graph.NoradID(int(h.To)))

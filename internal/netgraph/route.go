@@ -1,7 +1,6 @@
 package netgraph
 
 import (
-	"container/heap"
 	"math"
 	"time"
 )
@@ -12,23 +11,61 @@ type heapItem struct {
 	cost float64
 }
 
+// before orders items by (cost, node): the node breaks ties
+// deterministically.
+func (a heapItem) before(b heapItem) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	return a.node < b.node
+}
+
+// minHeap is a binary min-heap of values: pushing and popping never box an
+// item, so a search allocates nothing per queue operation.
 type minHeap []heapItem
 
-func (h minHeap) Len() int { return len(h) }
-func (h minHeap) Less(i, j int) bool {
-	if h[i].cost != h[j].cost {
-		return h[i].cost < h[j].cost
+func (h *minHeap) push(x heapItem) {
+	*h = append(*h, x)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].node < h[j].node // deterministic tie-break
+	q[i] = x
 }
-func (h minHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *minHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *minHeap) pop() heapItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = x
+	return top
 }
 
 // Hop is one edge traversal of a delivered path, tagged with the snapshot
@@ -143,14 +180,14 @@ func (s *DeliverySearch) Earliest(sat int, origin time.Time) (Delivery, bool) {
 				if dep < tk {
 					dep = tk
 				}
-				heap.Push(&s.pq, heapItem{node: v, cost: dep})
+				s.pq.push(heapItem{node: v, cost: dep})
 			}
 		}
-		if s.pq.Len() > 0 {
+		if len(s.pq) > 0 {
 			observeRoute()
 		}
-		for s.pq.Len() > 0 {
-			it := heap.Pop(&s.pq).(heapItem)
+		for len(s.pq) > 0 {
+			it := s.pq.pop()
 			v := int(it.node)
 			if s.settled[v] {
 				continue
@@ -173,7 +210,7 @@ func (s *DeliverySearch) Earliest(sat int, origin time.Time) (Delivery, bool) {
 					s.arrival[u] = c
 					s.prevNode[u] = int32(v)
 					s.prevSnap[u] = int32(k)
-					heap.Push(&s.pq, heapItem{node: snap.nbr[e], cost: c})
+					s.pq.push(heapItem{node: snap.nbr[e], cost: c})
 				}
 			}
 		}
@@ -185,12 +222,16 @@ func (s *DeliverySearch) Earliest(sat int, origin time.Time) (Delivery, bool) {
 		At:      g.start.Add(time.Duration(best * float64(time.Second))),
 		Station: g.Station(bestNode),
 	}
+	// Walk back from the station twice: once to size the path, once to
+	// fill it origin first.
+	hops := 0
 	for v := int32(bestNode); s.prevNode[v] >= 0; v = s.prevNode[v] {
-		d.Path = append(d.Path, Hop{From: s.prevNode[v], To: v, Snapshot: s.prevSnap[v]})
+		hops++
 	}
-	// Reverse into origin-first order.
-	for i, j := 0, len(d.Path)-1; i < j; i, j = i+1, j-1 {
-		d.Path[i], d.Path[j] = d.Path[j], d.Path[i]
+	d.Path = make([]Hop, hops)
+	for v := int32(bestNode); s.prevNode[v] >= 0; v = s.prevNode[v] {
+		hops--
+		d.Path[hops] = Hop{From: s.prevNode[v], To: v, Snapshot: s.prevSnap[v]}
 	}
 	return d, true
 }

@@ -135,16 +135,19 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// runtime returns the wall time from worker pickup to terminal state
-// (zero while running, and for jobs that never ran: cache hits,
-// canceled-while-queued).
-func (j *Job) runtime() time.Duration {
+// runtime returns the wall time from worker pickup to the terminal
+// state, or to end while the job has none (zero for jobs that never ran:
+// cache hits, canceled-while-queued).
+func (j *Job) runtime(end time.Time) time.Duration {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.started.IsZero() || j.finished.IsZero() {
+	if !j.finished.IsZero() {
+		end = j.finished
+	}
+	if j.started.IsZero() {
 		return 0
 	}
-	return j.finished.Sub(j.started)
+	return end.Sub(j.started)
 }
 
 // Result returns the serialized result and whether the job is done.
@@ -379,7 +382,7 @@ func (j *Job) requestCancel() bool {
 	defer j.mu.Unlock()
 	switch {
 	case j.state == StateQueued:
-		j.finishLocked(StateCanceled, nil, context.Canceled.Error(), false)
+		j.finishLocked(StateCanceled, nil, context.Canceled.Error(), false, time.Now().UTC())
 		return true
 	case j.state == StateRunning:
 		j.cancelRequested = true
@@ -397,14 +400,14 @@ func (j *Job) CancelRequested() bool {
 	return j.cancelRequested
 }
 
-// finish moves the job to a terminal state.
-func (j *Job) finish(state State, result []byte, errText string, cached bool) {
+// finish moves the job to a terminal state reached at at.
+func (j *Job) finish(state State, result []byte, errText string, cached bool, at time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finishLocked(state, result, errText, cached)
+	j.finishLocked(state, result, errText, cached, at)
 }
 
-func (j *Job) finishLocked(state State, result []byte, errText string, cached bool) {
+func (j *Job) finishLocked(state State, result []byte, errText string, cached bool, at time.Time) {
 	if j.state.Terminal() {
 		return
 	}
@@ -416,7 +419,7 @@ func (j *Job) finishLocked(state State, result []byte, errText string, cached bo
 	j.result = result
 	j.err = errText
 	j.cached = cached
-	j.finished = time.Now().UTC()
+	j.finished = at
 	j.phase = ""
 	j.checkpoint = nil
 	if j.rootSpan != nil {

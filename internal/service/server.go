@@ -119,7 +119,7 @@ type Config struct {
 
 // memoBudget bounds the server's geometry memo (core.Memo): about twice
 // the working set of servebench's 13-shape cold-mix cycle, whose
-// repeating geometry is ten grids and four plan snapshots (~6.1 MB). The
+// repeating geometry is ten grids and four plan entries (~7.0 MB). The
 // coverage and backhaul grids a cycle files once are the least recently
 // used, so they are evicted first.
 const memoBudget = 12 << 20
@@ -470,7 +470,7 @@ func (s *Server) SubmitTraced(spec *JobSpec, parent tracing.SpanContext) (job *J
 		// bytes; no queue slot, no worker, no simulation — and no journal
 		// record, since there is nothing to resume.
 		admit(root.Context(), "cache_hit")
-		j.finish(StateDone, data, "", true)
+		j.finish(StateDone, data, "", true, time.Now().UTC())
 		s.jobs[id] = j
 		s.retireLocked(j)
 		s.mu.Unlock()
@@ -740,11 +740,12 @@ func retryDelay(key Key, attempt int, base time.Duration) time.Duration {
 
 // conclude is the one terminal transition of a job: it closes the
 // attempt span (nil when no attempt ran) with its outcome, caches done
-// bytes, journals the terminal record, finishes the job, drops it from
-// the dedup index, files it among the finished jobs, counts it and logs
-// it. Only a job a worker computed
-// samples sinet_campaign_seconds, over its final attempt's pickup to
-// terminal state. A job cancelQueued concludes is already finished by
+// bytes, journals the terminal record, counts and logs the job, and only
+// then finishes it, drops it from the dedup index and files it among the
+// finished jobs, so a client that sees the terminal state also finds it
+// counted and logged. Only a job a worker computed samples
+// sinet_campaign_seconds, over its final attempt's pickup to terminal
+// state. A job cancelQueued concludes is already finished by
 // requestCancel's claim; finish is idempotent.
 func (s *Server) conclude(j *Job, att *tracing.Span, attempt int, state State, data []byte, msg string, cached bool) {
 	rec := journal.Record{Op: journal.OpDone, JobID: j.ID, Attempt: attempt}
@@ -765,21 +766,23 @@ func (s *Server) conclude(j *Job, att *tracing.Span, attempt int, state State, d
 		s.cache.Put(j.Key, data)
 	}
 	s.journalAppend(rec)
-	j.finish(state, data, msg, cached)
-	s.forgetInflight(j)
-	s.mu.Lock()
-	s.retireLocked(j)
-	s.mu.Unlock()
+	at := time.Now().UTC()
+	took := j.runtime(at)
 	var seconds float64
 	if !cached {
-		seconds = j.runtime().Seconds()
+		seconds = took.Seconds()
 	}
 	s.metrics.observeFinished(j.Spec.Kind, state, seconds)
 	s.logJob(j, "job finished",
 		slog.String("state", string(state)),
-		slog.Duration("took", j.runtime()),
+		slog.Duration("took", took),
 		slog.Bool("cached", cached),
 		slog.String("error", msg))
+	j.finish(state, data, msg, cached, at)
+	s.forgetInflight(j)
+	s.mu.Lock()
+	s.retireLocked(j)
+	s.mu.Unlock()
 }
 
 // scheduleRetry re-queues a job after a retryable attempt failure. The

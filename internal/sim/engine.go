@@ -5,57 +5,51 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// Event is a scheduled callback. Fire receives the engine so handlers can
-// schedule follow-up events.
-type Event struct {
-	At   time.Time
-	Fire func(*Engine)
-
-	// seq breaks ties so simultaneous events fire in scheduling order,
-	// keeping runs deterministic.
-	seq   uint64
-	index int
+// entry is one queued instant: a single event's callback, or the next
+// instant of a series. seq breaks ties so simultaneous instants fire in
+// scheduling order, keeping runs deterministic.
+type entry struct {
+	at   time.Time
+	seq  uint64
+	fire func(*Engine)
+	s    *series
 }
 
-// eventQueue implements heap.Interface ordered by (At, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At.Equal(q[j].At) {
-		return q[i].seq < q[j].seq
+// before orders entries by (at, seq); seqs are unique, so the order is
+// total and the firing order never depends on the heap's layout.
+func (a *entry) before(b *entry) bool {
+	if c := a.at.Compare(b.at); c != 0 {
+		return c < 0
 	}
-	return q[i].At.Before(q[j].At)
+	return a.seq < b.seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// series is the unfired tail of a ScheduleEach call. Only its next
+// instant is queued; the one after is queued when that instant fires.
+type series struct {
+	times []time.Time
+	// seqs holds the seq reserved for times[i] when the input needed
+	// sorting; nil means times kept slice order, so times[i] has base+i.
+	seqs []uint64
+	base uint64
+	next int
+	fn   func(*Engine, time.Time)
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// head returns the series' next unfired instant as a queue entry.
+func (s *series) head() entry {
+	seq := s.base + uint64(s.next)
+	if s.seqs != nil {
+		seq = s.seqs[s.next]
+	}
+	return entry{at: s.times[s.next], seq: seq, s: s}
 }
 
 // ErrPastEvent is returned when scheduling before the current virtual time.
@@ -65,7 +59,8 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // concurrent use; campaigns that want parallelism run independent engines.
 type Engine struct {
 	now     time.Time
-	queue   eventQueue
+	queue   []entry // binary min-heap by (at, seq)
+	pending int     // unfired instants, queued or waiting in a series
 	nextSeq uint64
 	stopped bool
 
@@ -88,9 +83,9 @@ func (e *Engine) Schedule(at time.Time, fn func(*Engine)) error {
 	if at.Before(e.now) {
 		return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, e.now)
 	}
-	ev := &Event{At: at, Fire: fn, seq: e.nextSeq}
+	e.push(entry{at: at, seq: e.nextSeq, fire: fn})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	e.pending++
 	return nil
 }
 
@@ -99,11 +94,49 @@ func (e *Engine) ScheduleAfter(d time.Duration, fn func(*Engine)) error {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
+// ScheduleEach schedules fn(e, t) at every instant t of times, firing
+// exactly as a loop calling Schedule once per instant, in slice order,
+// would: it reserves one sequence number per instant in that order, and
+// unsorted input is stable-sorted by time with each instant keeping its
+// reserved number. Only the series' next instant is queued, and the one
+// after it when it fires, so a series costs one queue entry however long
+// it is. The order is still the eager one because a series fires in
+// (time, seq) order and its next instant is always queued, so the queue
+// head is the one a queue of every instant would have. times is only
+// read and must not change until the series has fired. An instant
+// before Now returns ErrPastEvent and schedules nothing.
+func (e *Engine) ScheduleEach(times []time.Time, fn func(*Engine, time.Time)) error {
+	if len(times) == 0 {
+		return nil
+	}
+	s := &series{times: times, base: e.nextSeq, fn: fn}
+	if !slices.IsSortedFunc(times, time.Time.Compare) {
+		order := make([]int, len(times))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return times[a].Compare(times[b]) })
+		s.times = make([]time.Time, len(times))
+		s.seqs = make([]uint64, len(times))
+		for i, j := range order {
+			s.times[i], s.seqs[i] = times[j], s.base+uint64(j)
+		}
+	}
+	if first := s.times[0]; first.Before(e.now) {
+		return fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, first, e.now)
+	}
+	e.nextSeq += uint64(len(times))
+	e.pending += len(times)
+	e.push(s.head())
+	return nil
+}
+
 // Stop halts the run loop after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of unfired events, counting every instant
+// of a series.
+func (e *Engine) Pending() int { return e.pending }
 
 // Run fires events in time order until the queue drains, Stop is called, or
 // the clock passes end. The clock is left at the time of the last fired
@@ -123,15 +156,11 @@ func (e *Engine) RunCtx(ctx context.Context, end time.Time) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		ev := e.queue[0]
-		if ev.At.After(end) {
+		if e.queue[0].at.After(end) {
 			e.now = end
 			return nil
 		}
-		heap.Pop(&e.queue)
-		e.now = ev.At
-		e.Processed++
-		ev.Fire(e)
+		e.fireNext()
 	}
 	if !e.stopped && e.now.Before(end) {
 		e.now = end
@@ -143,9 +172,71 @@ func (e *Engine) RunCtx(ctx context.Context, end time.Time) error {
 func (e *Engine) RunAll() {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		ev := heap.Pop(&e.queue).(*Event)
-		e.now = ev.At
-		e.Processed++
-		ev.Fire(e)
+		e.fireNext()
 	}
+}
+
+// fireNext dequeues the earliest instant, queues its series' following
+// instant in its place, advances the clock and fires it.
+func (e *Engine) fireNext() {
+	ev := e.queue[0]
+	if s := ev.s; s != nil && s.next+1 < len(s.times) {
+		s.next++
+		e.queue[0] = s.head()
+	} else {
+		last := len(e.queue) - 1
+		e.queue[0] = e.queue[last]
+		e.queue[last] = entry{} // drop the callback and series references
+		e.queue = e.queue[:last]
+	}
+	e.down()
+	e.now = ev.at
+	e.pending--
+	e.Processed++
+	if ev.s != nil {
+		ev.s.fn(e, ev.at)
+	} else {
+		ev.fire(e)
+	}
+}
+
+// push adds x to the heap.
+func (e *Engine) push(x entry) {
+	e.queue = append(e.queue, x)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+}
+
+// down restores heap order after the root grew.
+func (e *Engine) down() {
+	q := e.queue
+	n := len(q)
+	if n == 0 {
+		return
+	}
+	i, x := 0, q[0]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = x
 }
