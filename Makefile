@@ -1,7 +1,7 @@
 GO ?= go
 BENCHTIME ?= 1x
 
-.PHONY: all build test race fmt-check lines bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
+.PHONY: all build test race fmt-check lines figures-check bench bench-smoke fuzz-smoke serve-smoke crash-smoke cluster-smoke trace-smoke servebench-check staticcheck govulncheck ci
 
 all: build
 
@@ -29,6 +29,16 @@ lines:
 	@find servebench -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l \
 		| awk '{ printf "%7d  servebench (own module, not in total)\n", $$1 }'
 
+# figures-check regenerates the standard-scale figure report and requires it
+# to match the committed figures_standard.txt byte for byte, apart from the
+# timestamp header (line 1) and the closing `completed in` line.
+figures-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		$(GO) run ./cmd/figures -scale standard > "$$tmp/got.txt" && \
+		sed '1d;/^completed in /d' figures_standard.txt > "$$tmp/want.txt" && \
+		sed '1d;/^completed in /d' "$$tmp/got.txt" | diff -u "$$tmp/want.txt" - && \
+		echo "figures_standard.txt regenerates identically"
+
 # bench runs every benchmark five times with -benchmem and converts the
 # output into a machine-readable BENCH_<date>.json via cmd/benchjson, which
 # folds the repeated samples of each benchmark into a median and IQR, so
@@ -43,11 +53,12 @@ bench:
 # bench-smoke runs one iteration of the pass-prediction benches, the 1k
 # mega-constellation sweep, the zero-alloc ephemeris query benches, the
 # ground-segment downlink sweep, the smallest topology-build case, the
-# journal's durable and write-behind appends, the event engine and the
-# earliest-delivery search as a compile-and-run check; real measurements
-# use `go test -bench . -benchtime 5s`.
+# coverage kind's nine-latitude revisit analysis, the journal's durable and
+# write-behind appends, the event engine and the earliest-delivery search
+# as a compile-and-run check; real measurements use
+# `go test -bench . -benchtime 5s`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats|BenchmarkRevisitAnalysis$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$|BenchmarkDeliverySearch$$' -benchtime 1x -benchmem ./internal/sim/ ./internal/netgraph/
 
@@ -114,6 +125,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...   # includes the internal/obs concurrent-scrape tests
+	$(MAKE) figures-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck

@@ -653,6 +653,35 @@ func BenchmarkDownlinkWindows(b *testing.B) {
 	}
 }
 
+// BenchmarkRevisitAnalysis measures the coverage kind's nine-latitude
+// shape (servebench's coverage/9lat): Tianqi's union visibility and revisit
+// gaps at latitudes −75° to 75° over one day, ephemeris propagation
+// included.
+func BenchmarkRevisitAnalysis(b *testing.B) {
+	start := time.Date(2025, 3, 1, 0, 0, 0, 0, time.UTC)
+	cons := sinet.Tianqi(start)
+	lats := make([]float64, 9)
+	for k := range lats {
+		lats[k] = -75 + 150*float64(k)/8
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := sinet.RevisitAnalysis(cons, lats, start, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		passes := 0
+		for _, s := range stats {
+			passes += s.Passes
+		}
+		if passes == 0 {
+			b.Fatal("no passes")
+		}
+		b.ReportMetric(float64(passes), "passes")
+	}
+}
+
 // BenchmarkTopologyBuild measures time-varying network-graph snapshot
 // construction — candidate ISL discovery plus per-snapshot visibility,
 // range and occlusion predicates — over a 1-hour window at the default

@@ -74,6 +74,13 @@ func (g GroundSegment) DownlinkWindows(src orbit.StateSource, start, end time.Ti
 // A nil predicate treats every station as always up. up must be a pure
 // function of its arguments: it is asked only about stations near the
 // satellite, so how often it is called is not part of the contract.
+//
+// An Ephemeris row with a motion bound (orbit.Ephemeris.MotionBound) is
+// swept with one cone for the whole sweep, sized for the row's largest
+// radius, and from a step at which the cone admits no station the sweep
+// jumps over the steps the row cannot turn into it by (see skip). Every
+// skipped step is one the exact test would have rejected, so the windows
+// are those of a step-by-step sweep.
 func (g GroundSegment) DownlinkWindowsUp(src orbit.StateSource, start, end time.Time, step time.Duration, up func(station int, at time.Time) bool) []orbit.Window {
 	if !end.After(start) || len(g.Stations) == 0 {
 		return nil
@@ -85,13 +92,18 @@ func (g GroundSegment) DownlinkWindowsUp(src orbit.StateSource, start, end time.
 	for i, st := range g.Stations {
 		dirs[i] = sphereDir(st)
 	}
+	sw := g.newSweep(src, step)
 	var windows []orbit.Window
 	var open bool
 	var winStart time.Time
 	prev := start
-	for t := start; t.Before(end); t = t.Add(step) {
+	for t := start; t.Before(end); {
 		rECEF, _, err := src.PositionECEF(t)
-		in := err == nil && g.reaches(rECEF, t, dirs, up)
+		var in bool
+		var nearest float64
+		if err == nil {
+			in, nearest = g.reaches(rECEF, t, dirs, up, sw.minDot(g, rECEF))
+		}
 		switch {
 		case in && !open:
 			open = true
@@ -101,11 +113,78 @@ func (g GroundSegment) DownlinkWindowsUp(src orbit.StateSource, start, end time.
 			windows = append(windows, orbit.Window{Start: winStart, End: prev})
 		}
 		prev = t
+		next := step
+		if !in && err == nil {
+			next += time.Duration(sw.skip(rECEF, nearest, t)) * step
+		}
+		t = t.Add(next)
 	}
 	if open {
 		windows = append(windows, orbit.Window{Start: winStart, End: end})
 	}
 	return windows
+}
+
+// sweep holds one downlink sweep's use of its row's motion bound. The zero
+// value, for sources without a bound, tests every step with coneMinDot.
+type sweep struct {
+	bounded bool
+	// cone is the one cone of the sweep, λ(ρ_max − b) + m (see reaches),
+	// and cosCone its cosine.
+	cone, cosCone float64
+	// turn is the most the row's direction turns in one step.
+	turn float64
+	step time.Duration
+	// lo and hi are the row's span, the instants the bound holds at.
+	lo, hi time.Time
+}
+
+// newSweep reads src's motion bound, when src is an orbit.Ephemeris that
+// has one.
+func (g GroundSegment) newSweep(src orbit.StateSource, step time.Duration) sweep {
+	e, ok := src.(*orbit.Ephemeris)
+	if !ok {
+		return sweep{}
+	}
+	rhoMax, omegaMax, ok := e.MotionBound()
+	if !ok {
+		return sweep{}
+	}
+	sw := sweep{bounded: true, cone: g.maxGroundAngle(rhoMax-polarRadiusKm) + coneMarginRad, turn: omegaMax * step.Seconds(), step: step}
+	sw.cosCone = math.Cos(sw.cone)
+	sw.lo, sw.hi = e.Span()
+	return sw
+}
+
+// minDot returns the least dirs[i]·r of a station the cone around r
+// admits: the sweep's one cone when the row is bounded, coneMinDot's
+// per-step cone otherwise. λ never falls as altitude rises and
+// |r| ≤ ρ_max, so the sweep's cone holds the per-step one: it only admits
+// more stations, and the exact test still decides.
+func (sw sweep) minDot(g GroundSegment, r orbit.Vec3) float64 {
+	if sw.bounded {
+		return r.Norm() * sw.cosCone
+	}
+	return g.coneMinDot(r)
+}
+
+// skip returns how many steps after t, where the satellite at r is out of
+// reach and nearest is the largest dirs[i]·r, the motion bound proves out
+// of reach too. When the cone admits no station, every station direction
+// is θ = arccos(nearest/|r|) > cone from r, and the row's direction turns
+// at most turn per step, so the cone admits none at any step closer than
+// (θ − cone)/turn — and the exact test accepts only stations the cone
+// admits. t and every skipped step must lie inside the row's span.
+func (sw sweep) skip(r orbit.Vec3, nearest float64, t time.Time) int64 {
+	if !sw.bounded || t.Before(sw.lo) || t.After(sw.hi) {
+		return 0
+	}
+	theta := math.Acos(math.Max(-1, nearest/r.Norm()))
+	steps := math.Min((theta-sw.cone)/sw.turn, float64(sw.hi.Sub(t)/sw.step))
+	if !(steps >= 1) {
+		return 0
+	}
+	return int64(steps)
 }
 
 const (
@@ -122,7 +201,9 @@ const (
 // reaches reports whether a satellite at ECEF position r (km) is in reach
 // of a station that is up at t: the haversine distance from its geodetic
 // sub-point to the station is at most maxGroundDistanceKm(sub.Alt).
-// dirs[i] is sphereDir(g.Stations[i]).
+// dirs[i] is sphereDir(g.Stations[i]). When it reports false it also
+// returns nearest, the largest dirs[i]·r over every station, up or not,
+// which the sweep's skip reads.
 //
 // A satellite is near the segment for a small part of its orbit, so a
 // cone test that needs neither Bowring's conversion nor a haversine runs
@@ -154,16 +235,21 @@ const (
 // So the angle between dirs[i] and r is at most θ + 0.00336 ≤
 // λ(|r| − b) + 0.00336. m = 0.005 rad covers that and leaves 0.00164 rad
 // of slack for rounding, which is about 1e-8 rad even where cos is flat.
+// minDot is |r|·cos of that cone or of a wider one (see sweep.minDot).
 //
 // up is called only for admitted stations; it is pure, so skipping the
 // others changes nothing.
-func (g GroundSegment) reaches(r orbit.Vec3, t time.Time, dirs []orbit.Vec3, up func(station int, at time.Time) bool) bool {
-	minDot := g.coneMinDot(r)
+func (g GroundSegment) reaches(r orbit.Vec3, t time.Time, dirs []orbit.Vec3, up func(station int, at time.Time) bool, minDot float64) (in bool, nearest float64) {
+	nearest = math.Inf(-1)
 	converted := false
 	var sub orbit.Geodetic
 	var maxGround float64
 	for i, d := range dirs {
-		if d.Dot(r) < minDot || (up != nil && !up(i, t)) {
+		dot := d.Dot(r)
+		if dot > nearest {
+			nearest = dot
+		}
+		if dot < minDot || (up != nil && !up(i, t)) {
 			continue
 		}
 		if !converted {
@@ -171,10 +257,10 @@ func (g GroundSegment) reaches(r orbit.Vec3, t time.Time, dirs []orbit.Vec3, up 
 			maxGround = g.maxGroundDistanceKm(sub.Alt)
 		}
 		if orbit.HaversineKm(sub, g.Stations[i]) <= maxGround {
-			return true
+			return true, nearest
 		}
 	}
-	return false
+	return false, nearest
 }
 
 // coneMinDot returns |r|·cos(λ(|r| − b) + m), the least dirs[i]·r of a

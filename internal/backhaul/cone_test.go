@@ -3,7 +3,9 @@ package backhaul
 import (
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -100,12 +102,37 @@ func globalSegment() GroundSegment {
 	}
 }
 
+// eccentricFleet is orbit's eccentric and low-altitude stress catalog
+// (internal/orbit/testdata/interp_tles.tle) as a constellation.
+func eccentricFleet(t *testing.T) constellation.Constellation {
+	t.Helper()
+	raw, err := os.ReadFile("../orbit/testdata/interp_tles.tle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	c := constellation.Constellation{Name: "eccentric"}
+	for i := 0; i+3 <= len(lines); i += 3 {
+		tle, err := orbit.ParseTLE(strings.Join(lines[i:i+3], "\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Sats = append(c.Sats, tle.Elements())
+	}
+	return c
+}
+
+// TestDownlinkWindowsMatchesUnculledSweep compares the sweep — the cone,
+// and the skip by the row's motion bound — with the exact test at every
+// step, over the grid's span and, with every station up, over a window
+// that starts before it and runs past it (exact SGP4 outside the span).
 func TestDownlinkWindowsMatchesUnculledSweep(t *testing.T) {
 	end := epoch.Add(28 * time.Hour)
 	fleets := []constellation.Constellation{
 		constellation.Tianqi(epoch),
 		constellation.PICO(epoch),
 		constellation.Mega(epoch, 24),
+		eccentricFleet(t),
 	}
 	tianqiNoMask := TianqiGroundSegment()
 	tianqiNoMask.MinElevationRad = 0
@@ -126,24 +153,33 @@ func TestDownlinkWindowsMatchesUnculledSweep(t *testing.T) {
 			}
 			grid := orbit.NewEphemerisGrid(props, epoch, end, orbit.EphemerisConfig{ScanStep: time.Minute})
 			grid.PropagateAll()
-			windows := 0
+			windows, bounded := 0, 0
 			for si := 0; si < grid.Sats(); si++ {
+				if _, _, ok := grid.Sat(si).MotionBound(); ok {
+					bounded++
+				}
 				for gi, g := range segments {
 					for _, u := range ups {
 						for _, step := range steps {
-							want := unculledWindows(g, grid.Sat(si), epoch, end, step, u.up)
-							got := g.DownlinkWindowsUp(grid.Sat(si), epoch, end, step, u.up)
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("sat %d, segment %d (%s), %s, step %v: culled sweep differs: %s",
-									si, gi, g.Name, u.name, step, firstDifference(got, want))
+							spans := [][2]time.Time{{epoch, end}}
+							if u.up == nil {
+								spans = append(spans, [2]time.Time{epoch.Add(-7 * time.Minute), end.Add(40 * time.Minute)})
 							}
-							windows += len(want)
+							for _, w := range spans {
+								want := unculledWindows(g, grid.Sat(si), w[0], w[1], step, u.up)
+								got := g.DownlinkWindowsUp(grid.Sat(si), w[0], w[1], step, u.up)
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("sat %d, segment %d (%s), %s, step %v, %v–%v: culled sweep differs: %s",
+										si, gi, g.Name, u.name, step, w[0], w[1], firstDifference(got, want))
+								}
+								windows += len(want)
+							}
 						}
 					}
 				}
 			}
-			if windows == 0 {
-				t.Fatal("no downlink windows at all: the comparison proved nothing")
+			if windows == 0 || bounded == 0 {
+				t.Fatalf("%d downlink windows, %d bounded rows: the comparison proved nothing", windows, bounded)
 			}
 		})
 	}

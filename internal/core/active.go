@@ -482,7 +482,11 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 				}
 			}
 			passes = kept
-			plan.Wake = orbit.MergeWindows(passes)
+			wake := make([]orbit.Window, len(passes))
+			for i, pass := range passes {
+				wake[i] = pass.Window()
+			}
+			plan.Wake = orbit.MergeWindows(wake)
 		}
 		planBeacons(&plan, gw, passes)
 		var windows []orbit.Window
@@ -534,11 +538,7 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 
 	// Merge and sort wake windows across satellites.
 	if len(r.wakeWindows) > 0 {
-		passes := make([]orbit.Pass, len(r.wakeWindows))
-		for i, w := range r.wakeWindows {
-			passes[i] = orbit.Pass{AOS: w.Start, LOS: w.End}
-		}
-		r.wakeWindows = orbit.MergeWindows(passes)
+		r.wakeWindows = orbit.MergeWindows(r.wakeWindows)
 		// Put schedule-aware nodes back to sleep at each window end.
 		ends := make([]time.Time, len(r.wakeWindows))
 		for i, w := range r.wakeWindows {

@@ -30,11 +30,11 @@ func (r *PassiveResult) TheoreticalDailyDuration(cons, site string) time.Duratio
 	if len(contacts) == 0 {
 		return 0
 	}
-	passes := make([]orbit.Pass, len(contacts))
+	windows := make([]orbit.Window, len(contacts))
 	for i, c := range contacts {
-		passes[i] = c.Pass
+		windows[i] = c.Pass.Window()
 	}
-	union := orbit.MergeWindows(passes)
+	union := orbit.MergeWindows(windows)
 	total := orbit.TotalDuration(union)
 	days := r.daysSpanned(contacts)
 	if days <= 0 {
@@ -51,17 +51,17 @@ func (r *PassiveResult) EffectiveDailyDuration(cons, site string) time.Duration 
 	if len(contacts) == 0 {
 		return 0
 	}
-	var passes []orbit.Pass
+	var windows []orbit.Window
 	for _, c := range contacts {
 		if c.EffectiveDuration() <= 0 {
 			continue
 		}
-		passes = append(passes, orbit.Pass{NoradID: c.NoradID, AOS: c.FirstRx, LOS: c.LastRx})
+		windows = append(windows, orbit.Window{Start: c.FirstRx, End: c.LastRx})
 	}
-	if len(passes) == 0 {
+	if len(windows) == 0 {
 		return 0
 	}
-	union := orbit.MergeWindows(passes)
+	union := orbit.MergeWindows(windows)
 	days := r.daysSpanned(contacts)
 	if days <= 0 {
 		return 0
@@ -140,11 +140,11 @@ type IntervalStretch struct {
 func (r *PassiveResult) Intervals(cons, site string) IntervalStretch {
 	contacts := r.contactsOf(cons, site)
 	out := IntervalStretch{Constellation: cons}
-	var theoretical, effective []orbit.Pass
+	var theoretical, effective []orbit.Window
 	for _, c := range contacts {
-		theoretical = append(theoretical, c.Pass)
+		theoretical = append(theoretical, c.Pass.Window())
 		if c.EffectiveDuration() > 0 {
-			effective = append(effective, orbit.Pass{NoradID: c.NoradID, AOS: c.FirstRx, LOS: c.LastRx})
+			effective = append(effective, orbit.Window{Start: c.FirstRx, End: c.LastRx})
 		}
 	}
 	tGaps := orbit.Gaps(orbit.MergeWindows(theoretical))

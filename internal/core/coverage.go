@@ -67,12 +67,12 @@ func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, l
 			return RevisitStats{}, err
 		}
 		site := orbit.NewGeodeticDeg(latitudesDeg[li], 0, 0)
-		passes := make([]orbit.Pass, 0, 256)
+		passes := make([]orbit.Window, 0, 256)
 		if grid.Sats() > 0 {
 			pp := orbit.NewEphemerisPredictor(grid.Sat(0))
 			for i := 0; i < grid.Sats(); i++ {
 				pp.SetSource(grid.Sat(i))
-				passes = pp.PassesAppend(passes, site, start, end, 0)
+				passes = pp.WindowsAppend(passes, site, start, end, 0)
 			}
 		}
 		windows := orbit.MergeWindows(passes)

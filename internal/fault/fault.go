@@ -184,13 +184,11 @@ func gilbert(rng *sim.RNG, start, end time.Time, mtbf, mttr time.Duration) []orb
 // newSchedule merges the window sets into one sorted, non-overlapping
 // outage timeline via the shared MergeWindows machinery.
 func newSchedule(sets ...[]orbit.Window) Schedule {
-	var passes []orbit.Pass
+	var all []orbit.Window
 	for _, ws := range sets {
-		for _, w := range ws {
-			passes = append(passes, orbit.Pass{AOS: w.Start, LOS: w.End})
-		}
+		all = append(all, ws...)
 	}
-	return Schedule{downs: orbit.MergeWindows(passes)}
+	return Schedule{downs: orbit.MergeWindows(all)}
 }
 
 // Down reports whether the component is down at t.

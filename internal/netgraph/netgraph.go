@@ -120,12 +120,25 @@ type Graph struct {
 	// policy: +grid (intra-plane ring) and +cross-plane (nearest-anomaly
 	// neighbor in the adjacent plane), as satellite index pairs a<b.
 	cand [][2]int32
+
+	// The station cap (see stationCap): when capped, a satellite whose
+	// direction lies more than arccos(cosCap) from capDir is below every
+	// station's mask.
+	capDir orbit.Vec3
+	cosCap float64
+	capped bool
 }
 
+// capMarginRad widens the station cap, so the rounding of the angles it
+// adds up (around 1e-15 rad) can never make it hide a station the mask
+// test accepts.
+const capMarginRad = 1e-6
+
 // New builds the graph skeleton over [start, end): candidate ISL edges from
-// the Walker neighbor policy and one empty snapshot per SnapshotStep.
-// Snapshots are filled by Build/BuildAll after the grid rows have been
-// propagated. The grid must cover the span.
+// the Walker neighbor policy, the station cap and one empty snapshot per
+// SnapshotStep. The grid rows must be propagated before New, which reads
+// their motion bounds, and the grid must cover the span; Build/BuildAll
+// fill the snapshots.
 func New(grid *orbit.EphemerisGrid, stations []orbit.Geodetic, start, end time.Time, cfg Config) (*Graph, error) {
 	cfg.setDefaults()
 	if !end.After(start) {
@@ -152,10 +165,65 @@ func New(grid *orbit.EphemerisGrid, stations []orbit.Geodetic, start, end time.T
 		g.masks[i] = orbit.NewGroundMask(st, cfg.MinElevationRad)
 		g.stECEF[i] = g.masks[i].SiteECEF()
 	}
+	g.stationCap(end)
 	for k := range g.snaps {
 		g.snaps[k].At = start.Add(time.Duration(k) * cfg.SnapshotStep)
 	}
 	return g, nil
+}
+
+// stationCap computes one cap around every station's visibility cone, at
+// the grid's largest row radius bound ρ (orbit.Ephemeris.MotionBound).
+//
+// With a mask ε ≥ 0, GroundMask.Above accepts only zenith ≥ 0, that is
+// n̂ⱼ·r ≥ dⱼ = n̂ⱼ·sⱼ for station j's geodetic normal n̂ⱼ and position sⱼ.
+// With dⱼ > 0 and |r| ≤ ρ, an accepted r lies within ψⱼ = arccos(dⱼ/ρ) of
+// n̂ⱼ. The cap around c, the normalized sum of the normals, has half-angle
+// α = maxⱼ(∠(c, n̂ⱼ) + ψⱼ), so a direction more than α from c is more than
+// ψⱼ from every n̂ⱼ and below every station's mask. The bound holds only
+// inside the rows' span, so the graph's span must lie in it. A negative
+// mask, a row without a bound, a station with dⱼ ≤ 0 or a cap of π or
+// more gives no cap.
+func (g *Graph) stationCap(end time.Time) {
+	if g.cfg.MinElevationRad < 0 || len(g.stations) == 0 || g.grid.Sats() == 0 {
+		return
+	}
+	if lo, hi := g.grid.Sat(0).Span(); g.start.Before(lo) || end.After(hi) {
+		return
+	}
+	rho := 0.0
+	for i := 0; i < g.grid.Sats(); i++ {
+		r, _, ok := g.grid.Sat(i).MotionBound()
+		if !ok {
+			return
+		}
+		rho = math.Max(rho, r)
+	}
+	normals := make([]orbit.Vec3, len(g.stations))
+	var sum orbit.Vec3
+	for j, st := range g.stations {
+		cosLat := math.Cos(st.Lat)
+		normals[j] = orbit.Vec3{X: cosLat * math.Cos(st.Lon), Y: cosLat * math.Sin(st.Lon), Z: math.Sin(st.Lat)}
+		sum = sum.Add(normals[j])
+	}
+	if sum.Norm() < 1e-9 {
+		return
+	}
+	c := sum.Scale(1 / sum.Norm())
+	alpha := 0.0
+	for j, n := range normals {
+		d := n.Dot(g.stECEF[j])
+		if d <= 0 {
+			return
+		}
+		psi := math.Acos(math.Min(1, d/rho))
+		alpha = math.Max(alpha, math.Acos(math.Max(-1, math.Min(1, c.Dot(n))))+psi)
+	}
+	alpha += capMarginRad
+	if alpha >= math.Pi {
+		return
+	}
+	g.capDir, g.cosCap, g.capped = c, math.Cos(alpha), true
 }
 
 // Snapshots returns the snapshot count.
@@ -291,7 +359,9 @@ func (g *Graph) Build(k int) {
 		liveISL++
 	}
 	for i := 0; i < sats; i++ {
-		if !ok[i] {
+		// A satellite outside the station cap is below every station's
+		// mask (see stationCap).
+		if !ok[i] || g.capped && g.capDir.Dot(pos[i]) < pos[i].Norm()*g.cosCap {
 			continue
 		}
 		for j := range g.stations {
@@ -337,19 +407,7 @@ func (g *Graph) Build(k int) {
 // radius limit (km, centered on Earth's center): the closest point of the
 // segment to the origin is below the grazing shell.
 func occluded(a, b orbit.Vec3, limit float64) bool {
-	d := b.Sub(a)
-	dd := d.Dot(d)
-	if dd == 0 {
-		return a.Norm() < limit
-	}
-	t := -a.Dot(d) / dd
-	if t < 0 {
-		t = 0
-	} else if t > 1 {
-		t = 1
-	}
-	p := a.Add(d.Scale(t))
-	return p.Norm() < limit
+	return orbit.SegmentDistance(a, b) < limit
 }
 
 // walkerNeighbors derives the candidate ISL edge list from the element

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/sinet-io/sinet/internal/backhaul"
 	"github.com/sinet-io/sinet/internal/constellation"
 	"github.com/sinet-io/sinet/internal/orbit"
 )
@@ -394,5 +395,69 @@ func TestSnapshotForClamps(t *testing.T) {
 	}
 	if k := g.SnapshotFor(testEpoch.Add(48 * time.Hour)); k != g.Snapshots()-1 {
 		t.Errorf("after span: snapshot %d, want %d", k, g.Snapshots()-1)
+	}
+}
+
+// TestStationCapMatchesUncappedBuild pins the station cap: every snapshot
+// built with it equals the snapshot built with the cap cleared, CSR arrays
+// and live-ISL count alike. Tianqi runs against its 12-station segment and
+// a Mega shell against the global test stations, at the default 5° mask
+// and at 0.5° (a zero mask means the default); a negative mask gets no
+// cap.
+func TestStationCapMatchesUncappedBuild(t *testing.T) {
+	end := testEpoch.Add(6 * time.Hour)
+	cases := []struct {
+		name     string
+		cons     constellation.Constellation
+		stations []orbit.Geodetic
+	}{
+		{"tianqi", constellation.Tianqi(testEpoch), backhaul.TianqiGroundSegment().Stations},
+		{"mega", constellation.Mega(testEpoch, 64), testStations()},
+	}
+	for _, c := range cases {
+		props, err := c.cons.Propagators()
+		if err != nil {
+			t.Fatal(err)
+		}
+		grid := orbit.NewEphemerisGrid(props, testEpoch, end, orbit.EphemerisConfig{ScanStep: time.Minute})
+		grid.PropagateAll()
+		for _, mask := range []float64{0.5 * math.Pi / 180, 5 * math.Pi / 180, -math.Pi / 180} {
+			build := func(capped bool) *Graph {
+				g, err := New(grid, c.stations, testEpoch, end, Config{MinElevationRad: mask})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !capped {
+					g.capped = false
+				}
+				for k := 0; k < g.Snapshots(); k++ {
+					g.Build(k)
+				}
+				return g
+			}
+			capped, plain := build(true), build(false)
+			if capped.capped != (mask >= 0) {
+				t.Fatalf("%s mask %v: cap present %v", c.name, mask, capped.capped)
+			}
+			outside := 0
+			for k := range capped.snaps {
+				a, b := &capped.snaps[k], &plain.snaps[k]
+				if !reflect.DeepEqual(a.offsets, b.offsets) || !reflect.DeepEqual(a.nbr, b.nbr) ||
+					!reflect.DeepEqual(a.delay, b.delay) || a.liveISL != b.liveISL {
+					t.Fatalf("%s mask %v: snapshot %d differs with the station cap", c.name, mask, k)
+				}
+				if !capped.capped {
+					continue
+				}
+				for i := 0; i < grid.Sats(); i++ {
+					if r := satPos(t, capped, k, i); capped.capDir.Dot(r) < r.Norm()*capped.cosCap {
+						outside++
+					}
+				}
+			}
+			if mask >= 0 && outside == 0 {
+				t.Errorf("%s mask %v: no satellite ever outside the cap: the comparison proved nothing", c.name, mask)
+			}
+		}
 	}
 }

@@ -266,6 +266,23 @@ func SlantRange(observer Geodetic, rSatECEF Vec3) float64 {
 	return rSatECEF.Sub(observer.ECEF()).Norm()
 }
 
+// SegmentDistance returns the distance (km) from Earth's centre, the
+// origin, to the segment a–b.
+func SegmentDistance(a, b Vec3) float64 {
+	d := b.Sub(a)
+	dd := d.Dot(d)
+	if dd == 0 {
+		return a.Norm()
+	}
+	t := -a.Dot(d) / dd
+	if t < 0 {
+		t = 0
+	} else if t > 1 {
+		t = 1
+	}
+	return a.Add(d.Scale(t)).Norm()
+}
+
 // GroundMask is a precomputed elevation-mask visibility test for one ground
 // site: the observer frame plus the mask sine, ready for the trig-free
 // aboveMask predicate. It exists for callers outside this package (the

@@ -104,6 +104,10 @@ type Ephemeris struct {
 
 	// maxErrKm is the validated interpolation bound (informational).
 	maxErrKm float64
+
+	// rhoMax and omegaMax are the row's motion bound (see bound); zero
+	// until an interpolated row without propagation errors propagates.
+	rhoMax, omegaMax float64
 }
 
 // NewEphemeris samples prop's ECEF state covering [start, end] plus one
@@ -213,6 +217,80 @@ func (e *Ephemeris) validateRow(probes int) float64 {
 		e.exact = true
 	}
 	return worst
+}
+
+// bound computes the row's motion bound from its own samples: ρ_max bounds
+// |r| and ω_max the angular rate of the direction r̂ of every position the
+// row answers inside its span, grid hits and Hermite interpolants alike.
+// Visibility scans read it (MotionBound) to jump over steps at which the
+// satellite cannot be in view. Exact-mode rows and rows with a propagation
+// error answer in-span queries by SGP4, which the samples do not bound, so
+// they get none.
+//
+// On an interval [p₀, p₁] of length h with endpoint velocities v₀, v₁, let
+// m = (p₁ − p₀)/h be the chord velocity, a = v₀ − m, b = v₁ − m,
+// D = max(|a|, |b|), R = max(|p₀|, |p₁|) and u = s(1 − s) ≤ 1/4 for
+// s ∈ [0, 1]. With h₀₀ + h₀₁ = 1, h₀₁ − s = u(2s − 1), h₁₀ = h·u(1 − s)
+// and h₁₁ = −h·u·s, the interpolant is the chord point plus a bulge,
+//
+//	p(s) = c(s) + e(s),  c = (1 − s)p₀ + s·p₁,  e = h·u·((1 − s)a − s·b),
+//
+// with |e| ≤ u·h·D. The chord sags inside the sample radii:
+// |c|² = (1 − s)|p₀|² + s|p₁|² − u·h²|m|² ≤ R² − u·h²|m|². So
+// |p|² = |c|² + 2c·e + |e|² ≤ R² + u(2R·h·D − h²|m|²) + u²h²D², convex in
+// u, whose largest value on [0, 1/4] is at an end:
+//
+//	|p|² ≤ R² + max(0, (2R·h·D − h²|m|²)/4 + h²D²/16),
+//
+// and |p| ≥ c_min − h·D/4, where c_min is the chord's distance from Earth's
+// centre. The velocity is
+//
+//	ṗ = m + d₁₀(s)·a + d₁₁(s)·b,  d₁₀ = (1 − s)(1 − 3s),  d₁₁ = s(3s − 2),
+//
+// the derivatives of h₁₀/h and h₁₁/h, and |d₁₀| + |d₁₁| is 1 − 2s, then
+// 6s(1 − s) − 1 and then 2s − 1 on the thirds of [0, 1], never above 1. So
+// |ṗ − m| ≤ D and |m·(ṗ − m)| ≤ max(|m·a|, |m·b|), which gives
+// |ṗ|² ≤ |m|² + 2·max(|m·a|, |m·b|) + D², and r̂ turns at most |ṗ|/|p| on
+// the interval. The interpolant is continuous across samples, so a
+// direction turns at most ω_max·Δt over any Δt inside the span.
+//
+// The sample maximum of |r| alone is not a bound: between samples SGP4's
+// radius, and the interpolant's, can exceed it.
+func (e *Ephemeris) bound() {
+	if e.exact || e.errs != nil || e.n < 2 {
+		return
+	}
+	h := e.step.Seconds()
+	rhoMax, omegaMax := 0.0, 0.0
+	for k := 0; k+1 < e.n; k++ {
+		p0 := Vec3{e.px[k], e.py[k], e.pz[k]}
+		p1 := Vec3{e.px[k+1], e.py[k+1], e.pz[k+1]}
+		m := p1.Sub(p0).Scale(1 / h)
+		a := Vec3{e.vx[k], e.vy[k], e.vz[k]}.Sub(m)
+		b := Vec3{e.vx[k+1], e.vy[k+1], e.vz[k+1]}.Sub(m)
+		d, mm, r := math.Max(a.Norm(), b.Norm()), m.Dot(m), math.Max(p0.Norm(), p1.Norm())
+		rhoMax = math.Max(rhoMax, math.Sqrt(r*r+math.Max(0, (2*r*h*d-h*h*mm)/4+h*h*d*d/16)))
+		lo := SegmentDistance(p0, p1) - h*d/4
+		if !(lo > 0) {
+			return
+		}
+		speed := math.Sqrt(mm + 2*math.Max(math.Abs(m.Dot(a)), math.Abs(m.Dot(b))) + d*d)
+		omegaMax = math.Max(omegaMax, speed/lo)
+	}
+	e.rhoMax, e.omegaMax = rhoMax, omegaMax
+}
+
+// MotionBound returns the row's motion bound: every position the ephemeris
+// answers for an instant inside Span lies within rhoMaxKm of Earth's centre,
+// and its direction from the centre turns at no more than omegaMax rad/s.
+// ok is false when in-span queries may propagate SGP4 instead (exact mode,
+// a row demoted to exact, a row with a propagation error); instants outside
+// the span are never bounded.
+func (e *Ephemeris) MotionBound() (rhoMaxKm, omegaMax float64, ok bool) {
+	if e.omegaMax <= 0 || e.exact || e.errs != nil {
+		return 0, 0, false
+	}
+	return e.rhoMax, e.omegaMax, true
 }
 
 // calibrateSampleStep picks the coarsest sampling step whose probed

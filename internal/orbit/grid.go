@@ -96,13 +96,15 @@ func (g *EphemerisGrid) Sat(i int) *Ephemeris { return &g.views[i] }
 
 // Propagate fills row i by exact SGP4 propagation and, in interpolated
 // mode, probes the row's midpoint error against exact SGP4, demoting the
-// row to exact fallback if it exceeds the configured bound. Safe to call
+// row to exact fallback if it exceeds the configured bound, and computes
+// the row's motion bound (see Ephemeris.MotionBound). Safe to call
 // concurrently for distinct rows.
 func (g *EphemerisGrid) Propagate(i int) {
 	e := &g.views[i]
 	e.propagateRow(g.thetas)
 	if !g.cfg.Exact {
 		e.validateRow(2)
+		e.bound()
 	}
 }
 

@@ -6,6 +6,97 @@ import (
 	"time"
 )
 
+// KeplerPropagator is a two-body (unperturbed, apart from secular J2 node
+// and perigee drift) propagator, kept as test code next to the analytic
+// oracles: an independent cross-check on SGP4, which over a few orbits must
+// agree with it to within the well-known short-period perturbation
+// amplitude (tens of km for LEO).
+type KeplerPropagator struct {
+	els Elements
+
+	a       float64 // semi-major axis, km
+	n       float64 // mean motion, rad/s
+	raanDot float64 // secular J2 node regression, rad/s
+	argpDot float64 // secular J2 perigee drift, rad/s
+	mDot    float64 // secular J2 mean-anomaly drift, rad/s (on top of n)
+}
+
+// NewKeplerPropagator builds the baseline propagator from the same element
+// set SGP4 consumes.
+func NewKeplerPropagator(e Elements) *KeplerPropagator {
+	n := e.MeanMotion / 60.0 // rad/s
+	a := math.Cbrt(gravityMu / (n * n))
+	cosi := math.Cos(e.Inclination)
+	p := a * (1 - e.Eccentricity*e.Eccentricity)
+	factor := 1.5 * j2 * (gravityRadiusKm / p) * (gravityRadiusKm / p) * n
+	return &KeplerPropagator{
+		els:     e,
+		a:       a,
+		n:       n,
+		raanDot: -factor * cosi,
+		argpDot: factor * (2 - 2.5*math.Sin(e.Inclination)*math.Sin(e.Inclination)),
+		mDot:    factor * math.Sqrt(1-e.Eccentricity*e.Eccentricity) * (1 - 1.5*math.Sin(e.Inclination)*math.Sin(e.Inclination)),
+	}
+}
+
+// SemiMajorAxisKm returns the orbit's semi-major axis.
+func (k *KeplerPropagator) SemiMajorAxisKm() float64 { return k.a }
+
+// PropagateTo returns the TEME state at time t.
+func (k *KeplerPropagator) PropagateTo(t time.Time) State {
+	dt := t.Sub(k.els.Epoch).Seconds()
+	return k.propagate(dt)
+}
+
+// propagate advances dt seconds past epoch.
+func (k *KeplerPropagator) propagate(dt float64) State {
+	e := k.els.Eccentricity
+	m := wrapTwoPi(k.els.MeanAnomaly + (k.n+k.mDot)*dt)
+	raan := k.els.RAAN + k.raanDot*dt
+	argp := k.els.ArgPerigee + k.argpDot*dt
+
+	// Solve Kepler's equation M = E - e sinE by Newton iteration.
+	ea := m
+	if e > 0.8 {
+		ea = math.Pi
+	}
+	for i := 0; i < 20; i++ {
+		d := (ea - e*math.Sin(ea) - m) / (1 - e*math.Cos(ea))
+		ea -= d
+		if math.Abs(d) < 1e-12 {
+			break
+		}
+	}
+	sinE, cosE := math.Sin(ea), math.Cos(ea)
+
+	// True anomaly and radius.
+	nu := math.Atan2(math.Sqrt(1-e*e)*sinE, cosE-e)
+	r := k.a * (1 - e*cosE)
+
+	// Perifocal position/velocity.
+	pSLR := k.a * (1 - e*e)
+	rp := Vec3{r * math.Cos(nu), r * math.Sin(nu), 0}
+	vScale := math.Sqrt(gravityMu / pSLR)
+	vp := Vec3{-vScale * math.Sin(nu), vScale * (e + math.Cos(nu)), 0}
+
+	// Rotate perifocal → inertial: Rz(-raan) Rx(-i) Rz(-argp).
+	rPos := rotZInv(rotXInv(rotZInv(rp, argp), k.els.Inclination), raan)
+	vVel := rotZInv(rotXInv(rotZInv(vp, argp), k.els.Inclination), raan)
+	return State{Position: rPos, Velocity: vVel}
+}
+
+// rotZInv rotates the vector by +theta about Z (inverse frame rotation).
+func rotZInv(v Vec3, theta float64) Vec3 {
+	c, s := math.Cos(theta), math.Sin(theta)
+	return Vec3{c*v.X - s*v.Y, s*v.X + c*v.Y, v.Z}
+}
+
+// rotXInv rotates the vector by +theta about X.
+func rotXInv(v Vec3, theta float64) Vec3 {
+	c, s := math.Cos(theta), math.Sin(theta)
+	return Vec3{v.X, c*v.Y - s*v.Z, s*v.Y + c*v.Z}
+}
+
 func keplerElements() Elements {
 	return Elements{
 		NoradID:      90500,

@@ -72,11 +72,12 @@ func (pp *PassPredictor) SetSource(src StateSource) {
 	pp.eph, _ = src.(*Ephemeris)
 }
 
-// scan bundles the per-search state of one Passes call: the cached
-// observer frame, the precomputed mask sines, and — when the source is an
-// Ephemeris — the telemetry pointer loaded once for the whole search
-// instead of per query, with counts accumulated locally and flushed in one
-// batch at the end.
+// scan bundles the per-search state of one pass search: the cached
+// observer frame, the precomputed mask sines, the cursor over the coarse
+// scan steps, the motion-bound skip, and — when the source is an Ephemeris
+// — the telemetry pointer loaded once for the whole search instead of per
+// query, with counts accumulated locally and flushed in one batch at the
+// end.
 type scan struct {
 	pp    *PassPredictor
 	frame Observer
@@ -84,24 +85,68 @@ type scan struct {
 	sinEl float64 // sin(minEl)
 	sin2  float64 // sin²(minEl)
 
-	// start/step anchor the coarse scan; d0 is the offset of the scan
-	// start from the ephemeris start (meaningful when pp.eph != nil), so
-	// scan instants are addressed by integer offset arithmetic instead of
-	// a time.Time construction per step.
-	start time.Time
-	step  time.Duration
-	d0    time.Duration
+	// Scan instants are start + k·step for k in [0, kMax] (one step past
+	// the window end so a pass in progress at end is still detected); the
+	// LOS walk stops at kEnd, the last instant inside the window. d0 is
+	// the offset of the scan start from the ephemeris start (meaningful
+	// when pp.eph != nil), so scan instants are addressed by integer
+	// offset arithmetic instead of a time.Time construction per step.
+	start, end time.Time
+	step       time.Duration
+	d0         time.Duration
+	kMax, kEnd int64
+
+	// nextPass's cursor: the last probed step k, whether it was above the
+	// mask, and how many steps after it are known to be below.
+	k         int64
+	prevAbove bool
+	gap       int64
+
+	// The motion-bound skip (see gapAfter), on when the row has a bound
+	// and the mask is not negative: up is the site's geodetic normal, psi
+	// the half-angle of the cone around it that holds every in-view
+	// direction (with skipMarginRad), turn the most the row's direction
+	// turns in one step, spanOff the offset of the row's last sample.
+	skip      bool
+	up        Vec3
+	psi, turn float64
+	spanOff   time.Duration
 
 	m                     *orbitMetrics
 	hits, interps, exacts uint64
 }
 
-func (pp *PassPredictor) newScan(site Geodetic, minEl float64) scan {
-	s := math.Sin(minEl)
-	sc := scan{pp: pp, frame: NewObserver(site), minEl: minEl, sinEl: s, sin2: s * s}
-	if pp.eph != nil {
-		sc.m = metrics.Load()
+// skipMarginRad widens the skip's in-view cone, so the rounding of the
+// angles it compares (around 1e-15 rad) can never make it skip a step the
+// exact predicate accepts.
+const skipMarginRad = 1e-6
+
+// begin sets up the search of [start, end] at the predictor's coarse step
+// and probes the first scan step. end must be after start.
+func (pp *PassPredictor) begin(site Geodetic, start, end time.Time, minEl float64) scan {
+	step := pp.CoarseStep
+	if step <= 0 {
+		step = 30 * time.Second
 	}
+	s := math.Sin(minEl)
+	sc := scan{pp: pp, frame: NewObserver(site), minEl: minEl, sinEl: s, sin2: s * s,
+		start: start, end: end, step: step,
+		kMax: int64(end.Add(step).Sub(start) / step),
+		kEnd: int64(end.Sub(start) / step),
+	}
+	if e := pp.eph; e != nil {
+		sc.m = metrics.Load()
+		sc.d0 = start.Sub(e.start)
+		rhoMax, omegaMax, ok := e.MotionBound()
+		sc.up = Vec3{sc.frame.cosLat * sc.frame.cosLon, sc.frame.cosLat * sc.frame.sinLon, sc.frame.sinLat}
+		if d := sc.up.Dot(sc.frame.rObs); ok && minEl >= 0 && d > 0 {
+			sc.skip = true
+			sc.psi = math.Acos(math.Min(1, d/rhoMax)) + skipMarginRad
+			sc.turn = omegaMax * step.Seconds()
+			sc.spanOff = time.Duration(e.n-1) * e.step
+		}
+	}
+	sc.prevAbove, sc.gap = sc.probe(0)
 	return sc
 }
 
@@ -155,18 +200,47 @@ func (sc *scan) above(t time.Time) bool {
 	return sc.frame.aboveMask(r, sc.sinEl, sc.sin2)
 }
 
-// aboveIdx is above at scan instant start + k·step, addressed by index so
-// the ephemeris path runs on integer offsets.
-func (sc *scan) aboveIdx(k int64) bool {
+// probe is above at scan step k, addressed by index so the ephemeris path
+// runs on integer offsets. Below the mask it also returns how many of the
+// following steps the row's motion bound proves below it too (gapAfter).
+func (sc *scan) probe(k int64) (above bool, gap int64) {
 	if e := sc.pp.eph; e != nil {
 		r, err, kind := e.positionOff(sc.d0 + time.Duration(k)*sc.step)
 		sc.count(kind)
 		if err != nil {
-			return false
+			return false, 0
 		}
-		return sc.frame.aboveMask(r, sc.sinEl, sc.sin2)
+		if sc.frame.aboveMask(r, sc.sinEl, sc.sin2) {
+			return true, 0
+		}
+		return false, sc.gapAfter(k, r)
 	}
-	return sc.above(sc.start.Add(time.Duration(k) * sc.step))
+	return sc.above(sc.start.Add(time.Duration(k) * sc.step)), 0
+}
+
+// gapAfter returns how many scan steps after step k, where the satellite
+// at r is below the mask, are below the mask too by the row's motion bound
+// (Ephemeris.MotionBound).
+//
+// With a mask ε ≥ 0 the predicate accepts only zenith ≥ 0, that is
+// n̂·r ≥ d = n̂·r_obs for the site's geodetic normal n̂. With d > 0 and
+// |r| ≤ ρ_max, an accepted r has cos∠(n̂, r) = n̂·r/|r| ≥ d/ρ_max: it lies
+// within ψ = arccos(d/ρ_max) of n̂. At a direction θ > ψ from n̂ the row,
+// turning at most ω_max per second, needs (θ − ψ)/ω_max seconds to reach
+// that cone, so no step closer than (θ − ψ)/(ω_max·step) can be above the
+// mask. The bound holds only for instants inside the row's span, so the
+// step itself and every skipped step must lie there.
+func (sc *scan) gapAfter(k int64, r Vec3) int64 {
+	off := sc.d0 + time.Duration(k)*sc.step
+	if !sc.skip || off < 0 || off > sc.spanOff {
+		return 0
+	}
+	theta := math.Acos(math.Max(-1, sc.up.Dot(r)/r.Norm()))
+	steps := math.Min((theta-sc.psi)/sc.turn, float64((sc.spanOff-off)/sc.step))
+	if !(steps >= 1) {
+		return 0
+	}
+	return int64(steps)
 }
 
 // elRange returns the elevation and slant range at t — the TCA sweep's
@@ -232,57 +306,26 @@ func (pp *PassPredictor) Passes(site Geodetic, start, end time.Time, minElevatio
 // the shared samples — directly when they land on the sampling grid
 // (located by precomputed index arithmetic, not per-query modulo), by
 // bounded-error Hermite interpolation otherwise — and the telemetry
-// registry is consulted once per search rather than once per query.
+// registry is consulted once per search rather than once per query. A row
+// with a motion bound lets the scan jump over steps that cannot be above a
+// non-negative mask (see gapAfter); every skipped step is one the predicate
+// would have rejected, so the passes are those of a step-by-step scan.
 func (pp *PassPredictor) PassesAppend(dst []Pass, site Geodetic, start, end time.Time, minElevation float64) []Pass {
 	if !end.After(start) {
 		return dst
 	}
-	step := pp.CoarseStep
-	if step <= 0 {
-		step = 30 * time.Second
-	}
-	sc := pp.newScan(site, minElevation)
-	sc.start, sc.step = start, step
-	if pp.eph != nil {
-		sc.d0 = start.Sub(pp.eph.start)
-	}
+	sc := pp.begin(site, start, end, minElevation)
 	defer sc.flush()
 
 	base := len(dst)
-	// Scan instants are start + k·step for k in [0, kMax] (one step past
-	// the window end so a pass in progress at end is still detected); the
-	// LOS walk stops at kEnd, the last instant inside the window.
-	kMax := int64(end.Add(step).Sub(start) / step)
-	kEnd := int64(end.Sub(start) / step)
-	prevAbove := sc.aboveIdx(0)
-	for k := int64(1); k <= kMax; k++ {
-		above := sc.aboveIdx(k)
-		if !prevAbove && above {
-			// Rising edge bracketed in (prev, k]: refine AOS, then walk
-			// forward from the grid point to find LOS.
-			t := start.Add(time.Duration(k) * step)
-			aos := sc.bisect(t.Add(-step), t, true)
-			los, ok := sc.findLOS(k, kEnd, end)
-			if !ok {
-				// Pass extends beyond the search window; truncate at end.
-				los = end
-			}
-			if pass, ok := sc.buildPass(aos, los); ok {
-				dst = append(dst, pass)
-			}
-			// Resume scanning at the first grid point after LOS, but never
-			// move the cursor backwards: a pass shorter than the scan step
-			// can refine to an LOS at or before t, and jumping back would
-			// re-detect the same rising edge forever.
-			if next := int64(los.Sub(start)/step) + 1; next > k {
-				k = next
-				if k > kMax {
-					break
-				}
-				above = sc.aboveIdx(k)
-			}
+	for {
+		aos, los, ok := sc.nextPass()
+		if !ok {
+			break
 		}
-		prevAbove = above
+		if pass, ok := sc.buildPass(aos, los); ok {
+			dst = append(dst, pass)
+		}
 	}
 	// The scan emits passes chronologically; insertion sort (a no-op pass
 	// in the common sorted case) keeps the contract without the closure
@@ -295,19 +338,78 @@ func (pp *PassPredictor) PassesAppend(dst []Pass, site Geodetic, start, end time
 	return dst
 }
 
-// findLOS walks grid points forward from the rising-edge step fromK until
-// elevation drops below the mask, then bisects the falling edge. Returns
-// ok=false if the satellite is still up at the last in-window step kEnd.
-func (sc *scan) findLOS(fromK, kEnd int64, end time.Time) (time.Time, bool) {
-	for k := fromK + 1; ; k++ {
-		if k > kEnd {
-			return end, false
+// WindowsAppend appends to dst the [AOS, LOS] window of every pass
+// PassesAppend would return for the same arguments, in the same order, and
+// returns the extended slice. It runs the same scan and bisection but
+// keeps a pass as soon as one of buildPass's samples reaches the mask,
+// without sweeping the rest for TCA, azimuths and range, so callers that
+// read only AOS and LOS pay for nothing else.
+func (pp *PassPredictor) WindowsAppend(dst []Window, site Geodetic, start, end time.Time, minElevation float64) []Window {
+	if !end.After(start) {
+		return dst
+	}
+	sc := pp.begin(site, start, end, minElevation)
+	defer sc.flush()
+
+	for {
+		aos, los, ok := sc.nextPass()
+		if !ok {
+			break
 		}
-		if !sc.aboveIdx(k) {
-			t := sc.start.Add(time.Duration(k) * sc.step)
-			return sc.bisect(t.Add(-sc.step), t, false), true
+		if sc.reachesMask(aos, los) {
+			dst = append(dst, Window{Start: aos, End: los})
 		}
 	}
+	return dst
+}
+
+// nextPass advances the coarse scan to its next rising edge and returns
+// the refined AOS and LOS of that candidate pass; ok is false once the scan
+// is done. A rising edge is bracketed by a step known to be below the mask
+// — probed, or skipped by the motion bound — so AOS bisects from the step
+// before it, and the LOS walk, the truncation at the window end and the
+// resume after LOS are those of a step-by-step scan.
+func (sc *scan) nextPass() (aos, los time.Time, ok bool) {
+	for sc.k += 1 + sc.gap; sc.k <= sc.kMax; sc.k += 1 + sc.gap {
+		above, gap := sc.probe(sc.k)
+		sc.gap = gap
+		if sc.prevAbove || !above {
+			sc.prevAbove = above
+			continue
+		}
+		// Rising edge bracketed in (k-1, k]: refine AOS, then walk
+		// forward from the grid point to find LOS.
+		t := sc.start.Add(time.Duration(sc.k) * sc.step)
+		aos = sc.bisect(t.Add(-sc.step), t, true)
+		los = sc.findLOS(sc.k)
+		// Resume scanning at the first grid point after LOS, but never
+		// move the cursor backwards: a pass shorter than the scan step
+		// can refine to an LOS at or before t, and jumping back would
+		// re-detect the same rising edge forever.
+		if next := int64(los.Sub(sc.start)/sc.step) + 1; next > sc.k {
+			sc.k = next
+			if sc.k <= sc.kMax {
+				above, sc.gap = sc.probe(sc.k)
+			}
+		}
+		sc.prevAbove = above
+		return aos, los, true
+	}
+	return time.Time{}, time.Time{}, false
+}
+
+// findLOS walks grid points forward from the rising-edge step fromK until
+// elevation drops below the mask, then bisects the falling edge. A pass
+// still up at the last in-window step kEnd extends beyond the search
+// window and is truncated at its end.
+func (sc *scan) findLOS(fromK int64) time.Time {
+	for k := fromK + 1; k <= sc.kEnd; k++ {
+		if above, _ := sc.probe(k); !above {
+			t := sc.start.Add(time.Duration(k) * sc.step)
+			return sc.bisect(t.Add(-sc.step), t, false)
+		}
+	}
+	return sc.end
 }
 
 // bisect refines a horizon crossing bracketed by [lo, hi]. rising selects
@@ -384,23 +486,38 @@ func (sc *scan) buildPass(aos, los time.Time) (Pass, bool) {
 	return pass, pass.MaxElevation >= sc.minEl
 }
 
-// passBufPool recycles pass-search scratch for the package's own sweep
-// helpers (DailyVisibleDuration and friends), whose pass lists are
-// consumed before returning.
-var passBufPool = sync.Pool{New: func() any { s := make([]Pass, 0, 32); return &s }}
+// reachesMask is buildPass's keep decision alone: whether the window is
+// non-empty and one of its 65 samples is at or above the mask. elRange's
+// elevation is bit-identical to look's, so the answer is buildPass's; it
+// stops at the first sample that passes.
+func (sc *scan) reachesMask(aos, los time.Time) bool {
+	if !los.After(aos) {
+		return false
+	}
+	const samples = 64
+	dur := los.Sub(aos)
+	for i := 0; i <= samples; i++ {
+		if el, _, err := sc.elRange(aos.Add(dur * time.Duration(i) / samples)); err == nil && el >= sc.minEl {
+			return true
+		}
+	}
+	return false
+}
+
+// windowBufPool recycles window scratch for the package's own sweep
+// helpers (DailyVisibleDuration), whose window lists are consumed before
+// returning.
+var windowBufPool = sync.Pool{New: func() any { s := make([]Window, 0, 32); return &s }}
 
 // DailyVisibleDuration sums the above-mask time for the satellite over the
 // site between start and end, returning the mean per-day duration. This is
 // the "theoretical presence duration" of Figure 3a.
 func (pp *PassPredictor) DailyVisibleDuration(site Geodetic, start, end time.Time, minElevation float64) time.Duration {
-	buf := passBufPool.Get().(*[]Pass)
-	passes := pp.PassesAppend((*buf)[:0], site, start, end, minElevation)
-	var total time.Duration
-	for _, p := range passes {
-		total += p.Duration()
-	}
-	*buf = passes[:0]
-	passBufPool.Put(buf)
+	buf := windowBufPool.Get().(*[]Window)
+	windows := pp.WindowsAppend((*buf)[:0], site, start, end, minElevation)
+	total := TotalDuration(windows)
+	*buf = windows[:0]
+	windowBufPool.Put(buf)
 	days := end.Sub(start).Hours() / 24
 	if days <= 0 {
 		return 0
@@ -408,8 +525,8 @@ func (pp *PassPredictor) DailyVisibleDuration(site Geodetic, start, end time.Tim
 	return time.Duration(float64(total) / days)
 }
 
-// MergeWindows merges overlapping [AOS, LOS] windows from multiple
-// satellites into the union coverage intervals of a constellation.
+// Window is one time interval: a pass's [AOS, LOS], a merged coverage
+// interval, an outage.
 type Window struct {
 	Start, End time.Time
 }
@@ -417,16 +534,17 @@ type Window struct {
 // Duration returns the window length.
 func (w Window) Duration() time.Duration { return w.End.Sub(w.Start) }
 
-// MergeWindows returns the union of the pass windows as a minimal sorted
-// set of non-overlapping intervals.
-func MergeWindows(passes []Pass) []Window {
-	if len(passes) == 0 {
+// Window returns the pass's [AOS, LOS] window.
+func (p Pass) Window() Window { return Window{Start: p.AOS, End: p.LOS} }
+
+// MergeWindows returns the union of the windows — e.g. the pass windows of
+// a constellation's satellites — as a minimal sorted set of non-overlapping
+// intervals. The input is not reordered.
+func MergeWindows(windows []Window) []Window {
+	if len(windows) == 0 {
 		return nil
 	}
-	ws := make([]Window, len(passes))
-	for i, p := range passes {
-		ws[i] = Window{Start: p.AOS, End: p.LOS}
-	}
+	ws := append([]Window(nil), windows...)
 	sort.Slice(ws, func(i, j int) bool { return ws[i].Start.Before(ws[j].Start) })
 	merged := ws[:1]
 	for _, w := range ws[1:] {

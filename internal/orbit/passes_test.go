@@ -144,10 +144,10 @@ func TestDailyVisibleDuration(t *testing.T) {
 
 func TestMergeWindows(t *testing.T) {
 	t0 := time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)
-	mk := func(startMin, endMin int) Pass {
-		return Pass{AOS: t0.Add(time.Duration(startMin) * time.Minute), LOS: t0.Add(time.Duration(endMin) * time.Minute)}
+	mk := func(startMin, endMin int) Window {
+		return Window{Start: t0.Add(time.Duration(startMin) * time.Minute), End: t0.Add(time.Duration(endMin) * time.Minute)}
 	}
-	merged := MergeWindows([]Pass{mk(0, 10), mk(5, 15), mk(30, 40), mk(40, 45), mk(60, 61)})
+	merged := MergeWindows([]Window{mk(0, 10), mk(5, 15), mk(30, 40), mk(40, 45), mk(60, 61)})
 	if len(merged) != 3 {
 		t.Fatalf("got %d merged windows, want 3", len(merged))
 	}
@@ -168,12 +168,12 @@ func TestMergeWindows(t *testing.T) {
 
 func TestMergeWindowsEdgeCases(t *testing.T) {
 	t0 := time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)
-	mk := func(startMin, endMin int) Pass {
-		return Pass{AOS: t0.Add(time.Duration(startMin) * time.Minute), LOS: t0.Add(time.Duration(endMin) * time.Minute)}
+	mk := func(startMin, endMin int) Window {
+		return Window{Start: t0.Add(time.Duration(startMin) * time.Minute), End: t0.Add(time.Duration(endMin) * time.Minute)}
 	}
 
 	t.Run("fully nested", func(t *testing.T) {
-		merged := MergeWindows([]Pass{mk(0, 100), mk(10, 20), mk(40, 90)})
+		merged := MergeWindows([]Window{mk(0, 100), mk(10, 20), mk(40, 90)})
 		if len(merged) != 1 {
 			t.Fatalf("got %d windows, want 1", len(merged))
 		}
@@ -183,7 +183,7 @@ func TestMergeWindowsEdgeCases(t *testing.T) {
 	})
 
 	t.Run("identical AOS", func(t *testing.T) {
-		merged := MergeWindows([]Pass{mk(0, 5), mk(0, 12), mk(0, 3)})
+		merged := MergeWindows([]Window{mk(0, 5), mk(0, 12), mk(0, 3)})
 		if len(merged) != 1 {
 			t.Fatalf("got %d windows, want 1", len(merged))
 		}
@@ -196,7 +196,7 @@ func TestMergeWindowsEdgeCases(t *testing.T) {
 		// A zero-length window inside or touching a real window vanishes
 		// into it; an isolated one survives with zero duration and still
 		// bounds gaps on both sides.
-		merged := MergeWindows([]Pass{mk(0, 10), mk(5, 5), mk(10, 10), mk(50, 50)})
+		merged := MergeWindows([]Window{mk(0, 10), mk(5, 5), mk(10, 10), mk(50, 50)})
 		if len(merged) != 2 {
 			t.Fatalf("got %d windows, want 2: %v", len(merged), merged)
 		}
@@ -213,7 +213,7 @@ func TestMergeWindowsEdgeCases(t *testing.T) {
 	})
 
 	t.Run("all zero-length", func(t *testing.T) {
-		merged := MergeWindows([]Pass{mk(5, 5), mk(5, 5)})
+		merged := MergeWindows([]Window{mk(5, 5), mk(5, 5)})
 		if len(merged) != 1 || merged[0].Duration() != 0 {
 			t.Fatalf("duplicate zero-length windows: %v", merged)
 		}

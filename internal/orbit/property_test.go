@@ -19,19 +19,19 @@ func TestMergeWindowsProperties(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		passes := make([]Pass, n)
+		windows := make([]Window, n)
 		var sum time.Duration
 		var longest time.Duration
 		for i := 0; i < n; i++ {
 			s := base.Add(time.Duration(starts[i]) * time.Minute)
 			d := time.Duration(durs[i]+1) * time.Minute
-			passes[i] = Pass{AOS: s, LOS: s.Add(d)}
+			windows[i] = Window{Start: s, End: s.Add(d)}
 			sum += d
 			if d > longest {
 				longest = d
 			}
 		}
-		merged := MergeWindows(passes)
+		merged := MergeWindows(windows)
 		total := TotalDuration(merged)
 		// Union is bounded by the sum and at least as long as the longest
 		// single window.
@@ -45,10 +45,10 @@ func TestMergeWindowsProperties(t *testing.T) {
 			}
 		}
 		// Every original window is contained in some merged window.
-		for _, p := range passes {
+		for _, p := range windows {
 			contained := false
 			for _, w := range merged {
-				if !p.AOS.Before(w.Start) && !p.LOS.After(w.End) {
+				if !p.Start.Before(w.Start) && !p.End.After(w.End) {
 					contained = true
 					break
 				}
@@ -78,20 +78,16 @@ func TestMergeWindowsProperties(t *testing.T) {
 func TestMergeWindowsIdempotent(t *testing.T) {
 	base := time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)
 	prop := func(starts []uint16) bool {
-		passes := make([]Pass, len(starts))
+		windows := make([]Window, len(starts))
 		for i, s := range starts {
 			a := base.Add(time.Duration(s) * time.Minute)
-			passes[i] = Pass{AOS: a, LOS: a.Add(7 * time.Minute)}
+			windows[i] = Window{Start: a, End: a.Add(7 * time.Minute)}
 		}
-		if len(passes) == 0 {
+		if len(windows) == 0 {
 			return true
 		}
-		once := MergeWindows(passes)
-		again := make([]Pass, len(once))
-		for i, w := range once {
-			again[i] = Pass{AOS: w.Start, LOS: w.End}
-		}
-		twice := MergeWindows(again)
+		once := MergeWindows(windows)
+		twice := MergeWindows(once)
 		if len(once) != len(twice) {
 			return false
 		}
