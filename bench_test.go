@@ -553,7 +553,12 @@ func BenchmarkMegaConstellation(b *testing.B) {
 				if total == 0 {
 					b.Fatal("no passes")
 				}
-				return total, grid.ExactRows()
+				for si := 0; si < grid.Sats(); si++ {
+					if grid.Sat(si).Exact() {
+						exactRows++
+					}
+				}
+				return total, exactRows
 			}
 			calls := sgp4CallsOf(func() { run() })
 			b.ResetTimer()

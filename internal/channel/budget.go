@@ -44,12 +44,6 @@ type Received struct {
 	Loss    Loss
 }
 
-// Apply realizes the channel and returns received RSSI and SNR over the
-// given signal bandwidth.
-func (b Budget) Apply(m *Model, distanceKm, freqMHz, elevationRad float64, w Weather, bandwidthHz float64) Received {
-	return b.ApplyAt(time.Time{}, m, distanceKm, freqMHz, elevationRad, w, bandwidthHz)
-}
-
 // ApplyAt realizes the channel at a timestamp so shadowing correlates
 // across nearby packets (see Model.SampleAt).
 func (b Budget) ApplyAt(at time.Time, m *Model, distanceKm, freqMHz, elevationRad float64, w Weather, bandwidthHz float64) Received {

@@ -179,14 +179,6 @@ type Loss struct {
 	TotalDB      float64
 }
 
-// Sample realizes the total channel loss for one packet with an
-// independent shadowing draw. Elevation controls the atmospheric term and
-// scales fading severity (low passes graze more troposphere and
-// multipath).
-func (m *Model) Sample(distanceKm, freqMHz, elevationRad float64, w Weather) Loss {
-	return m.SampleAt(time.Time{}, distanceKm, freqMHz, elevationRad, w)
-}
-
 // SampleAt realizes the loss for a packet at time at; consecutive calls
 // with increasing timestamps see AR(1)-correlated shadowing.
 func (m *Model) SampleAt(at time.Time, distanceKm, freqMHz, elevationRad float64, w Weather) Loss {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/sinet-io/sinet/internal/sim"
 )
@@ -76,7 +77,7 @@ func TestWeatherOrdering(t *testing.T) {
 
 func TestModelSampleComposition(t *testing.T) {
 	m := NewModel(sim.NewRNG(1, "chan"))
-	l := m.Sample(1500, 435, 30*math.Pi/180, Rainy)
+	l := m.SampleAt(time.Time{}, 1500, 435, 30*math.Pi/180, Rainy)
 	if l.FSPLDB != FreeSpacePathLossDB(1500, 435) {
 		t.Error("FSPL component mismatch")
 	}
@@ -93,8 +94,8 @@ func TestModelDeterministicPerSeed(t *testing.T) {
 	a := NewModel(sim.NewRNG(42, "chan"))
 	b := NewModel(sim.NewRNG(42, "chan"))
 	for i := 0; i < 50; i++ {
-		la := a.Sample(1200, 435, 0.5, Sunny)
-		lb := b.Sample(1200, 435, 0.5, Sunny)
+		la := a.SampleAt(time.Time{}, 1200, 435, 0.5, Sunny)
+		lb := b.SampleAt(time.Time{}, 1200, 435, 0.5, Sunny)
 		if la != lb {
 			t.Fatal("same-seed channels diverged")
 		}
@@ -109,7 +110,7 @@ func TestModelMeanLossNearDeterministicPart(t *testing.T) {
 	const n = 20000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += m.Sample(1000, 435, 0.8, Sunny).TotalDB
+		sum += m.SampleAt(time.Time{}, 1000, 435, 0.8, Sunny).TotalDB
 	}
 	mean := sum / n
 	det := MeanLossDB(1000, 435, 0.8, Sunny)
@@ -125,7 +126,7 @@ func TestLowElevationFadesHarder(t *testing.T) {
 		const n = 8000
 		var sum, sumSq float64
 		for i := 0; i < n; i++ {
-			f := m.Sample(1000, 435, elev, Sunny).FadingDB
+			f := m.SampleAt(time.Time{}, 1000, 435, elev, Sunny).FadingDB
 			sum += f
 			sumSq += f * f
 		}
@@ -147,7 +148,7 @@ func TestBudgetApply(t *testing.T) {
 		RxAntenna:    TinyGSGroundAntenna,
 		RxNoiseFigDB: 6,
 	}
-	r := b.Apply(m, 1000, 435, 0.5, Sunny, 125e3)
+	r := b.ApplyAt(time.Time{}, m, 1000, 435, 0.5, Sunny, 125e3)
 	// RSSI = 22 + 2 + 2 - loss; with FSPL≈145 expect ≈ -120±10 dBm.
 	if r.RSSIDBm > -105 || r.RSSIDBm < -140 {
 		t.Errorf("RSSI = %.1f dBm implausible for a 1000 km DtS link", r.RSSIDBm)
@@ -188,8 +189,8 @@ func TestAntennaGainOrdering(t *testing.T) {
 	// Same RNG state ⇒ comparing means over many draws.
 	var dLow, dHigh float64
 	for i := 0; i < 2000; i++ {
-		dLow += base.Apply(m, 1500, 435, 0.4, Sunny, 125e3).SNRDB
-		dHigh += up.Apply(m, 1500, 435, 0.4, Sunny, 125e3).SNRDB
+		dLow += base.ApplyAt(time.Time{}, m, 1500, 435, 0.4, Sunny, 125e3).SNRDB
+		dHigh += up.ApplyAt(time.Time{}, m, 1500, 435, 0.4, Sunny, 125e3).SNRDB
 	}
 	if dHigh-dLow < 1000*(FiveEighthsWave.GainDB-QuarterWave.GainDB) {
 		t.Error("antenna gain not reflected in mean SNR")

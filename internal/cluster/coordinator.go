@@ -402,16 +402,17 @@ func (c *Coordinator) peerCacheFill(ctx context.Context, key service.Key) ([]byt
 	if owner == "" || !c.peerUp(owner) {
 		return nil, false
 	}
-	data, ok := peerCacheLookup(ctx, c.client, owner, key)
+	data, ok := peerCacheLookup(ctx, c.client, owner, key, maxResultBytes)
 	if ok {
 		c.metrics.peerFills.Inc()
 	}
 	return data, ok
 }
 
-// peerCacheLookup fetches a key's cached bytes from one peer, if present.
-func peerCacheLookup(ctx context.Context, client *http.Client, peer string, key service.Key) ([]byte, bool) {
-	resp, data, err := exchange(ctx, client, http.MethodGet, peer+"/v1/cache?key="+url.QueryEscape(string(key)), nil, "", 10*time.Second, 256<<20)
+// peerCacheLookup fetches a key's cached bytes from one peer, if present
+// and at most limit bytes long.
+func peerCacheLookup(ctx context.Context, client *http.Client, peer string, key service.Key, limit int64) ([]byte, bool) {
+	resp, data, err := exchange(ctx, client, http.MethodGet, peer+"/v1/cache?key="+url.QueryEscape(string(key)), nil, "", 10*time.Second, limit)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
@@ -430,7 +431,7 @@ func PeerCacheFill(ring *Ring, self string, client *http.Client) func(context.Co
 		if owner == "" || owner == self {
 			return nil, false
 		}
-		return peerCacheLookup(ctx, client, owner, key)
+		return peerCacheLookup(ctx, client, owner, key, maxResultBytes)
 	}
 }
 

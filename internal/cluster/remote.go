@@ -17,14 +17,18 @@ import (
 	"github.com/sinet-io/sinet/internal/tracing"
 )
 
+// maxResultBytes bounds the result bytes one exchange reads: a shard
+// result, or a peer's cached bytes.
+const maxResultBytes = 256 << 20
+
 // exchange issues one coordinator→worker request and reads the response
 // body: every worker hop except proxyJob's streaming relay goes through
-// it. timeout bounds the whole exchange, body read included, and limit
-// caps the bytes read. The request carries ctx's span context as a W3C
-// traceparent, so worker-side spans nest under the coordinator span that
-// issued the hop; reqID, when set, as X-Request-Id; and a non-nil body
-// as JSON. resp is non-nil once the worker has answered, even when
-// reading its body then fails.
+// it. timeout bounds the whole exchange, body read included, and a body
+// longer than limit bytes is an error, never a cut body. The request
+// carries ctx's span context as a W3C traceparent, so worker-side spans
+// nest under the coordinator span that issued the hop; reqID, when set,
+// as X-Request-Id; and a non-nil body as JSON. resp is non-nil once the
+// worker has answered, even when reading its body then fails.
 func exchange(ctx context.Context, client *http.Client, method, target string, body []byte, reqID string, timeout time.Duration, limit int64) (resp *http.Response, data []byte, err error) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
@@ -48,7 +52,10 @@ func exchange(ctx context.Context, client *http.Client, method, target string, b
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err = io.ReadAll(io.LimitReader(resp.Body, limit))
+	data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+	if err == nil && int64(len(data)) > limit {
+		return resp, nil, fmt.Errorf("%s %s: response body exceeds %d bytes", method, target, limit)
+	}
 	return resp, data, err
 }
 
@@ -270,7 +277,7 @@ func (c *Coordinator) statusOn(ctx context.Context, peer, id string) (*service.J
 
 // resultOn fetches a finished remote job's raw result bytes.
 func (c *Coordinator) resultOn(ctx context.Context, peer, id string) ([]byte, error) {
-	resp, body, err := exchange(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id+"/result", nil, "", time.Minute, 256<<20)
+	resp, body, err := exchange(ctx, c.client, http.MethodGet, peer+"/v1/jobs/"+id+"/result", nil, "", time.Minute, maxResultBytes)
 	if err != nil {
 		return nil, err
 	}

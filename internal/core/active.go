@@ -227,6 +227,15 @@ type satPlan struct {
 	flat []time.Time
 }
 
+// times counts p's time.Time values for the memo, beacons from Beacons.
+func (p *satPlan) times() int {
+	n := len(p.Drains) + 2*len(p.Wake)
+	for _, bts := range p.Beacons {
+		n += len(bts)
+	}
+	return n
+}
+
 // beacons returns every beacon instant of p in pass order.
 func (p *satPlan) beacons() []time.Time {
 	if p.flat != nil {
@@ -448,21 +457,18 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	// and, with drain faults on, the seed, so only a fault-free plan is
 	// keyed.
 	plans := make([]satPlan, len(props))
-	planRC, held, filePlans := cfg.RunContext, []bool(nil), func() {}
+	var key *keyInputs
 	if cfg.Memo != nil && !drainFaults {
-		k := newKeyInputs(kindPlan)
-		k.grid(props, cfg.Start, horizon, ephCfg)
-		k.float(site.Lat)
-		k.float(site.Lon)
-		k.float(site.Alt)
-		k.time(end)
-		k.int(int64(cons.BeaconInterval))
-		k.float(cfg.ScheduleAwareMinElevationRad)
-		if key, ok := k.sum(); ok {
-			planRC, held, filePlans = cfg.Memo.restorePlans(cfg.RunContext, key, plans)
-		}
+		key = newKeyInputs(kindPlan)
+		key.grid(props, cfg.Start, horizon, ephCfg)
+		key.float(site.Lat)
+		key.float(site.Lon)
+		key.float(site.Alt)
+		key.time(end)
+		key.int(int64(cons.BeaconInterval))
+		key.float(cfg.ScheduleAwareMinElevationRad)
 	}
-	if err := forEachCheckpointed(ctx, planRC, "plan", plans, held, func(i int) (satPlan, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "plan", plans, key, func(i int) (satPlan, error) {
 		if err := ctx.Err(); err != nil {
 			return satPlan{}, err
 		}
@@ -505,7 +511,6 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	}); err != nil {
 		return nil, err
 	}
-	filePlans()
 	if cfg.Shard != nil {
 		// Shard run: the windowed plan units have been handed to
 		// cfg.Checkpoint; skip engine scheduling and the serial simulate

@@ -354,7 +354,7 @@ func TestPlanBeaconsMarshalAsPerPassSlices(t *testing.T) {
 		var want satPlan
 		var flat []time.Time
 		for _, pass := range passes {
-			bts := gw.BeaconTimes(pass.AOS, pass.LOS)
+			bts := gw.AppendBeaconTimes(nil, pass.AOS, pass.LOS)
 			want.Beacons = append(want.Beacons, bts)
 			flat = append(flat, bts...)
 		}

@@ -141,19 +141,25 @@ func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
 }
 
 // forEachCheckpointed runs one checkpointable phase as one sim.Phase over
-// the units it does not restore: out's length is the unit count, fn(i)
-// computes unit i. held (nil for none) marks the slots of out the caller
-// already filled from the memo; they count as restored. Other units
-// present in rc.Resume are restored by JSON decode instead of recomputed;
-// newly computed units are serialized and handed to rc.Checkpoint, each
-// before its progress report. Progress spans the whole phase (restored
-// units count as already complete), preserving the strictly-increasing
-// contract. A non-nil rc.Shard narrows the phase to its window: only
-// in-window units restore or compute (saves still report the full phase
-// size, so shard snapshots fold directly into a full-phase resume point),
-// and progress totals cover the window. The phase span is annotated with
-// the restored/computed unit counts and, when sharded, the window.
-func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, held []bool, fn func(i int) (T, error)) error {
+// the units it does not restore; it is the one way a unit enters its slot.
+// out's length is the unit count, fn(i) computes unit i, and in holds the
+// phase's memo key inputs (nil where it is not memoized). Units rc.Memo
+// holds under in go into their slots as shared values, others present in
+// rc.Resume are decoded, and the rest are computed, serialized and handed
+// to rc.Checkpoint, each before its progress report. Restored units are
+// not checkpointed, but a shard run, whose units are its result, first
+// hands rc.Checkpoint the held bytes of window units rc.Resume lacks, in
+// index order. Once the phase returned nil having decoded or computed a
+// unit, the memo's units plus every unit the run ends with are filed as a
+// new entry, so a merge files the units its shards computed. Progress
+// spans the whole phase (restored units count as already complete),
+// preserving the strictly-increasing contract. A non-nil rc.Shard narrows
+// the phase to its window: only in-window units restore or compute (saves
+// still report the full phase size, so shard snapshots fold directly into
+// a full-phase resume point), and progress totals cover the window. The
+// phase span is annotated with the restored/computed unit counts and,
+// when sharded, the window.
+func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, in *keyInputs, fn func(i int) (T, error)) error {
 	n := len(out)
 	shard, progress, save := rc.Shard, rc.Progress, rc.Checkpoint
 	if err := shard.validate(n); err != nil {
@@ -163,16 +169,32 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 	if shard != nil {
 		span = shard.Hi - shard.Lo
 	}
-	restored := make([]bool, n)
-	nRestored := 0
-	for i, ok := range held {
-		if ok {
-			restored[i] = true
-			nRestored++
+	var key memoKey
+	keyed, held := rc.Memo != nil && in != nil, &unitEntry[T]{}
+	if keyed {
+		if key, keyed = in.sum(); keyed {
+			if v, ok := rc.Memo.get(key, in.kind); ok {
+				held = v.(*unitEntry[T])
+			}
 		}
 	}
-	if ps := rc.Resume.snapshot(phase, n); ps != nil {
-		for idx, raw := range ps.Units {
+	resume := rc.Resume.snapshot(phase, n)
+	restored := make([]bool, n)
+	fresh := make([][]byte, n) // checkpoint bytes of the units decoded or computed
+	nRestored := 0
+	for i, raw := range held.raw {
+		if raw == nil || !shard.contains(i) {
+			continue
+		}
+		out[i], restored[i] = held.vals[i], true
+		nRestored++
+		if shard != nil && save != nil && (resume == nil || resume.Units[i] == nil) {
+			save(phase, i, n, raw)
+		}
+	}
+	file := keyed && nRestored < span // a full memo hit files nothing
+	if resume != nil {
+		for idx, raw := range resume.Units {
 			if idx < 0 || idx >= n || restored[idx] || !shard.contains(idx) {
 				continue
 			}
@@ -180,8 +202,7 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 			if err := json.Unmarshal(raw, &v); err != nil {
 				continue // corrupt unit: recompute it
 			}
-			out[idx] = v
-			restored[idx] = true
+			out[idx], restored[idx], fresh[idx] = v, true, raw
 			nRestored++
 		}
 	}
@@ -207,20 +228,36 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 		attrs = append(attrs, tracing.Int("shard_lo", shard.Lo), tracing.Int("shard_hi", shard.Hi))
 	}
 	var mu sync.Mutex
-	return sim.Phase(ctx, phase, len(pending), func(k int) error {
+	err := sim.Phase(ctx, phase, len(pending), func(k int) error {
 		i := pending[k]
 		v, err := fn(i)
 		if err != nil {
 			return err
 		}
 		out[i] = v
-		if save != nil {
+		if save != nil || keyed {
 			if raw, err := json.Marshal(v); err == nil {
-				mu.Lock()
-				save(phase, i, n, raw)
-				mu.Unlock()
+				fresh[i] = raw
+				if save != nil {
+					mu.Lock()
+					save(phase, i, n, raw)
+					mu.Unlock()
+				}
 			}
 		}
 		return nil
 	}, report, attrs...)
+	if err != nil || !file {
+		return err
+	}
+	e := &unitEntry[T]{vals: make([]T, n), raw: make([][]byte, n)}
+	copy(e.vals, held.vals)
+	copy(e.raw, held.raw)
+	for i, raw := range fresh {
+		if raw != nil {
+			e.vals[i], e.raw[i] = out[i], raw
+		}
+	}
+	rc.Memo.put(key, e, e.bytes())
+	return nil
 }

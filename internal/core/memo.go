@@ -13,16 +13,16 @@ import (
 )
 
 // Memo holds the seed-independent geometry of finished campaign phases
-// for later runs to reuse: propagated ephemeris grids, and the active
-// campaign's plan units. Each entry is keyed by a hash of exactly the
-// inputs it was computed from, so a hit returns the grid, or the plan
-// values, a recomputation would produce, and results stay byte-identical
-// by construction. Entries are immutable and evicted least-recently-used
+// for later runs to reuse: propagated ephemeris grids, and the units of a
+// keyed checkpointable phase, today the active plan (forEachCheckpointed).
+// Each entry is keyed by a hash of exactly the inputs it was computed
+// from, so a hit returns the grid, or the unit values, a recomputation
+// would produce, and results stay byte-identical by construction. Entries are immutable and evicted least-recently-used
 // against a byte budget. A Memo is safe for concurrent use; a nil *Memo
 // holds nothing and every campaign computes as it would without one.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid or *planEntry
+	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid or *unitEntry[satPlan]
 
 	hits, misses [2]*obs.Counter // by memoKind
 	evictions    *obs.Counter
@@ -95,12 +95,13 @@ type memoKey [sha256.Size]byte
 // location reaches the result bytes (JSON times carry the zone offset),
 // and the serving layer normalizes every time to UTC.
 type keyInputs struct {
-	buf []byte
-	utc bool
+	kind memoKind
+	buf  []byte
+	utc  bool
 }
 
 func newKeyInputs(kind memoKind) *keyInputs {
-	k := &keyInputs{utc: true}
+	k := &keyInputs{kind: kind, utc: true}
 	k.str(memoKindNames[kind])
 	return k
 }
@@ -157,79 +158,24 @@ func gridKey(props []*orbit.Propagator, start, end time.Time, cfg orbit.Ephemeri
 	return k.sum()
 }
 
-// planEntry is a memoized active plan phase: the value of each unit a
-// run computed or reused, with the checkpoint bytes it marshals to. raw[i]
-// is nil for a unit the entry lacks. An entry is read-only once filed:
-// every run that hits it shares its values.
-type planEntry struct {
-	plans []satPlan
-	raw   [][]byte
+// unitEntry is a memoized checkpointable phase: the value of each unit a
+// run ended with, with the checkpoint bytes it marshals to. raw[i] is nil
+// for a unit the entry lacks. An entry is read-only once filed: every run
+// that hits it shares its values.
+type unitEntry[T any] struct {
+	vals []T
+	raw  [][]byte
 }
 
-// bytes approximates the memory e holds: its checkpoint bytes plus the
-// times of its values.
-func (e *planEntry) bytes() int64 {
-	const timeSize = 24 // bytes of one time.Time
+// bytes approximates the memory e holds: its checkpoint bytes plus 24 B
+// per time.Time of the values that count theirs with a times method.
+func (e *unitEntry[T]) bytes() int64 {
 	var n int64
 	for i, raw := range e.raw {
-		if raw == nil {
-			continue
+		n += int64(len(raw))
+		if v, ok := any(&e.vals[i]).(interface{ times() int }); ok && raw != nil {
+			n += 24 * int64(v.times())
 		}
-		p := &e.plans[i]
-		n += int64(len(raw)) + timeSize*int64(len(p.flat)+len(p.Drains)+2*len(p.Wake))
 	}
 	return n
-}
-
-// restorePlans prepares the active plan phase over plans to reuse the
-// units the memo holds under k. Each held unit in rc's shard window goes
-// straight into its slot, and the returned mask marks those slots for
-// forEachCheckpointed to count as restored: progress and the phase span
-// show them as restored units, and a hit decodes no JSON. A unit rc's
-// resume point also holds restores from the memo. Held units are not
-// checkpointed, like any restored unit, except in a shard run, whose units
-// are its result: there the held bytes of the window's units that rc's
-// resume point lacks go to rc.Checkpoint, in index order, before the phase
-// runs. The returned context's Checkpoint also collects each computed
-// unit's bytes, and the returned func, called once the phase returned nil,
-// files the held units plus the computed ones as a new entry, since
-// entries are immutable.
-func (m *Memo) restorePlans(rc RunContext, k memoKey, plans []satPlan) (RunContext, []bool, func()) {
-	n := len(plans)
-	entry := &planEntry{plans: make([]satPlan, n), raw: make([][]byte, n)}
-	held := make([]bool, n)
-	if v, ok := m.get(k, kindPlan); ok {
-		old := v.(*planEntry)
-		copy(entry.plans, old.plans)
-		copy(entry.raw, old.raw)
-		own := rc.Resume.snapshot("plan", n)
-		for i, raw := range old.raw {
-			if raw == nil || !rc.Shard.contains(i) {
-				continue
-			}
-			plans[i], held[i] = old.plans[i], true
-			if rc.Shard != nil && rc.Checkpoint != nil && (own == nil || own.Units[i] == nil) {
-				rc.Checkpoint("plan", i, n, raw)
-			}
-		}
-	}
-	computed := make([]bool, n)
-	out := rc
-	out.Checkpoint = func(phase string, index, total int, unit []byte) {
-		entry.raw[index], computed[index] = unit, true
-		if rc.Checkpoint != nil {
-			rc.Checkpoint(phase, index, total, unit)
-		}
-	}
-	return out, held, func() {
-		filed := false
-		for i, c := range computed {
-			if c {
-				entry.plans[i], filed = plans[i], true
-			}
-		}
-		if filed {
-			m.put(k, entry, entry.bytes())
-		}
-	}
 }

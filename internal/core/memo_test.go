@@ -233,23 +233,32 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 
 // TestMemoPlanHitRestoresTheComputedValues: a plan hit puts the values
 // the miss computed into their slots, shared, not copied or decoded, and
-// marks them held; a unit the entry lacks stays to compute.
+// counts them restored; a unit the entry lacks stays to compute.
 func TestMemoPlanHitRestoresTheComputedValues(t *testing.T) {
-	m := NewMemo(64<<20, nil)
-	k := memoKey{1}
-	plans := make([]satPlan, 2)
-	rc, held, file := m.restorePlans(RunContext{}, k, plans)
-	if held[0] || held[1] {
-		t.Fatal("a cold memo holds plan units")
+	rc := RunContext{Memo: NewMemo(64<<20, nil)}
+	in := newKeyInputs(kindPlan)
+	run := func(rc RunContext, plans []satPlan) (computed []bool) {
+		t.Helper()
+		computed = make([]bool, len(plans))
+		err := forEachCheckpointed(context.Background(), rc, "plan", plans, in, func(i int) (satPlan, error) {
+			computed[i] = true
+			return satPlan{Drains: []time.Time{memoStart}}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return computed
 	}
-	plans[0] = satPlan{Drains: []time.Time{memoStart}}
-	rc.Checkpoint("plan", 0, 2, []byte(`{"drains":["2025-03-01T00:00:00Z"]}`))
-	file()
+	plans := make([]satPlan, 2)
+	cold := rc
+	cold.Shard = &ShardWindow{Lo: 0, Hi: 1}
+	if c := run(cold, plans); !c[0] || c[1] {
+		t.Fatalf("a cold memo computed %v, want only the window's unit 0", c)
+	}
 
 	again := make([]satPlan, 2)
-	_, held, _ = m.restorePlans(RunContext{}, k, again)
-	if !held[0] || held[1] {
-		t.Fatalf("held = %v, want only the computed unit 0", held)
+	if c := run(rc, again); c[0] || !c[1] {
+		t.Fatalf("computed = %v, want only unit 1, which the entry lacks", c)
 	}
 	if &again[0].Drains[0] != &plans[0].Drains[0] {
 		t.Fatal("a hit restored a copy, not the values the miss computed")
@@ -282,5 +291,82 @@ func TestMemoPlanHitIsARestoredUnit(t *testing.T) {
 	hit, hitSaved := run()
 	if hit[0] != hit[1] || hitSaved != 0 {
 		t.Fatalf("hit: first plan report %v and %d saved units, want n of n and none saved", hit, hitSaved)
+	}
+}
+
+// TestMemoMergeFilesItsRestoredPlans: a merge run, which restores every
+// plan unit from its resume point and computes none, files them, so the
+// next run of the geometry, with another seed and no resume point,
+// restores every plan unit from the memo: its first plan report is n of
+// n, it hands no unit to Checkpoint, and it serves the memo-free bytes.
+func TestMemoMergeFilesItsRestoredPlans(t *testing.T) {
+	ctx := context.Background()
+	cfg := ActiveConfig{Seed: 1, Start: memoStart, Days: 1, Constellation: ptr(constellation.FOSSA(memoStart))}
+	cp, save := captureCheckpoint()
+	direct := cfg
+	direct.Checkpoint = save
+	if _, err := RunActiveCtx(ctx, direct); err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemo(64<<20, nil)
+	merge := cfg
+	merge.Resume, merge.Memo = cp, m
+	merge.Checkpoint = func(phase string, index, _ int, _ []byte) {
+		t.Errorf("merge computed %s unit %d", phase, index)
+	}
+	if _, err := RunActiveCtx(ctx, merge); err != nil {
+		t.Fatal(err)
+	}
+
+	next := cfg
+	next.Seed = 2
+	plain, err := RunActiveCtx(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first [2]int
+	saved := 0
+	next.Memo = m
+	next.Progress = func(phase string, completed, total int) {
+		if phase == "plan" && first[1] == 0 {
+			first = [2]int{completed, total}
+		}
+	}
+	next.Checkpoint = func(string, int, int, []byte) { saved++ }
+	got, err := RunActiveCtx(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[0] == 0 || first[0] != first[1] || saved != 0 {
+		t.Fatalf("run after the merge: first plan report %v and %d saved units, want n of n and none saved", first, saved)
+	}
+	if string(mustJSON(t, got)) != string(mustJSON(t, plain)) {
+		t.Fatal("bytes through the memo a merge filed differ from a memo-free run")
+	}
+}
+
+// TestMemoPlanEntrySizeDecodedOrComputed: an entry filed from decoded
+// plans, whose beacons have no flat array, counts the bytes of one filed
+// from the computed plans.
+func TestMemoPlanEntrySizeDecodedOrComputed(t *testing.T) {
+	ctx := context.Background()
+	cfg := ActiveConfig{Seed: 1, Start: memoStart, Days: 1, Constellation: ptr(constellation.FOSSA(memoStart))}
+	computed, decoded := NewMemo(64<<20, nil), NewMemo(64<<20, nil)
+	cp, save := captureCheckpoint()
+	c := cfg
+	c.Memo, c.Checkpoint = computed, save
+	if _, err := RunActiveCtx(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	d := cfg
+	d.Memo, d.Resume = decoded, cp
+	if _, err := RunActiveCtx(ctx, d); err != nil {
+		t.Fatal(err)
+	}
+	if computed.lru.Len() != 2 || decoded.lru.Len() != 2 {
+		t.Fatalf("memo entries = %d computed, %d decoded; want a grid and a plan each", computed.lru.Len(), decoded.lru.Len())
+	}
+	if c, d := computed.lru.Bytes(), decoded.lru.Bytes(); c != d {
+		t.Fatalf("memo bytes = %d from computed plans, %d from decoded ones", c, d)
 	}
 }

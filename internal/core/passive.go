@@ -338,7 +338,6 @@ func runPassiveSiteConstellation(ctx context.Context, cfg PassiveConfig, site Si
 	// shared grid, sweeping one reused predictor across the satellites.
 	passes := make([]orbit.Pass, 0, 256)
 	pp := orbit.NewEphemerisPredictor(cc.grid.Sat(0))
-	pp.CoarseStep = cfg.CoarseStep
 	for i := range cc.props {
 		if err := ctx.Err(); err != nil {
 			return passiveUnit{}, err

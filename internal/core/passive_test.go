@@ -93,7 +93,7 @@ func TestWeatherProcess(t *testing.T) {
 	hk, _ := SiteByCode("HK")
 	w := NewWeatherProcess(simRNG(7, "weather-test"), hk, campaignStart, 60)
 	// Stationary wet fraction near the site's rain probability.
-	if frac := w.WetFraction(); frac < hk.RainProbability-0.12 || frac > hk.RainProbability+0.12 {
+	if frac := wetFraction(w); frac < hk.RainProbability-0.12 || frac > hk.RainProbability+0.12 {
 		t.Errorf("wet fraction = %.2f, want ≈%.2f", frac, hk.RainProbability)
 	}
 	// Deterministic per seed.
@@ -381,4 +381,19 @@ func TestSiteTraceCounts(t *testing.T) {
 	if counts[0].Traces != res.Dataset.Len() {
 		t.Errorf("HK count %d != dataset %d", counts[0].Traces, res.Dataset.Len())
 	}
+}
+
+// wetFraction returns the fraction of w's periods that are rainy or
+// stormy.
+func wetFraction(w *WeatherProcess) float64 {
+	if len(w.states) == 0 {
+		return 0
+	}
+	wet := 0
+	for _, s := range w.states {
+		if s == channel.Rainy || s == channel.Stormy {
+			wet++
+		}
+	}
+	return float64(wet) / float64(len(w.states))
 }

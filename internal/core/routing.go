@@ -246,8 +246,7 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 		}
 	}
 
-	// Phase 2: build the topology snapshots (parallel when the ephemeris
-	// is pure-read; see netgraph.Graph.ParallelBuildSafe).
+	// Phase 2: build the topology snapshots in parallel.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -15,9 +15,8 @@ import (
 )
 
 // TestRoutingExactModeRecordsTopologyPhase runs a routing campaign on
-// exact ephemerides, whose topology snapshots build serially, under the
-// sim instruments: the serial build must record its topology phase like
-// the parallel one does, exactly once.
+// exact ephemerides under the sim instruments: the exact-mode build must
+// record its topology phase like the interpolated one does, exactly once.
 func TestRoutingExactModeRecordsTopologyPhase(t *testing.T) {
 	r := obs.New()
 	sim.SetMetrics(r)

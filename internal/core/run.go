@@ -35,8 +35,8 @@ type RunContext struct {
 	Shard *ShardWindow
 	// Memo, when non-nil, serves seed-independent geometry computed by
 	// earlier runs — propagated ephemeris grids and active plan units —
-	// and files what this run computes (see Memo). Like Resume it never
-	// changes results; nil computes everything.
+	// and files the grids this run built and the plan units it decoded or
+	// computed (see Memo). Like Resume it never changes results.
 	Memo *Memo
 }
 

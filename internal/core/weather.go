@@ -78,20 +78,6 @@ func (w *WeatherProcess) At(t time.Time) channel.Weather {
 	return w.states[idx]
 }
 
-// WetFraction returns the fraction of periods that are rainy or stormy.
-func (w *WeatherProcess) WetFraction() float64 {
-	if len(w.states) == 0 {
-		return 0
-	}
-	wet := 0
-	for _, s := range w.states {
-		if s == channel.Rainy || s == channel.Stormy {
-			wet++
-		}
-	}
-	return float64(wet) / float64(len(w.states))
-}
-
 // ConstantWeather is a WeatherProvider pinning the sky to one state, used
 // by controlled experiments (Fig. 3d, Fig. 5b).
 type ConstantWeather struct{ State channel.Weather }

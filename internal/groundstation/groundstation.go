@@ -141,42 +141,6 @@ func (s RoundRobinScheduler) Plan(stations []Station, passes []orbit.Pass, start
 	return out
 }
 
-// CoverageOf computes, for one satellite pass, the total time any
-// assignment had some station tuned to that satellite — the scheduler
-// quality metric the ablation bench reports.
-func CoverageOf(p orbit.Pass, assignments []Assignment) time.Duration {
-	type iv struct{ s, e time.Time }
-	var ivs []iv
-	for _, a := range assignments {
-		if a.NoradID != p.NoradID {
-			continue
-		}
-		s := maxTime(a.Start, p.AOS)
-		e := minTime(a.End, p.LOS)
-		if e.After(s) {
-			ivs = append(ivs, iv{s, e})
-		}
-	}
-	if len(ivs) == 0 {
-		return 0
-	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].s.Before(ivs[j].s) })
-	var total time.Duration
-	cur := ivs[0]
-	for _, v := range ivs[1:] {
-		if !v.s.After(cur.e) {
-			if v.e.After(cur.e) {
-				cur.e = v.e
-			}
-			continue
-		}
-		total += cur.e.Sub(cur.s)
-		cur = v
-	}
-	total += cur.e.Sub(cur.s)
-	return total
-}
-
 func maxTime(a, b time.Time) time.Time {
 	if a.After(b) {
 		return a

@@ -1,6 +1,7 @@
 package groundstation
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -71,7 +72,7 @@ func TestTrackingFullCoverage(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatal("no assignment")
 	}
-	if cov := CoverageOf(p, got); cov != p.Duration() {
+	if cov := coverageOf(p, got); cov != p.Duration() {
 		t.Errorf("tracking coverage = %v, want full %v", cov, p.Duration())
 	}
 }
@@ -160,8 +161,8 @@ func TestRoundRobinCoverageWorseThanTracking(t *testing.T) {
 	tr := TrackingScheduler{}
 	trPlan := tr.Plan(stations, []orbit.Pass{pass}, t0, t0.Add(2*time.Hour))
 
-	rrCov := CoverageOf(pass, rrPlan)
-	trCov := CoverageOf(pass, trPlan)
+	rrCov := coverageOf(pass, rrPlan)
+	trCov := coverageOf(pass, trPlan)
 	if trCov != pass.Duration() {
 		t.Errorf("tracking coverage %v != pass duration %v", trCov, pass.Duration())
 	}
@@ -193,10 +194,46 @@ func TestCoverageOfMergesOverlaps(t *testing.T) {
 		{NoradID: 1, Start: t0.Add(4 * time.Minute), End: t0.Add(9 * time.Minute)},
 		{NoradID: 2, Start: t0, End: t0.Add(10 * time.Minute)}, // other sat
 	}
-	if cov := CoverageOf(p, asg); cov != 9*time.Minute {
+	if cov := coverageOf(p, asg); cov != 9*time.Minute {
 		t.Errorf("coverage = %v, want 9m", cov)
 	}
-	if cov := CoverageOf(p, nil); cov != 0 {
+	if cov := coverageOf(p, nil); cov != 0 {
 		t.Errorf("empty coverage = %v", cov)
 	}
+}
+
+// coverageOf computes, for one satellite pass, the total time any
+// assignment had some station tuned to that satellite: the scheduler
+// quality metric the scheduler tests compare.
+func coverageOf(p orbit.Pass, assignments []Assignment) time.Duration {
+	type iv struct{ s, e time.Time }
+	var ivs []iv
+	for _, a := range assignments {
+		if a.NoradID != p.NoradID {
+			continue
+		}
+		s := maxTime(a.Start, p.AOS)
+		e := minTime(a.End, p.LOS)
+		if e.After(s) {
+			ivs = append(ivs, iv{s, e})
+		}
+	}
+	if len(ivs) == 0 {
+		return 0
+	}
+	sort.Slice(ivs, func(i, j int) bool { return ivs[i].s.Before(ivs[j].s) })
+	var total time.Duration
+	cur := ivs[0]
+	for _, v := range ivs[1:] {
+		if !v.s.After(cur.e) {
+			if v.e.After(cur.e) {
+				cur.e = v.e
+			}
+			continue
+		}
+		total += cur.e.Sub(cur.s)
+		cur = v
+	}
+	total += cur.e.Sub(cur.s)
+	return total
 }

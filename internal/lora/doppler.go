@@ -16,14 +16,6 @@ func DopplerShiftHz(carrierHz, rangeRateKmS float64) float64 {
 	return -rangeRateKmS / speedOfLight * carrierHz
 }
 
-// MaxDopplerShiftHz returns the worst-case Doppler magnitude for a LEO
-// satellite with the given orbital speed seen at the horizon. For a 500 km
-// orbit at 7.6 km/s on 435 MHz this is ≈ 10 kHz, matching the published
-// satellite-LoRa measurements.
-func MaxDopplerShiftHz(carrierHz, orbitalSpeedKmS float64) float64 {
-	return orbitalSpeedKmS / speedOfLight * carrierHz
-}
-
 // DopplerTolerance describes LoRa's resilience to static carrier offset and
 // to offset *rate* during one packet. LoRa demodulation tracks a static
 // offset up to roughly 25% of the bandwidth; faster drift than about one

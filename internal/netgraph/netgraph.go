@@ -266,49 +266,24 @@ func (g *Graph) SnapshotFor(t time.Time) int {
 	return k
 }
 
-// ParallelBuildSafe reports whether snapshots may be built concurrently.
-// Snapshot builders for different instants query the same ephemeris rows,
-// which is race-free only on the pure-read grid-hit/interpolation paths;
-// a row in exact mode (configured or demoted at validation) answers
-// off-grid queries through its mutable propagator, so such grids must
-// build serially. Call after the grid rows are propagated.
-func (g *Graph) ParallelBuildSafe() bool {
-	if g.grid.Sats() == 0 {
-		return true
-	}
-	return !g.grid.Sat(0).Exact() && g.grid.ExactRows() == 0
-}
-
 // BuildAll fills every snapshot as the "topology" phase (see sim.Phase),
-// one unit per snapshot when the ephemeris allows it (see
-// ParallelBuildSafe). Otherwise the serial build runs as one unit that
-// reports each snapshot to progress itself. Each snapshot writes only its
-// own slot and reads only shared immutable samples, so the parallel build
-// is bit-identical to the serial one. progress (may be nil) observes
+// one unit per snapshot. Each snapshot writes only its own slot and reads
+// only the shared ephemeris, which is safe for concurrent use in every
+// mode (an exact row's propagator only reads), so the parallel build is
+// bit-identical to a serial one. progress (may be nil) observes
 // completion counts, serialized and strictly increasing.
 func (g *Graph) BuildAll(ctx context.Context, progress func(phase string, completed, total int)) error {
 	n := len(g.snaps)
-	if g.ParallelBuildSafe() {
-		return sim.Phase(ctx, "topology", n, func(k int) error {
-			g.Build(k)
-			return nil
-		}, progress, tracing.Int("snapshots", n))
-	}
-	return sim.Phase(ctx, "topology", 1, func(int) error {
-		for k := 0; k < n; k++ {
-			g.Build(k)
-			if progress != nil {
-				progress("topology", k+1, n)
-			}
-		}
+	return sim.Phase(ctx, "topology", n, func(k int) error {
+		g.Build(k)
 		return nil
-	}, nil, tracing.Int("snapshots", n))
+	}, progress, tracing.Int("snapshots", n))
 }
 
 // Build fills snapshot k: evaluates every candidate ISL and every
 // satellite×station pair against the connectivity predicates at the
-// snapshot instant. Safe to call concurrently for distinct k when
-// ParallelBuildSafe holds. Idempotent: rebuilding yields the same snapshot.
+// snapshot instant. Safe to call concurrently for distinct k. Idempotent:
+// rebuilding yields the same snapshot.
 func (g *Graph) Build(k int) {
 	snap := &g.snaps[k]
 	t := snap.At

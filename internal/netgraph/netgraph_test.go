@@ -244,30 +244,36 @@ func TestParallelBuildBitIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := testEpoch.Add(2 * time.Hour)
-	grid := orbit.NewEphemerisGrid(props, testEpoch, end, orbit.EphemerisConfig{ScanStep: time.Minute})
-	grid.PropagateAll()
-
-	build := func(procs int) *Graph {
-		old := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(old)
-		g, err := New(grid, testStations(), testEpoch, end, Config{})
-		if err != nil {
-			t.Fatal(err)
+	// An exact grid answers the snapshot instants between its one-minute
+	// samples through each row's propagator, from every worker at once.
+	for name, tc := range map[string]struct {
+		eph orbit.EphemerisConfig
+		cfg Config
+	}{
+		"interpolated": {orbit.EphemerisConfig{ScanStep: time.Minute}, Config{}},
+		"exact":        {orbit.EphemerisConfig{ScanStep: time.Minute, Exact: true}, Config{SnapshotStep: 90 * time.Second}},
+	} {
+		grid := orbit.NewEphemerisGrid(props, testEpoch, end, tc.eph)
+		grid.PropagateAll()
+		build := func(procs int) *Graph {
+			old := runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(old)
+			g, err := New(grid, testStations(), testEpoch, end, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.BuildAll(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			return g
 		}
-		if !g.ParallelBuildSafe() {
-			t.Fatal("interpolated grid should allow parallel builds")
-		}
-		if err := g.BuildAll(context.Background(), nil); err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	serial, parallel := build(1), build(4)
-	for k := 0; k < serial.Snapshots(); k++ {
-		a, b := &serial.snaps[k], &parallel.snaps[k]
-		if !reflect.DeepEqual(a.offsets, b.offsets) || !reflect.DeepEqual(a.nbr, b.nbr) ||
-			!reflect.DeepEqual(a.delay, b.delay) || a.liveISL != b.liveISL {
-			t.Fatalf("snapshot %d differs between serial and parallel build", k)
+		serial, parallel := build(1), build(4)
+		for k := 0; k < serial.Snapshots(); k++ {
+			a, b := &serial.snaps[k], &parallel.snaps[k]
+			if !reflect.DeepEqual(a.offsets, b.offsets) || !reflect.DeepEqual(a.nbr, b.nbr) ||
+				!reflect.DeepEqual(a.delay, b.delay) || a.liveISL != b.liveISL {
+				t.Fatalf("%s: snapshot %d differs between serial and parallel build", name, k)
+			}
 		}
 	}
 }

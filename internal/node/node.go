@@ -85,9 +85,6 @@ func (n *Node) Sense(at time.Time, payloadBytes int) *Reading {
 // Pending reports whether any reading awaits uplink.
 func (n *Node) Pending() bool { return len(n.queue) > 0 }
 
-// QueueLen returns the number of buffered readings.
-func (n *Node) QueueLen() int { return len(n.queue) }
-
 // Head returns the oldest un-acknowledged reading, or nil.
 func (n *Node) Head() *Reading {
 	if len(n.queue) == 0 {
@@ -145,16 +142,3 @@ func (n *Node) ResolveHead(acked bool, at time.Time) Completion {
 	}
 	return KeepRetrying
 }
-
-// DropHead force-removes the head reading (used when a contact window
-// closes with the budget exhausted elsewhere).
-func (n *Node) DropHead() {
-	if len(n.queue) > 0 {
-		n.queue = n.queue[1:]
-		n.Abandoned++
-	}
-}
-
-// Queue returns the pending readings (oldest first). The slice is the
-// node's own; callers must not mutate it.
-func (n *Node) Queue() []*Reading { return n.queue }

@@ -28,8 +28,8 @@ func TestSenseQueues(t *testing.T) {
 	if r1.SeqID == r2.SeqID {
 		t.Error("sequence IDs not unique")
 	}
-	if n.QueueLen() != 2 || n.Generated != 2 {
-		t.Errorf("queue=%d generated=%d", n.QueueLen(), n.Generated)
+	if len(n.queue) != 2 || n.Generated != 2 {
+		t.Errorf("queue=%d generated=%d", len(n.queue), n.Generated)
 	}
 	if n.Head() != r1 {
 		t.Error("head is not the oldest reading")
@@ -47,8 +47,8 @@ func TestResolveHeadAcked(t *testing.T) {
 	if r.AckedAt.IsZero() {
 		t.Error("AckedAt not set")
 	}
-	if n.Delivered != 1 || n.QueueLen() != 0 {
-		t.Errorf("delivered=%d queue=%d", n.Delivered, n.QueueLen())
+	if n.Delivered != 1 || len(n.queue) != 0 {
+		t.Errorf("delivered=%d queue=%d", n.Delivered, len(n.queue))
 	}
 }
 
@@ -63,7 +63,7 @@ func TestResolveHeadRetryThenAbandon(t *testing.T) {
 		if got := n.ResolveHead(false, t0.Add(time.Duration(attempt)*time.Minute)); got != KeepRetrying {
 			t.Fatalf("attempt %d: completion = %v, want retry", attempt, got)
 		}
-		if n.QueueLen() != 1 {
+		if len(n.queue) != 1 {
 			t.Fatalf("attempt %d: queue emptied prematurely", attempt)
 		}
 	}
@@ -72,8 +72,8 @@ func TestResolveHeadRetryThenAbandon(t *testing.T) {
 	if got := n.ResolveHead(false, t0.Add(3*time.Minute)); got != Abandon {
 		t.Fatalf("final completion = %v, want abandon", got)
 	}
-	if n.Abandoned != 1 || n.QueueLen() != 0 {
-		t.Errorf("abandoned=%d queue=%d", n.Abandoned, n.QueueLen())
+	if n.Abandoned != 1 || len(n.queue) != 0 {
+		t.Errorf("abandoned=%d queue=%d", n.Abandoned, len(n.queue))
 	}
 }
 
@@ -93,27 +93,12 @@ func TestResolveHeadEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestDropHead(t *testing.T) {
-	n := testNode(mac.DefaultRetxPolicy())
-	n.Sense(t0, 20)
-	n.Sense(t0.Add(time.Minute), 20)
-	n.DropHead()
-	if n.Abandoned != 1 || n.QueueLen() != 1 {
-		t.Errorf("abandoned=%d queue=%d", n.Abandoned, n.QueueLen())
-	}
-	n.DropHead()
-	n.DropHead() // empty: no-op
-	if n.Abandoned != 2 {
-		t.Errorf("abandoned=%d after draining", n.Abandoned)
-	}
-}
-
 func TestFIFOOrderPreserved(t *testing.T) {
 	n := testNode(mac.DefaultRetxPolicy())
 	for i := 0; i < 5; i++ {
 		n.Sense(t0.Add(time.Duration(i)*time.Minute), 20)
 	}
-	q := n.Queue()
+	q := n.queue
 	for i := 1; i < len(q); i++ {
 		if q[i].SeqID <= q[i-1].SeqID {
 			t.Fatal("queue not in generation order")

@@ -124,13 +124,6 @@ func GeodeticFromECEF(r Vec3) Geodetic {
 	return Geodetic{Lat: lat, Lon: wrapPi(lon), Alt: alt}
 }
 
-// TEMEToECEF rotates a TEME position vector into the ECEF frame at the given
-// time by the Greenwich mean sidereal angle. Polar motion is neglected,
-// which is standard for SGP4-class work.
-func TEMEToECEF(rTEME Vec3, t time.Time) Vec3 {
-	return rotZ(rTEME, GMSTAt(t))
-}
-
 // TEMEToECEFVel rotates a TEME velocity into ECEF, accounting for the frame
 // rotation (v_ecef = R·v_teme − ω×r_ecef).
 func TEMEToECEFVel(rTEME, vTEME Vec3, t time.Time) (rECEF, vECEF Vec3) {
@@ -258,12 +251,6 @@ func (f Observer) elRange(rSat Vec3) (el, rangeKm float64) {
 	rangeKm = rho.Norm()
 	el = math.Asin(zenith / rangeKm)
 	return el, rangeKm
-}
-
-// SlantRange returns the distance (km) from observer to a satellite at the
-// given ECEF position without computing the full look-angle set.
-func SlantRange(observer Geodetic, rSatECEF Vec3) float64 {
-	return rSatECEF.Sub(observer.ECEF()).Norm()
 }
 
 // SegmentDistance returns the distance (km) from Earth's centre, the

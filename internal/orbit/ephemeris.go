@@ -562,13 +562,3 @@ func NewEphemerisPredictor(e *Ephemeris) *PassPredictor {
 	pp.CoarseStep = e.ScanStep()
 	return pp
 }
-
-// interpErrorBoundElevationRad converts a positional error bound to a
-// conservative elevation-angle error at the given slant range: the worst
-// case puts the full positional error perpendicular to the line of sight.
-func interpErrorBoundElevationRad(errKm, rangeKm float64) float64 {
-	if rangeKm <= 0 {
-		return math.Pi
-	}
-	return math.Asin(math.Min(1, errKm/rangeKm))
-}

@@ -213,9 +213,10 @@ func TestEphemerisCutsPropagationsToSatsTimesSteps(t *testing.T) {
 }
 
 func TestConcurrentEphemerisAndCloneUse(t *testing.T) {
-	// Regression for the goroutine-safety contract: one shared Ephemeris
-	// plus per-goroutine Propagator clones must be race-free (run under
-	// -race) and return identical results on every goroutine.
+	// Regression for the goroutine-safety contract: one shared Ephemeris,
+	// interpolated or exact (whose off-grid queries go through its one
+	// propagator), plus per-goroutine Propagator clones must be race-free
+	// (run under -race) and return identical results on every goroutine.
 	p, err := NewPropagator(leoElements())
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +224,12 @@ func TestConcurrentEphemerisAndCloneUse(t *testing.T) {
 	start := leoElements().Epoch
 	end := start.Add(6 * time.Hour)
 	eph := NewEphemeris(p, start, end, 30*time.Second)
+	exact := NewEphemerisWith(p, start, end, EphemerisConfig{ScanStep: 30 * time.Second, Exact: true})
 	site := NewGeodeticDeg(22.3, 114.2, 0)
 
 	const workers = 8
 	passes := make([][]Pass, workers)
+	exactPasses := make([][]Pass, workers)
 	states := make([]Vec3, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -234,6 +237,7 @@ func TestConcurrentEphemerisAndCloneUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			passes[w] = NewEphemerisPredictor(eph).Passes(site, start, end, 0)
+			exactPasses[w] = NewEphemerisPredictor(exact).Passes(site, start, end, 0)
 			r, _, err := p.Clone().PositionECEF(start.Add(90 * time.Minute))
 			if err != nil {
 				t.Errorf("worker %d: %v", w, err)
@@ -246,6 +250,9 @@ func TestConcurrentEphemerisAndCloneUse(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if !reflect.DeepEqual(passes[0], passes[w]) {
 			t.Errorf("worker %d saw different passes", w)
+		}
+		if !reflect.DeepEqual(exactPasses[0], exactPasses[w]) {
+			t.Errorf("worker %d saw different exact-mode passes", w)
 		}
 		if states[0] != states[w] {
 			t.Errorf("worker %d clone state differs: %v vs %v", w, states[w], states[0])

@@ -131,15 +131,3 @@ func (g *EphemerisGrid) Finish() {
 // Bytes returns the size of the grid's sample storage, which dominates
 // its memory.
 func (g *EphemerisGrid) Bytes() int64 { return 8 * int64(len(g.buf)) }
-
-// ExactRows counts rows that fell back to exact mode — configured, or
-// demoted because their probed interpolation error exceeded the bound.
-func (g *EphemerisGrid) ExactRows() int {
-	n := 0
-	for i := range g.views {
-		if g.views[i].exact {
-			n++
-		}
-	}
-	return n
-}

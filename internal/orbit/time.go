@@ -53,18 +53,6 @@ func JulianDate(t time.Time) float64 {
 	return jd + frac/24.0
 }
 
-// TimeFromJulian converts a Julian date back to UTC time. It inverts
-// JulianDate to sub-millisecond precision, which is far below the fidelity
-// of TLE epochs themselves.
-func TimeFromJulian(jd float64) time.Time {
-	// Days since Go's reference of the Unix epoch: JD 2440587.5.
-	const unixEpochJD = 2440587.5
-	seconds := (jd - unixEpochJD) * 86400.0
-	sec := math.Floor(seconds)
-	nsec := (seconds - sec) * 1e9
-	return time.Unix(int64(sec), int64(nsec)).UTC()
-}
-
 // GMST returns the Greenwich mean sidereal time in radians in [0, 2π) for
 // the given Julian date (UT1 ≈ UTC is assumed, an error far below link-budget
 // relevance). IAU-82 model.

@@ -8,7 +8,6 @@
 package radio
 
 import (
-	"math"
 	"time"
 
 	"github.com/sinet-io/sinet/internal/channel"
@@ -104,32 +103,4 @@ func (l *Link) Transmit(g Geometry, w channel.Weather, payloadBytes int) Recepti
 	pDecode := l.ErrModel.SuccessProbability(snr, l.Params, payloadBytes)
 	out.Decoded = l.rng.Bool(pDecode)
 	return out
-}
-
-// MeanSNR returns the deterministic expected SNR (no fading draws, no
-// Doppler penalty) for planning and theoretical tables.
-func (l *Link) MeanSNR(g Geometry, w channel.Weather) float64 {
-	rssi := l.Budget.MeanRSSI(g.DistanceKm, l.FreqMHz, g.ElevationRad, w)
-	noise := lora.NoiseFloorDBm(l.Params.BandwidthHz, l.Budget.RxNoiseFigDB)
-	return rssi - noise
-}
-
-// ElevationFromRange estimates the elevation angle for a satellite at
-// altitude altKm observed at slant range dKm (law of cosines on the
-// Earth-centred triangle). Useful when only the range is known.
-func ElevationFromRange(altKm, dKm float64) float64 {
-	const re = 6371.0
-	rs := re + altKm
-	if dKm <= 0 {
-		return math.Pi / 2
-	}
-	// cos(zenith at observer) from triangle: rs² = re² + d² + 2·re·d·sin(el)
-	sinEl := (rs*rs - re*re - dKm*dKm) / (2 * re * dKm)
-	if sinEl > 1 {
-		sinEl = 1
-	}
-	if sinEl < -1 {
-		sinEl = -1
-	}
-	return math.Asin(sinEl)
 }

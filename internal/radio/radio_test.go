@@ -1,7 +1,6 @@
 package radio
 
 import (
-	"math"
 	"testing"
 
 	"github.com/sinet-io/sinet/internal/channel"
@@ -103,42 +102,5 @@ func TestDopplerPenaltyApplied(t *testing.T) {
 	// bounded.
 	if r.RawSNRDB-r.SNRDB > 3 {
 		t.Errorf("in-tolerance Doppler penalty = %.1f dB", r.RawSNRDB-r.SNRDB)
-	}
-}
-
-func TestMeanSNRDeterministic(t *testing.T) {
-	l := testLink(6)
-	g := Geometry{DistanceKm: 1200, ElevationRad: 0.4}
-	a := l.MeanSNR(g, channel.Sunny)
-	b := l.MeanSNR(g, channel.Sunny)
-	if a != b {
-		t.Error("MeanSNR not deterministic")
-	}
-	if l.MeanSNR(g, channel.Stormy) >= a {
-		t.Error("storm must reduce mean SNR")
-	}
-}
-
-func TestElevationFromRange(t *testing.T) {
-	// Straight overhead: range = altitude.
-	if el := ElevationFromRange(550, 550); math.Abs(el-math.Pi/2) > 0.01 {
-		t.Errorf("overhead elevation = %v", el)
-	}
-	// Horizon range for 550 km: sqrt((re+h)²-re²) ≈ 2715 km -> elevation ≈ 0.
-	if el := ElevationFromRange(550, 2715); math.Abs(el) > 0.02 {
-		t.Errorf("horizon elevation = %v rad", el)
-	}
-	// Monotone: longer range, lower elevation.
-	prev := math.Pi / 2
-	for d := 750.0; d < 2700; d += 200 {
-		el := ElevationFromRange(550, d)
-		if el >= prev {
-			t.Fatalf("elevation not decreasing at %v km", d)
-		}
-		prev = el
-	}
-	// Degenerate input.
-	if ElevationFromRange(550, 0) != math.Pi/2 {
-		t.Error("zero range must return zenith")
 	}
 }

@@ -72,7 +72,7 @@ func (b *Buffer) Flush() []StoredPacket {
 // A Gateway's orbital source may be a raw propagator or a shared
 // ephemeris view; position queries through either are goroutine-safe.
 // The Buffer is not: campaign workers that push or flush packets must
-// own their gateway exclusively. Read-only uses (BeaconTimes,
+// own their gateway exclusively. Read-only uses (AppendBeaconTimes,
 // GeometryAt, AltitudeAt) may share one gateway across workers.
 type Gateway struct {
 	NoradID int
@@ -109,13 +109,6 @@ func NewGateway(src orbit.StateSource, beaconInterval time.Duration, bufferCapac
 // String implements fmt.Stringer.
 func (g *Gateway) String() string {
 	return fmt.Sprintf("gateway %s (NORAD %d, buffer %d/%d)", g.Name, g.NoradID, g.Buffer.Len(), g.Buffer.Capacity())
-}
-
-// BeaconTimes returns the beacon emission instants within [start, end):
-// a deterministic grid anchored at the satellite's epoch so that beacon
-// phase is stable across passes.
-func (g *Gateway) BeaconTimes(start, end time.Time) []time.Time {
-	return g.AppendBeaconTimes(nil, start, end)
 }
 
 // AppendBeaconTimes appends the beacon emission instants within

@@ -66,7 +66,7 @@ func TestBeaconTimesGrid(t *testing.T) {
 	g := testGateway(t)
 	start := epoch.Add(90 * time.Minute)
 	end := start.Add(5 * time.Minute)
-	times := g.BeaconTimes(start, end)
+	times := g.AppendBeaconTimes(nil, start, end)
 	// 5 min / 20 s = 15 beacons.
 	if len(times) != 15 {
 		t.Fatalf("beacons = %d, want 15", len(times))
@@ -86,8 +86,8 @@ func TestBeaconTimesStableAcrossCalls(t *testing.T) {
 	// Querying overlapping windows must produce the same grid instants —
 	// the property that makes effective-window measurements well defined.
 	g := testGateway(t)
-	a := g.BeaconTimes(epoch.Add(10*time.Minute), epoch.Add(20*time.Minute))
-	b := g.BeaconTimes(epoch.Add(15*time.Minute), epoch.Add(25*time.Minute))
+	a := g.AppendBeaconTimes(nil, epoch.Add(10*time.Minute), epoch.Add(20*time.Minute))
+	b := g.AppendBeaconTimes(nil, epoch.Add(15*time.Minute), epoch.Add(25*time.Minute))
 	seen := map[time.Time]bool{}
 	for _, t1 := range a {
 		seen[t1] = true
@@ -108,11 +108,11 @@ func TestBeaconTimesStableAcrossCalls(t *testing.T) {
 
 func TestBeaconTimesDegenerate(t *testing.T) {
 	g := testGateway(t)
-	if got := g.BeaconTimes(epoch, epoch); got != nil {
+	if got := g.AppendBeaconTimes(nil, epoch, epoch); got != nil {
 		t.Error("empty window produced beacons")
 	}
 	g.BeaconInterval = 0
-	if got := g.BeaconTimes(epoch, epoch.Add(time.Hour)); got != nil {
+	if got := g.AppendBeaconTimes(nil, epoch, epoch.Add(time.Hour)); got != nil {
 		t.Error("zero interval produced beacons")
 	}
 }

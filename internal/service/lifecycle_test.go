@@ -212,7 +212,7 @@ func TestPhaseVocabulary(t *testing.T) {
 	for _, body := range shardGoldenSpecs {
 		spec := mustSpec(t, body)
 		tr := tracing.New("test", 1024)
-		root := tr.StartRoot("attempt")
+		root := tr.StartChild(tracing.SpanContext{}, "attempt")
 		ctx := tracing.NewContext(context.Background(), tr, root.Context())
 		reported := map[string]bool{} // Phase serializes progress calls
 		if _, err := Run(ctx, spec, RunContext{Progress: func(phase string, _, _ int) { reported[phase] = true }}); err != nil {

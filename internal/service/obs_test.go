@@ -230,7 +230,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	// tracer produces byte-identical results, while the tracer observes
 	// real campaign phases.
 	tracer := tracing.New("test", 0)
-	root := tracer.StartRoot("job")
+	root := tracer.StartChild(tracing.SpanContext{}, "job")
 	tctx := tracing.NewContext(ctx, tracer, root.Context())
 	traced, err := Run(tctx, spec, RunContext{})
 	if err != nil {

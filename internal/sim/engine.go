@@ -89,11 +89,6 @@ func (e *Engine) Schedule(at time.Time, fn func(*Engine)) error {
 	return nil
 }
 
-// ScheduleAfter enqueues fn after a virtual delay.
-func (e *Engine) ScheduleAfter(d time.Duration, fn func(*Engine)) error {
-	return e.Schedule(e.now.Add(d), fn)
-}
-
 // ScheduleEach schedules fn(e, t) at every instant t of times, firing
 // exactly as a loop calling Schedule once per instant, in slice order,
 // would: it reserves one sequence number per instant in that order, and

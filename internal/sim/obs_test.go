@@ -86,7 +86,7 @@ func TestPhaseSpan(t *testing.T) {
 	SetMetrics(nil)
 	reads := countClockReads(t)
 	tr := tracing.New("test", 16)
-	root := tr.StartRoot("root")
+	root := tr.StartChild(tracing.SpanContext{}, "root")
 	ctx := tracing.NewContext(context.Background(), tr, root.Context())
 	boom := errors.New("boom")
 	if err := Phase(ctx, "plan", 3, func(int) error { return nil }, nil, tracing.Int("units", 3)); err != nil {

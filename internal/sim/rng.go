@@ -41,9 +41,6 @@ func (g *RNG) Name() string { return g.name }
 // Float64 returns a uniform draw in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
 
-// Intn returns a uniform draw in [0, n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
-
 // Normal returns a Gaussian draw with the given mean and standard deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*g.r.NormFloat64()
@@ -84,12 +81,3 @@ func (g *RNG) Bool(p float64) bool {
 	}
 	return g.r.Float64() < p
 }
-
-// Jitter returns a uniform draw in [-spread/2, +spread/2], used to
-// desynchronize periodic behaviours across simulated devices.
-func (g *RNG) Jitter(spread float64) float64 {
-	return (g.r.Float64() - 0.5) * spread
-}
-
-// Perm returns a random permutation of n elements.
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -286,7 +286,7 @@ func TestEngineFiringAllocatesNothing(t *testing.T) {
 	noop := func(*Engine) {}
 	singles := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 100; i++ {
-			_ = e.ScheduleAfter(time.Duration(i%7)*time.Second, noop)
+			_ = e.Schedule(e.Now().Add(time.Duration(i%7)*time.Second), noop)
 		}
 		e.RunAll()
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -15,7 +14,7 @@ func TestEngineFiresInOrder(t *testing.T) {
 	var fired []int
 	for i, d := range []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second} {
 		i := i
-		if err := e.ScheduleAfter(d, func(*Engine) { fired = append(fired, i) }); err != nil {
+		if err := e.Schedule(e.Now().Add(d), func(*Engine) { fired = append(fired, i) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -67,12 +66,12 @@ func TestEngineChainedScheduling(t *testing.T) {
 	tick = func(en *Engine) {
 		count++
 		if count < 5 {
-			if err := en.ScheduleAfter(time.Minute, tick); err != nil {
+			if err := en.Schedule(en.Now().Add(time.Minute), tick); err != nil {
 				t.Error(err)
 			}
 		}
 	}
-	if err := e.ScheduleAfter(time.Minute, tick); err != nil {
+	if err := e.Schedule(e.Now().Add(time.Minute), tick); err != nil {
 		t.Fatal(err)
 	}
 	e.RunAll()
@@ -88,7 +87,7 @@ func TestEngineRunHorizon(t *testing.T) {
 	e := NewEngine(t0)
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		if err := e.ScheduleAfter(time.Duration(i)*time.Hour, func(*Engine) { fired++ }); err != nil {
+		if err := e.Schedule(e.Now().Add(time.Duration(i)*time.Hour), func(*Engine) { fired++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,7 +108,7 @@ func TestEngineStop(t *testing.T) {
 	e := NewEngine(t0)
 	fired := 0
 	for i := 1; i <= 10; i++ {
-		if err := e.ScheduleAfter(time.Duration(i)*time.Minute, func(en *Engine) {
+		if err := e.Schedule(e.Now().Add(time.Duration(i)*time.Minute), func(en *Engine) {
 			fired++
 			if fired == 3 {
 				en.Stop()
@@ -201,18 +200,6 @@ func TestRNGBoolEdges(t *testing.T) {
 	}
 	if frac := float64(hits) / float64(n); math.Abs(frac-0.3) > 0.03 {
 		t.Errorf("Bool(0.3) frequency = %.3f", frac)
-	}
-}
-
-func TestRNGJitterBounds(t *testing.T) {
-	g := NewRNG(9, "jitter")
-	prop := func(spreadQ uint8) bool {
-		spread := float64(spreadQ) + 1
-		j := g.Jitter(spread)
-		return j >= -spread/2 && j <= spread/2
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -268,11 +268,6 @@ func (h *Histogram) Total() int {
 	return n
 }
 
-// BinCenter returns the centre value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Lo + (float64(i)+0.5)*h.binWidth
-}
-
 // Fraction returns the fraction of in-range samples in bin i.
 func (h *Histogram) Fraction(i int) float64 {
 	total := h.Total()

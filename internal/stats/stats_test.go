@@ -192,9 +192,6 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[1] != 1 || h.Counts[2] != 1 || h.Counts[4] != 1 {
 		t.Errorf("Counts = %v", h.Counts)
 	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("BinCenter(0) = %v", c)
-	}
 	if f := h.Fraction(0); f != 0.4 {
 		t.Errorf("Fraction(0) = %v", f)
 	}

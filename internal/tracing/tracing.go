@@ -273,11 +273,6 @@ func (t *Tracer) newSpanID() SpanID {
 	return id
 }
 
-// StartRoot begins a new trace with a root span.
-func (t *Tracer) StartRoot(name string, attrs ...Attr) *Span {
-	return t.StartChild(SpanContext{}, name, attrs...)
-}
-
 // StartChild begins a span under parent. An invalid parent starts a new
 // trace instead, so callers can thread an optional incoming context
 // through without branching.

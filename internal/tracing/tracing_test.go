@@ -11,7 +11,7 @@ import (
 
 func TestTraceparentRoundTrip(t *testing.T) {
 	tr := New("test", 16)
-	sp := tr.StartRoot("job")
+	sp := tr.StartChild(SpanContext{}, "job")
 	sc := sp.Context()
 	if !sc.Valid() {
 		t.Fatal("root span has invalid context")
@@ -55,7 +55,7 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	sp := tr.StartRoot("job", String("k", "v"))
+	sp := tr.StartChild(SpanContext{}, "job", String("k", "v"))
 	if sp != nil {
 		t.Fatal("nil tracer returned non-nil span")
 	}
@@ -85,7 +85,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestChildSpansShareTrace(t *testing.T) {
 	tr := New("svc", 16)
-	root := tr.StartRoot("job")
+	root := tr.StartChild(SpanContext{}, "job")
 	ctx := NewContext(context.Background(), tr, root.Context())
 	ctx2, child := Start(ctx, "attempt", Int("attempt", 1))
 	_, grand := Start(ctx2, "phase:contacts")
@@ -115,7 +115,7 @@ func TestChildSpansShareTrace(t *testing.T) {
 func TestRingEvictionUnderLoad(t *testing.T) {
 	const capacity = 64
 	tr := New("svc", capacity)
-	root := tr.StartRoot("job")
+	root := tr.StartChild(SpanContext{}, "job")
 	root.End()
 	for i := 0; i < 10*capacity; i++ {
 		tr.Record(root.Context(), "churn", time.Now(), time.Now(), Int("i", i))
@@ -146,7 +146,7 @@ func TestRingEvictionUnderLoad(t *testing.T) {
 
 func TestConcurrentRecording(t *testing.T) {
 	tr := New("svc", 128)
-	root := tr.StartRoot("job")
+	root := tr.StartChild(SpanContext{}, "job")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -183,7 +183,7 @@ func TestConcurrentRecording(t *testing.T) {
 
 func TestSpanEndIsIdempotent(t *testing.T) {
 	tr := New("svc", 8)
-	sp := tr.StartRoot("job")
+	sp := tr.StartChild(SpanContext{}, "job")
 	sp.End()
 	sp.End()
 	sp.End()
@@ -194,7 +194,7 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 
 func TestTraceSortedByStart(t *testing.T) {
 	tr := New("svc", 16)
-	root := tr.StartRoot("job")
+	root := tr.StartChild(SpanContext{}, "job")
 	base := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	tr.Record(root.Context(), "late", base.Add(2*time.Second), base.Add(3*time.Second))
 	tr.Record(root.Context(), "early", base, base.Add(time.Second))
@@ -211,7 +211,7 @@ func TestTraceSortedByStart(t *testing.T) {
 func TestRootsNewestFirstAndLimited(t *testing.T) {
 	tr := New("svc", 32)
 	for i := 0; i < 5; i++ {
-		sp := tr.StartRoot("job", Int("i", i))
+		sp := tr.StartChild(SpanContext{}, "job", Int("i", i))
 		sp.End()
 	}
 	roots := tr.Roots(3)
