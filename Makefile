@@ -54,15 +54,16 @@ bench:
 # mega-constellation sweep, the zero-alloc ephemeris query benches, the
 # ground-segment downlink sweep, the smallest topology-build case, the
 # coverage kind's nine-latitude revisit analysis, the journal's durable and
-# write-behind appends, the event engine, the earliest-delivery search and
-# the active plan phase's compute, memo and resume paths as a
+# write-behind appends, the event engine, the earliest-delivery search,
+# the active plan phase's compute, memo and resume paths, and the cold,
+# memo-warm and shard runs of a routing and a passive geometry as a
 # compile-and-run check; real measurements use
 # `go test -bench . -benchtime 5s`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats|BenchmarkRevisitAnalysis$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/
 	$(GO) test -run '^$$' -bench 'BenchmarkEngine$$|BenchmarkDeliverySearch$$' -benchtime 1x -benchmem ./internal/sim/ ./internal/netgraph/
-	$(GO) test -run '^$$' -bench 'BenchmarkActivePlanPhase$$' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkActivePlanPhase$$|BenchmarkSeedIndependentPhases$$' -benchtime 1x -benchmem ./internal/core/
 
 # fuzz-smoke briefly exercises each fuzz target; the committed corpora under
 # testdata/fuzz/ already run as regression cases in plain `make test`.

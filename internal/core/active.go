@@ -227,13 +227,14 @@ type satPlan struct {
 	flat []time.Time
 }
 
-// times counts p's time.Time values for the memo, beacons from Beacons.
-func (p *satPlan) times() int {
+// valueBytes counts p's time.Time values for the memo, beacons from
+// Beacons.
+func (p *satPlan) valueBytes() int64 {
 	n := len(p.Drains) + 2*len(p.Wake)
 	for _, bts := range p.Beacons {
 		n += len(bts)
 	}
-	return n
+	return timeBytes * int64(n)
 }
 
 // beacons returns every beacon instant of p in pass order.
@@ -337,69 +338,6 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	site := YunnanPlantation()
 	end := cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 
-	r := &activeRunner{
-		cfg:         cfg,
-		engine:      sim.NewEngine(cfg.Start),
-		end:         end,
-		outcomes:    map[string]map[uint64]*PacketOutcome{},
-		beaconLinks: map[string]*radio.Link{},
-		upLinks:     map[string]*radio.Link{},
-		ackLinks:    map[string]*radio.Link{},
-		delivery:    backhaul.NewDeliveryModel(sim.NewRNG(cfg.Seed, "active/delivery")),
-		jitter:      sim.NewRNG(cfg.Seed, "active/jitter"),
-		res:         &ActiveResult{Config: cfg, Meters: map[string]*energy.Meter{}},
-	}
-	if cfg.Weather != nil {
-		r.weather = cfg.Weather
-	} else {
-		yunnan := Site{Code: "YN", City: "Yunnan", Location: site, RainProbability: 0.30}
-		r.weather = NewWeatherProcess(sim.NewRNG(cfg.Seed, "active/weather"), yunnan, cfg.Start, cfg.Days)
-	}
-
-	// Deploy the nodes with their radio chains. Beacons are modulated one
-	// spreading-factor step more robustly than data frames (gateways
-	// must be discoverable across the whole footprint), so a node can
-	// hear a beacon in conditions where its own data frame would not
-	// survive — the origin of DtS data losses and retransmissions.
-	dtsParams := lora.DefaultDtSParams()
-	if cfg.Radio != nil {
-		dtsParams = *cfg.Radio
-	}
-	beaconParams := dtsParams
-	for i := 0; i < cfg.Nodes; i++ {
-		id := fmt.Sprintf("tq-%d", i+1)
-		loc := orbit.NewGeodeticDeg(site.LatDeg()+0.002*float64(i), site.LonDeg()+0.002*float64(i), site.Alt)
-		meter := energy.NewMeter(energy.TianqiProfile(), cfg.Start)
-		if !cfg.SleepWhenIdle && cfg.ScheduleAwareMinElevationRad <= 0 {
-			// Paper behaviour: the radio hangs on in Rx from power-up,
-			// monitoring for satellites (§3.2).
-			meter.Transition(energy.Rx, cfg.Start)
-		}
-		n := node.New(id, loc, cfg.NodeAntenna, cfg.Policy, meter)
-		r.nodes = append(r.nodes, n)
-		r.observers = append(r.observers, orbit.NewObserver(loc))
-		r.outcomes[id] = map[uint64]*PacketOutcome{}
-		r.res.Meters[id] = meter
-
-		// One shared channel realization per node: beacon, uplink and ACK
-		// all traverse the same physical path within seconds of each
-		// other, so they must see the same (slowly varying) shadowing
-		// state — this is what makes the beacon-gated protocol effective
-		// (§F of the paper).
-		model := channel.NewModel(sim.NewRNG(cfg.Seed, "active/chan/"+id))
-		model.ShadowSigmaDB = 1.8
-		// The plantation has a clear sky view: fast fading is mild and
-		// link quality is shadow-dominated, which is what lets a decoded
-		// beacon predict uplink success a second later.
-		model.RicianK = 25
-		r.beaconLinks[id] = radio.NewLink(beaconParams, DtSBeaconToNodeBudget(cons.TxPowerDBm, cfg.NodeAntenna),
-			model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "active/rx-beacon/"+id))
-		r.upLinks[id] = radio.NewLink(dtsParams, DtSUplinkBudget(n.TxPowerDBm, cfg.NodeAntenna),
-			model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "active/rx-up/"+id))
-		r.ackLinks[id] = radio.NewLink(dtsParams, DtSAckBudget(cons.TxPowerDBm, cfg.NodeAntenna),
-			model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "active/rx-ack/"+id))
-	}
-
 	// Build gateways, predict passes over the plantation and downlink
 	// drain schedules over the operator's ground segment.
 	props, err := cons.Propagators()
@@ -407,8 +345,6 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		return nil, err
 	}
 	segment := backhaul.TianqiGroundSegment()
-	r.beaconPayload = cons.BeaconPayloadBytes
-	r.drainDuration = segment.DrainDuration
 
 	// Fault schedules: drain-station outages thin the downlink windows the
 	// operator can book (stretching store-and-forward delivery tails), and
@@ -461,14 +397,12 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 	if cfg.Memo != nil && !drainFaults {
 		key = newKeyInputs(kindPlan)
 		key.grid(props, cfg.Start, horizon, ephCfg)
-		key.float(site.Lat)
-		key.float(site.Lon)
-		key.float(site.Alt)
+		key.geodetic(site)
 		key.time(end)
 		key.int(int64(cons.BeaconInterval))
 		key.float(cfg.ScheduleAwareMinElevationRad)
 	}
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "plan", plans, key, func(i int) (satPlan, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "plan", plans, key, nil, func(i int) (satPlan, error) {
 		if err := ctx.Err(); err != nil {
 			return satPlan{}, err
 		}
@@ -515,9 +449,75 @@ func RunActiveCtx(ctx context.Context, cfg ActiveConfig) (*ActiveResult, error) 
 		// Shard run: the windowed plan units have been handed to
 		// cfg.Checkpoint; skip engine scheduling and the serial simulate
 		// phase — only the merge node, holding every shard's plans,
-		// simulates.
-		return r.res, nil
+		// simulates. It builds no node, radio or weather: every stream
+		// they draw from is named, so building them later draws the same.
+		return &ActiveResult{Config: cfg, Meters: map[string]*energy.Meter{}}, nil
 	}
+	r := &activeRunner{
+		cfg:           cfg,
+		engine:        sim.NewEngine(cfg.Start),
+		end:           end,
+		outcomes:      map[string]map[uint64]*PacketOutcome{},
+		beaconLinks:   map[string]*radio.Link{},
+		upLinks:       map[string]*radio.Link{},
+		ackLinks:      map[string]*radio.Link{},
+		delivery:      backhaul.NewDeliveryModel(sim.NewRNG(cfg.Seed, "active/delivery")),
+		jitter:        sim.NewRNG(cfg.Seed, "active/jitter"),
+		beaconPayload: cons.BeaconPayloadBytes,
+		drainDuration: segment.DrainDuration,
+		res:           &ActiveResult{Config: cfg, Meters: map[string]*energy.Meter{}},
+	}
+	if cfg.Weather != nil {
+		r.weather = cfg.Weather
+	} else {
+		yunnan := Site{Code: "YN", City: "Yunnan", Location: site, RainProbability: 0.30}
+		r.weather = NewWeatherProcess(sim.NewRNG(cfg.Seed, "active/weather"), yunnan, cfg.Start, cfg.Days)
+	}
+
+	// Deploy the nodes with their radio chains. Beacons are modulated one
+	// spreading-factor step more robustly than data frames (gateways
+	// must be discoverable across the whole footprint), so a node can
+	// hear a beacon in conditions where its own data frame would not
+	// survive — the origin of DtS data losses and retransmissions.
+	dtsParams := lora.DefaultDtSParams()
+	if cfg.Radio != nil {
+		dtsParams = *cfg.Radio
+	}
+	beaconParams := dtsParams
+	for i := 0; i < cfg.Nodes; i++ {
+		id := fmt.Sprintf("tq-%d", i+1)
+		loc := orbit.NewGeodeticDeg(site.LatDeg()+0.002*float64(i), site.LonDeg()+0.002*float64(i), site.Alt)
+		meter := energy.NewMeter(energy.TianqiProfile(), cfg.Start)
+		if !cfg.SleepWhenIdle && cfg.ScheduleAwareMinElevationRad <= 0 {
+			// Paper behaviour: the radio hangs on in Rx from power-up,
+			// monitoring for satellites (§3.2).
+			meter.Transition(energy.Rx, cfg.Start)
+		}
+		n := node.New(id, loc, cfg.NodeAntenna, cfg.Policy, meter)
+		r.nodes = append(r.nodes, n)
+		r.observers = append(r.observers, orbit.NewObserver(loc))
+		r.outcomes[id] = map[uint64]*PacketOutcome{}
+		r.res.Meters[id] = meter
+
+		// One shared channel realization per node: beacon, uplink and ACK
+		// all traverse the same physical path within seconds of each
+		// other, so they must see the same (slowly varying) shadowing
+		// state — this is what makes the beacon-gated protocol effective
+		// (§F of the paper).
+		model := channel.NewModel(sim.NewRNG(cfg.Seed, "active/chan/"+id))
+		model.ShadowSigmaDB = 1.8
+		// The plantation has a clear sky view: fast fading is mild and
+		// link quality is shadow-dominated, which is what lets a decoded
+		// beacon predict uplink success a second later.
+		model.RicianK = 25
+		r.beaconLinks[id] = radio.NewLink(beaconParams, DtSBeaconToNodeBudget(cons.TxPowerDBm, cfg.NodeAntenna),
+			model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "active/rx-beacon/"+id))
+		r.upLinks[id] = radio.NewLink(dtsParams, DtSUplinkBudget(n.TxPowerDBm, cfg.NodeAntenna),
+			model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "active/rx-up/"+id))
+		r.ackLinks[id] = radio.NewLink(dtsParams, DtSAckBudget(cons.TxPowerDBm, cfg.NodeAntenna),
+			model, cons.FreqMHz, sim.NewRNG(cfg.Seed, "active/rx-ack/"+id))
+	}
+
 	// Each satellite is two event series, its beacons and its drains, in
 	// the order a Schedule call per instant would take: the engine queues
 	// one entry per series, not one per beacon.

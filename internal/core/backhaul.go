@@ -72,7 +72,7 @@ func RunBackhaulCtx(ctx context.Context, cfg BackhaulConfig) (*BackhaulResult, e
 	grid := grids[0]
 	res := &BackhaulResult{Constellation: cfg.Constellation.Name, Start: cfg.Start, Days: cfg.Days}
 	res.Satellites = make([]SatBackhaul, len(props))
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "satellites", res.Satellites, nil, func(i int) (SatBackhaul, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "satellites", res.Satellites, nil, nil, func(i int) (SatBackhaul, error) {
 		if err := ctx.Err(); err != nil {
 			return SatBackhaul{}, err
 		}

@@ -63,7 +63,10 @@ func (w *ShardWindow) contains(i int) bool {
 // "packets" (routing) and "satellites" (backhaul). Shared
 // setup phases ("ephemeris", "topology") rebuild from the config on
 // resume — their outputs are large in-memory structures that every
-// resumed unit reads anyway.
+// computed unit reads anyway — unless the run's memo holds what they
+// would build: a memo-held grid is not propagated again, and a routing
+// run that finds its topology summary in the memo builds the topology
+// only for packet units left to compute that need relay search.
 type CheckpointFunc func(phase string, index, total int, unit []byte)
 
 // Checkpoint is a campaign resume point: for each checkpointable phase,
@@ -158,8 +161,11 @@ func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
 // still report the full phase size, so shard snapshots fold directly into
 // a full-phase resume point), and progress totals cover the window. The
 // phase span is annotated with the restored/computed unit counts and,
-// when sharded, the window.
-func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, in *keyInputs, fn func(i int) (T, error)) error {
+// when sharded, the window. setup, when non-nil, runs once before the
+// fan-out and only when some window unit is left to compute: it builds
+// what computing a unit reads and restoring one does not (routing's
+// topology).
+func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, in *keyInputs, setup func() error, fn func(i int) (T, error)) error {
 	n := len(out)
 	shard, progress, save := rc.Shard, rc.Progress, rc.Checkpoint
 	if err := shard.validate(n); err != nil {
@@ -210,6 +216,11 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 	for i := 0; i < n; i++ {
 		if !restored[i] && shard.contains(i) {
 			pending = append(pending, i)
+		}
+	}
+	if setup != nil && len(pending) > 0 {
+		if err := setup(); err != nil {
+			return err
 		}
 	}
 	var report ProgressFunc

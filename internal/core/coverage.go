@@ -62,7 +62,7 @@ func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, l
 	grid := grids[0]
 
 	out := make([]RevisitStats, len(latitudesDeg))
-	if err := forEachCheckpointed(ctx, rc, "latitudes", out, nil, func(li int) (RevisitStats, error) {
+	if err := forEachCheckpointed(ctx, rc, "latitudes", out, nil, nil, func(li int) (RevisitStats, error) {
 		if err := ctx.Err(); err != nil {
 			return RevisitStats{}, err
 		}

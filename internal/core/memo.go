@@ -13,18 +13,20 @@ import (
 )
 
 // Memo holds the seed-independent geometry of finished campaign phases
-// for later runs to reuse: propagated ephemeris grids, and the units of a
-// keyed checkpointable phase, today the active plan (forEachCheckpointed).
+// for later runs to reuse: propagated ephemeris grids, a routing
+// topology's summary, and the units of a keyed checkpointable phase
+// (forEachCheckpointed): the active plan and fault-free routing packets.
 // Each entry is keyed by a hash of exactly the inputs it was computed
-// from, so a hit returns the grid, or the unit values, a recomputation
-// would produce, and results stay byte-identical by construction. Entries are immutable and evicted least-recently-used
+// from, so a hit returns the value a recomputation would produce, and
+// results stay byte-identical by construction. Entries are immutable and
+// shared by every run that hits them; they are evicted least-recently-used
 // against a byte budget. A Memo is safe for concurrent use; a nil *Memo
 // holds nothing and every campaign computes as it would without one.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid or *unitEntry[satPlan]
+	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, topologySummary or *unitEntry[T]
 
-	hits, misses [2]*obs.Counter // by memoKind
+	hits, misses [len(memoKindNames)]*obs.Counter // by memoKind
 	evictions    *obs.Counter
 }
 
@@ -32,16 +34,18 @@ type Memo struct {
 type memoKind int
 
 const (
-	kindGrid memoKind = iota
-	kindPlan
+	kindGrid     memoKind = iota
+	kindPlan              // active plan units
+	kindTopology          // routing topology summary
+	kindPackets           // routing packet units
 )
 
-var memoKindNames = [2]string{"grid", "plan"}
+var memoKindNames = [...]string{"grid", "plan", "topology", "packets"}
 
 // NewMemo returns an empty memo bounded to budget bytes. With a non-nil
 // registry it exports
 //
-//	sinet_memo_hits_total{kind}    lookups answered from the memo ("grid", "plan")
+//	sinet_memo_hits_total{kind}    lookups answered from the memo ("grid", "plan", "topology", "packets")
 //	sinet_memo_misses_total{kind}  lookups that found no entry
 //	sinet_memo_evictions_total     entries evicted against the budget
 //	sinet_memo_bytes               bytes of memoized geometry
@@ -114,6 +118,12 @@ func (k *keyInputs) str(s string) {
 	k.buf = append(k.buf, s...)
 }
 
+func (k *keyInputs) geodetic(g orbit.Geodetic) {
+	k.float(g.Lat)
+	k.float(g.Lon)
+	k.float(g.Alt)
+}
+
 func (k *keyInputs) time(t time.Time) {
 	k.utc = k.utc && t.Location() == time.UTC
 	k.int(t.Unix())
@@ -167,14 +177,17 @@ type unitEntry[T any] struct {
 	raw  [][]byte
 }
 
-// bytes approximates the memory e holds: its checkpoint bytes plus 24 B
-// per time.Time of the values that count theirs with a times method.
+// timeBytes is the size of a time.Time value.
+const timeBytes = 24
+
+// bytes approximates the memory e holds: its checkpoint bytes plus what
+// the values hold, for values that count it with a valueBytes method.
 func (e *unitEntry[T]) bytes() int64 {
 	var n int64
 	for i, raw := range e.raw {
 		n += int64(len(raw))
-		if v, ok := any(&e.vals[i]).(interface{ times() int }); ok && raw != nil {
-			n += 24 * int64(v.times())
+		if v, ok := any(&e.vals[i]).(interface{ valueBytes() int64 }); ok && raw != nil {
+			n += v.valueBytes()
 		}
 	}
 	return n

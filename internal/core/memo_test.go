@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
@@ -240,7 +241,7 @@ func TestMemoPlanHitRestoresTheComputedValues(t *testing.T) {
 	run := func(rc RunContext, plans []satPlan) (computed []bool) {
 		t.Helper()
 		computed = make([]bool, len(plans))
-		err := forEachCheckpointed(context.Background(), rc, "plan", plans, in, func(i int) (satPlan, error) {
+		err := forEachCheckpointed(context.Background(), rc, "plan", plans, in, nil, func(i int) (satPlan, error) {
 			computed[i] = true
 			return satPlan{Drains: []time.Time{memoStart}}, nil
 		})
@@ -368,5 +369,112 @@ func TestMemoPlanEntrySizeDecodedOrComputed(t *testing.T) {
 	}
 	if c, d := computed.lru.Bytes(), decoded.lru.Bytes(); c != d {
 		t.Fatalf("memo bytes = %d from computed plans, %d from decoded ones", c, d)
+	}
+}
+
+// fossaRouting is a fault-free one-day routing campaign over FOSSA.
+func fossaRouting(seed int64) RoutingConfig {
+	return RoutingConfig{Seed: seed, Start: memoStart, Days: 1, Constellation: ptr(constellation.FOSSA(memoStart))}
+}
+
+// watchTopology sets cfg's Progress to note whether the run reports
+// topology progress, that is whether it builds the topology.
+func watchTopology(cfg *RoutingConfig) *bool {
+	built := new(bool)
+	cfg.Progress = func(phase string, _, _ int) {
+		if phase == "topology" {
+			*built = true
+		}
+	}
+	return built
+}
+
+func routingBytes(t *testing.T, cfg RoutingConfig) []byte {
+	t.Helper()
+	res, err := RunRoutingCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, res)
+}
+
+// TestMemoRoutingHitBuildsNoTopology: a fault-free routing run through a
+// memo another seed's run warmed finds its topology summary and every
+// packet unit there, so it builds no topology, and it serves the bytes of
+// a memo-free run.
+func TestMemoRoutingHitBuildsNoTopology(t *testing.T) {
+	m := NewMemo(64<<20, nil)
+	warm := fossaRouting(1)
+	warm.Memo = m
+	builtCold := watchTopology(&warm)
+	routingBytes(t, warm)
+	if !*builtCold {
+		t.Fatal("a run through a cold memo built no topology")
+	}
+	want := routingBytes(t, fossaRouting(2))
+	cfg := fossaRouting(2)
+	cfg.Memo = m
+	built := watchTopology(&cfg)
+	if got := routingBytes(t, cfg); !bytes.Equal(got, want) {
+		t.Fatal("bytes through the warmed memo differ from a memo-free run")
+	}
+	if *built {
+		t.Fatal("a run through a memo warmed by another seed built its topology")
+	}
+}
+
+// TestMemoRoutingShardHeldBuildsNoTopology: a shard run whose window the
+// memo holds builds no topology, and it hands Checkpoint the units a
+// memo-free shard run computes.
+func TestMemoRoutingShardHeldBuildsNoTopology(t *testing.T) {
+	m := NewMemo(64<<20, nil)
+	warm := fossaRouting(1)
+	warm.Memo = m
+	routingBytes(t, warm)
+	shard := func(memo *Memo) (*Checkpoint, bool) {
+		cp, save := captureCheckpoint()
+		cfg := fossaRouting(2)
+		cfg.Memo, cfg.Checkpoint, cfg.Shard = memo, save, &ShardWindow{Lo: 0, Hi: 2}
+		built := watchTopology(&cfg)
+		routingBytes(t, cfg)
+		return cp, *built
+	}
+	want, builtCold := shard(nil)
+	if !builtCold {
+		t.Fatal("a memo-free relay shard built no topology")
+	}
+	got, built := shard(m)
+	if built {
+		t.Fatal("a shard run whose window the memo holds built its topology")
+	}
+	if got.Len() != 2 || !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Fatalf("shard through the memo saved %d units differing from a memo-free shard's %d", got.Len(), want.Len())
+	}
+}
+
+// TestMemoSecondRoutingMergeBuildsNoTopology: a merge restores every
+// packet unit from its resume point, so once the first merge of a
+// geometry filed its summary and units, the next merge of that geometry
+// builds no topology.
+func TestMemoSecondRoutingMergeBuildsNoTopology(t *testing.T) {
+	m := NewMemo(64<<20, nil)
+	merge := func(seed int64) bool {
+		cp, save := captureCheckpoint()
+		direct := fossaRouting(seed)
+		direct.Checkpoint = save
+		want := routingBytes(t, direct)
+		cfg := fossaRouting(seed)
+		cfg.Memo, cfg.Resume = m, cp
+		built := watchTopology(&cfg)
+		if got := routingBytes(t, cfg); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: merged bytes differ from a direct run", seed)
+		}
+		return *built
+	}
+	if !merge(1) {
+		t.Fatal("the first merge of a geometry built no topology")
+	}
+	if merge(2) {
+		t.Fatal("the second merge of a geometry built its topology")
 	}
 }

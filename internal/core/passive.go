@@ -273,7 +273,7 @@ func RunPassiveCtx(ctx context.Context, cfg PassiveConfig) (*PassiveResult, erro
 		}
 	}
 	units := make([]passiveUnit, len(pairs))
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "contacts", units, nil, func(i int) (passiveUnit, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "contacts", units, nil, nil, func(i int) (passiveUnit, error) {
 		p := pairs[i]
 		return runPassiveSiteConstellation(ctx, cfg, p.s.site, p.s.stations, p.c, p.s.weather, p.s.start, end, p.s.outages)
 	}); err != nil {

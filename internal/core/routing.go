@@ -61,7 +61,10 @@ type RoutingConfig struct {
 	// RunContext observes the "ephemeris", "topology" and "packets"
 	// phases. "packets" — one unit per satellite: its routed packets — is
 	// the phase that checkpoints and shards; a shard run leaves the
-	// delivery summaries empty.
+	// topology and delivery summaries empty. "topology" runs only when
+	// something reads the graph: the summary, unless the memo holds it,
+	// and relay search for a packet unit neither the memo nor Resume
+	// holds.
 	RunContext `json:"-"`
 }
 
@@ -186,11 +189,12 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	horizon := end.Add(graceAfterEnd)
 
 	// Phase 1: propagate the shared ephemeris rows.
-	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, horizon, orbit.EphemerisConfig{
+	ephCfg := orbit.EphemerisConfig{
 		ScanStep:         cfg.SnapshotStep,
 		Exact:            cfg.ExactEphemeris,
 		MaxInterpErrorKm: cfg.MaxInterpErrorKm,
-	}, props)
+	}
+	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, horizon, ephCfg, props)
 	if err != nil {
 		return nil, err
 	}
@@ -199,9 +203,11 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	// Fault schedules are derived up front on named streams, so the same
 	// seed and config always churn the same links and stations no matter
 	// how the snapshot build is scheduled.
+	drainFaults := cfg.Faults != nil && cfg.Faults.DrainMTBF > 0
+	linkFaults := cfg.Faults != nil && cfg.Faults.LinkMTBF > 0
 	var drainScheds []fault.Schedule
 	drainUp := func(station int, at time.Time) bool { return true }
-	if cfg.Faults != nil && cfg.Faults.DrainMTBF > 0 {
+	if drainFaults {
 		drainScheds = make([]fault.Schedule, len(segment.Stations))
 		for i := range segment.Stations {
 			drainScheds[i] = cfg.Faults.DrainSchedule(cfg.Seed, i, cfg.Start, horizon)
@@ -218,67 +224,74 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	if drainScheds != nil {
 		gcfg.StationUp = drainUp
 	}
-	graph, err := netgraph.New(grid, segment.Stations, cfg.Start, horizon, gcfg)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil && cfg.Faults.LinkMTBF > 0 {
-		linkScheds := make(map[[2]int]fault.Schedule, graph.CandidateISLs())
-		for _, c := range graph.Candidates() {
-			a, b := graph.NoradID(int(c[0])), graph.NoradID(int(c[1]))
-			if b < a {
-				a, b = b, a
-			}
-			linkScheds[[2]int{a, b}] = cfg.Faults.LinkSchedule(cfg.Seed, fault.LinkID(a, b), cfg.Start, horizon)
+
+	// Phase 2, run only when something reads it: build the topology
+	// snapshots in parallel.
+	var graph *netgraph.Graph
+	buildGraph := func() error {
+		if graph != nil {
+			return nil
 		}
-		gcfg.ISLUp = func(noradA, noradB int, at time.Time) bool {
-			if noradB < noradA {
-				noradA, noradB = noradB, noradA
-			}
-			s, ok := linkScheds[[2]int{noradA, noradB}]
-			return !ok || !s.Down(at)
-		}
-		// Rebuild the graph with the churn predicate attached; the
-		// skeleton is cheap and snapshots are not built yet.
-		graph, err = netgraph.New(grid, segment.Stations, cfg.Start, horizon, gcfg)
+		g, err := buildTopology(ctx, cfg, grid, segment, horizon, gcfg, linkFaults)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		graph = g
+		return nil
 	}
 
-	// Phase 2: build the topology snapshots in parallel.
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// The seed reaches a routing job only through its drain and link
+	// fault schedules. Without them the topology and every packet unit are
+	// geometry, so the memo holds both: the topology as its three-number
+	// summary, the packets as units.
+	var topoKey memoKey
+	var pktKey *keyInputs
+	topoKeyed := false
+	if cfg.Memo != nil && !drainFaults && !linkFaults {
+		topoKey, topoKeyed = topologyInputs(kindTopology, props, cfg.Start, horizon, ephCfg, segment, gcfg).sum()
+		pktKey = topologyInputs(kindPackets, props, cfg.Start, horizon, ephCfg, segment, gcfg)
+		pktKey.time(end)
+		pktKey.int(int64(cfg.PacketInterval))
+		pktKey.str(cfg.Policy)
 	}
-	if err := graph.BuildAll(ctx, cfg.Progress); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	res := &RoutingResult{
-		Config:        cfg,
-		Constellation: cons.Name,
-		Snapshots:     graph.Snapshots(),
-		CandidateISLs: graph.CandidateISLs(),
-	}
-	liveSum := 0
-	for k := 0; k < graph.Snapshots(); k++ {
-		liveSum += graph.LiveISLs(k)
-	}
-	if graph.Snapshots() > 0 {
-		res.MeanLiveISLs = float64(liveSum) / float64(graph.Snapshots())
+	res := &RoutingResult{Config: cfg, Constellation: cons.Name}
+	if cfg.Shard == nil {
+		// A shard run's result is its units, so it skips the summary.
+		var sum topologySummary
+		held := false
+		if topoKeyed {
+			var v any
+			if v, held = cfg.Memo.get(topoKey, kindTopology); held {
+				sum = v.(topologySummary)
+			}
+		}
+		if !held {
+			if err := buildGraph(); err != nil {
+				return nil, err
+			}
+			sum = summarize(graph)
+			if topoKeyed {
+				cfg.Memo.put(topoKey, sum, topologySummaryBytes)
+			}
+		}
+		res.Snapshots, res.CandidateISLs, res.MeanLiveISLs = sum.snapshots, sum.candidateISLs, sum.meanLiveISLs
 	}
 
 	// Phase 3: route every satellite's packets. Worker i touches only
 	// ephemeris row i and its own slot, so the fan-out is race-free and
 	// the serial-order merge keeps results independent of scheduling.
+	// Store-and-forward reads only the ground segment; relay search needs
+	// the topology, which the phase builds before computing its first
+	// unit.
 	wantStore := cfg.Policy == PolicyStore || cfg.Policy == PolicyCompare
 	wantRelay := cfg.Policy == PolicyRelay || cfg.Policy == PolicyCompare
-	perSat := make([][]RoutedPacket, len(props))
+	var setup func() error
+	if wantRelay {
+		setup = buildGraph
+	}
+	perSat := make([]satPackets, len(props))
 	nSats := len(props)
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "packets", perSat, nil, func(i int) ([]RoutedPacket, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "packets", perSat, pktKey, setup, func(i int) (satPackets, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -292,7 +305,7 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 			search = netgraph.NewDeliverySearch(graph)
 		}
 		offset := cfg.PacketInterval * time.Duration(i) / time.Duration(nSats)
-		var pkts []RoutedPacket
+		var pkts satPackets
 		for origin := cfg.Start.Add(offset); origin.Before(end); origin = origin.Add(cfg.PacketInterval) {
 			p := RoutedPacket{NoradID: norad, Origin: origin, RelayStation: -1}
 			if wantStore {
@@ -340,6 +353,101 @@ func RunRoutingCtx(ctx context.Context, cfg RoutingConfig) (*RoutingResult, erro
 	netgraph.ObserveDelivery("store", res.Store.Delivered)
 	netgraph.ObserveDelivery("relay", res.Relay.Delivered)
 	return res, nil
+}
+
+// buildTopology builds the routing graph over [cfg.Start, horizon) and
+// every one of its snapshots, as the "topology" phase. With link faults
+// on, each candidate ISL churns on its own named stream.
+func buildTopology(ctx context.Context, cfg RoutingConfig, grid *orbit.EphemerisGrid, segment backhaul.GroundSegment, horizon time.Time, gcfg netgraph.Config, linkFaults bool) (*netgraph.Graph, error) {
+	graph, err := netgraph.New(grid, segment.Stations, cfg.Start, horizon, gcfg)
+	if err != nil {
+		return nil, err
+	}
+	if linkFaults {
+		linkScheds := make(map[[2]int]fault.Schedule, graph.CandidateISLs())
+		for _, c := range graph.Candidates() {
+			a, b := graph.NoradID(int(c[0])), graph.NoradID(int(c[1]))
+			if b < a {
+				a, b = b, a
+			}
+			linkScheds[[2]int{a, b}] = cfg.Faults.LinkSchedule(cfg.Seed, fault.LinkID(a, b), cfg.Start, horizon)
+		}
+		gcfg.ISLUp = func(noradA, noradB int, at time.Time) bool {
+			if noradB < noradA {
+				noradA, noradB = noradB, noradA
+			}
+			s, ok := linkScheds[[2]int{noradA, noradB}]
+			return !ok || !s.Down(at)
+		}
+		// Rebuild the graph with the churn predicate attached; the
+		// skeleton is cheap and snapshots are not built yet.
+		graph, err = netgraph.New(grid, segment.Stations, cfg.Start, horizon, gcfg)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if err := graph.BuildAll(ctx, cfg.Progress); err != nil {
+		return nil, err
+	}
+	return graph, ctx.Err()
+}
+
+// topologyInputs encodes the inputs of the routing graph netgraph.New
+// builds from a grid propagated over [start, horizon] under ephCfg, the
+// segment's stations and gcfg, in a key of kind. gcfg's fault predicates
+// are not encoded: only a fault-free run is keyed.
+func topologyInputs(kind memoKind, props []*orbit.Propagator, start, horizon time.Time, ephCfg orbit.EphemerisConfig, segment backhaul.GroundSegment, gcfg netgraph.Config) *keyInputs {
+	k := newKeyInputs(kind)
+	k.grid(props, start, horizon, ephCfg)
+	k.int(int64(len(segment.Stations)))
+	for _, st := range segment.Stations {
+		k.geodetic(st)
+	}
+	k.int(int64(gcfg.SnapshotStep))
+	k.float(gcfg.MaxISLRangeKm)
+	k.int(int64(gcfg.HopProcessing))
+	k.float(gcfg.MinElevationRad)
+	return k
+}
+
+// topologySummary is what a routing result reads of its topology. The
+// memo holds it in place of the graph, which a job with its packet units
+// memo-held never reads.
+type topologySummary struct {
+	snapshots, candidateISLs int
+	meanLiveISLs             float64
+}
+
+// topologySummaryBytes is a topologySummary's memo size.
+const topologySummaryBytes = 24
+
+func summarize(g *netgraph.Graph) topologySummary {
+	s := topologySummary{snapshots: g.Snapshots(), candidateISLs: g.CandidateISLs()}
+	liveSum := 0
+	for k := 0; k < g.Snapshots(); k++ {
+		liveSum += g.LiveISLs(k)
+	}
+	if s.snapshots > 0 {
+		s.meanLiveISLs = float64(liveSum) / float64(s.snapshots)
+	}
+	return s
+}
+
+// satPackets is one satellite's routed packets: the "packets" phase's
+// work unit.
+type satPackets []RoutedPacket
+
+// valueBytes counts each packet's three times and relay path for the
+// memo.
+func (p *satPackets) valueBytes() int64 {
+	var n int64
+	for i := range *p {
+		n += 3*timeBytes + 8*int64(len((*p)[i].RelayPath))
+	}
+	return n
 }
 
 // summarizeDeliveries builds one policy's latency summary through the

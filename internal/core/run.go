@@ -34,9 +34,11 @@ type RunContext struct {
 	// not a full campaign (see ShardWindow).
 	Shard *ShardWindow
 	// Memo, when non-nil, serves seed-independent geometry computed by
-	// earlier runs — propagated ephemeris grids and active plan units —
-	// and files the grids this run built and the plan units it decoded or
-	// computed (see Memo). Like Resume it never changes results.
+	// earlier runs — propagated ephemeris grids, active plan units, and
+	// fault-free routing packet units and topology summaries — and files
+	// what this run built, decoded or computed of it (see Memo). A run
+	// that finds what a setup phase would build skips that phase. Like
+	// Resume it never changes results.
 	Memo *Memo
 }
 

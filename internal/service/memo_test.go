@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/sinet-io/sinet/internal/core"
 	"github.com/sinet-io/sinet/internal/netgraph"
@@ -18,6 +19,19 @@ import (
 	"github.com/sinet-io/sinet/internal/orbit"
 	"github.com/sinet-io/sinet/internal/sim"
 )
+
+// memoKinds is a set of memo entry kinds.
+type memoKinds uint8
+
+const (
+	hitGrid memoKinds = 1 << iota
+	hitPlan
+	hitTopology
+	hitPackets
+)
+
+// memoKindLabels are the memo series' kind labels, in memoKinds bit order.
+var memoKindLabels = []string{"grid", "plan", "topology", "packets"}
 
 // memoRow changes one field of a kind's base spec.
 type memoRow struct {
@@ -27,22 +41,26 @@ type memoRow struct {
 	// value is the JSON the field is set to; a FaultSpec field's row sets
 	// the whole faults object, since an MTBF and its MTTR go together.
 	value string
-	// grid and plan require the warmed memo to answer the changed spec's
-	// grid and plan lookups: the field lies outside those keys.
-	grid, plan bool
+	// hit holds the kinds whose lookups the warmed memo must answer: the
+	// field lies outside those keys. miss holds the kinds whose lookups
+	// must miss: the field is in those keys. A kind in neither is not
+	// looked up.
+	hit, miss memoKinds
 }
 
-// faultRows covers every FaultSpec field. No fault reaches a grid; plan
-// reports whether a fault pair leaves the active plan key alone.
-func faultRows(plan func(pair string) bool) []memoRow {
+// faultRows covers every FaultSpec field. No fault reaches a key: it
+// leaves an entry's key alone, or it reaches the seed-dependent part of
+// a campaign and the entry is not looked up. hit reports the kinds a
+// fault pair leaves keyed.
+func faultRows(hit func(pair string) memoKinds) []memoRow {
 	var rows []memoRow
 	for _, pair := range []string{"station", "drain", "sat", "link"} {
 		rows = append(rows,
-			memoRow{"faults." + pair + "_mtbf", fmt.Sprintf(`{"%s_mtbf":"12h","%s_mttr":"1h"}`, pair, pair), true, plan(pair)},
-			memoRow{"faults." + pair + "_mttr", fmt.Sprintf(`{"%s_mtbf":"12h","%s_mttr":"2h"}`, pair, pair), true, plan(pair)})
+			memoRow{"faults." + pair + "_mtbf", fmt.Sprintf(`{"%s_mtbf":"12h","%s_mttr":"1h"}`, pair, pair), hit(pair), 0},
+			memoRow{"faults." + pair + "_mttr", fmt.Sprintf(`{"%s_mtbf":"12h","%s_mttr":"2h"}`, pair, pair), hit(pair), 0})
 	}
 	return append(rows, memoRow{"faults.maintenance",
-		`{"maintenance":[{"start":"2024-09-01T02:00:00Z","end":"2024-09-01T05:00:00Z"}]}`, true, plan("maintenance")})
+		`{"maintenance":[{"start":"2024-09-01T02:00:00Z","end":"2024-09-01T05:00:00Z"}]}`, hit("maintenance"), 0})
 }
 
 // memoKeyTable holds, per kind, a small base spec and one row per field
@@ -52,58 +70,68 @@ var memoKeyTable = map[string]struct {
 	rows []memoRow
 }{
 	KindPassive: {`{"kind":"passive","passive":{"seed":1,"sites":["HK"],"constellations":["FOSSA","CSTP"]}}`, append([]memoRow{
-		{"seed", `2`, true, false},
-		{"start", `"2024-09-01T01:00:00Z"`, false, false},
-		{"days", `2`, false, false},
-		{"sites", `["SYD"]`, true, false},
-		{"constellations", `["PICO"]`, false, false},
-		{"scheduler", `"roundrobin"`, true, false},
-		{"min_elevation_deg", `20`, true, false},
-		{"coarse_step", `"2m"`, false, false},
-		{"honor_site_start", `true`, true, false},
-		{"weather", `"rainy"`, true, false},
-	}, faultRows(func(string) bool { return false })...)},
+		{"seed", `2`, hitGrid, 0},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid},
+		{"days", `2`, 0, hitGrid},
+		{"sites", `["SYD"]`, hitGrid, 0},
+		{"constellations", `["PICO"]`, 0, hitGrid},
+		{"scheduler", `"roundrobin"`, hitGrid, 0},
+		{"min_elevation_deg", `20`, hitGrid, 0},
+		{"coarse_step", `"2m"`, 0, hitGrid},
+		{"honor_site_start", `true`, hitGrid, 0},
+		{"weather", `"rainy"`, hitGrid, 0},
+	}, faultRows(func(string) memoKinds { return hitGrid })...)},
 	KindActive: {`{"kind":"active","active":{"seed":1,"start":"2024-09-01T00:00:00Z","constellation":"FOSSA"}}`, append([]memoRow{
-		{"seed", `2`, true, true},
-		{"start", `"2024-09-01T01:00:00Z"`, false, false},
-		{"days", `2`, false, false},
-		{"nodes", `5`, true, true},
-		{"payload_bytes", `40`, true, true},
-		{"sense_period", `"20m"`, true, true},
-		{"max_retx", `3`, true, true},
-		{"ack_timeout", `"5s"`, true, true},
-		{"aligned_phases", `true`, true, true},
-		{"sleep_when_idle", `true`, true, true},
-		{"schedule_aware_min_elevation_deg", `20`, true, false},
-		{"tx_gate_margin_db", `3`, true, true},
-		{"antenna", `"quarter"`, true, true},
-		{"constellation", `"CSTP"`, false, false},
-		{"weather", `"rainy"`, true, true},
-	}, faultRows(func(pair string) bool { return pair != "drain" })...)},
+		{"seed", `2`, hitGrid | hitPlan, 0},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitPlan},
+		{"days", `2`, 0, hitGrid | hitPlan},
+		{"nodes", `5`, hitGrid | hitPlan, 0},
+		{"payload_bytes", `40`, hitGrid | hitPlan, 0},
+		{"sense_period", `"20m"`, hitGrid | hitPlan, 0},
+		{"max_retx", `3`, hitGrid | hitPlan, 0},
+		{"ack_timeout", `"5s"`, hitGrid | hitPlan, 0},
+		{"aligned_phases", `true`, hitGrid | hitPlan, 0},
+		{"sleep_when_idle", `true`, hitGrid | hitPlan, 0},
+		{"schedule_aware_min_elevation_deg", `20`, hitGrid, hitPlan},
+		{"tx_gate_margin_db", `3`, hitGrid | hitPlan, 0},
+		{"antenna", `"quarter"`, hitGrid | hitPlan, 0},
+		{"constellation", `"CSTP"`, 0, hitGrid | hitPlan},
+		{"weather", `"rainy"`, hitGrid | hitPlan, 0},
+	}, faultRows(func(pair string) memoKinds {
+		if pair == "drain" {
+			return hitGrid // drain outages reach the plan
+		}
+		return hitGrid | hitPlan
+	})...)},
 	KindCoverage: {`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[0,30]}}`, []memoRow{
-		{"constellation", `"CSTP"`, false, false},
-		{"latitudes_deg", `[-45,45,60]`, true, false},
-		{"start", `"2024-09-01T01:00:00Z"`, false, false},
-		{"days", `2`, false, false},
+		{"constellation", `"CSTP"`, 0, hitGrid},
+		{"latitudes_deg", `[-45,45,60]`, hitGrid, 0},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid},
+		{"days", `2`, 0, hitGrid},
 	}},
 	KindBackhaul: {`{"kind":"backhaul","backhaul":{"constellation":"FOSSA"}}`, []memoRow{
-		{"constellation", `"CSTP"`, false, false},
-		{"start", `"2024-09-01T01:00:00Z"`, false, false},
-		{"days", `2`, false, false},
-		{"step", `"2m"`, false, false},
-		{"min_drain_gap", `"100m"`, true, false},
+		{"constellation", `"CSTP"`, 0, hitGrid},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid},
+		{"days", `2`, 0, hitGrid},
+		{"step", `"2m"`, 0, hitGrid},
+		{"min_drain_gap", `"100m"`, hitGrid, 0},
 	}},
 	KindRouting: {`{"kind":"routing","routing":{"seed":1,"constellation":"FOSSA"}}`, append([]memoRow{
-		{"seed", `2`, true, false},
-		{"start", `"2024-09-01T01:00:00Z"`, false, false},
-		{"days", `2`, false, false},
-		{"constellation", `"CSTP"`, false, false},
-		{"snapshot_step", `"2m"`, false, false},
-		{"max_isl_range_km", `3000`, true, false},
-		{"hop_processing", `"50ms"`, true, false},
-		{"packet_interval", `"1h"`, true, false},
-		{"policy", `"store"`, true, false},
-	}, faultRows(func(string) bool { return false })...)},
+		{"seed", `2`, hitGrid | hitTopology | hitPackets, 0},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitTopology | hitPackets},
+		{"days", `2`, 0, hitGrid | hitTopology | hitPackets},
+		{"constellation", `"CSTP"`, 0, hitGrid | hitTopology | hitPackets},
+		{"snapshot_step", `"2m"`, 0, hitGrid | hitTopology | hitPackets},
+		{"max_isl_range_km", `3000`, hitGrid, hitTopology | hitPackets},
+		{"hop_processing", `"50ms"`, hitGrid, hitTopology | hitPackets},
+		{"packet_interval", `"1h"`, hitGrid | hitTopology, hitPackets},
+		{"policy", `"store"`, hitGrid | hitTopology, hitPackets},
+	}, faultRows(func(pair string) memoKinds {
+		if pair == "drain" || pair == "link" {
+			return hitGrid // drain and link outages reach the topology
+		}
+		return hitGrid | hitTopology | hitPackets
+	})...)},
 }
 
 // sectionFields lists a section type's JSON field names, FaultSpec fields
@@ -186,11 +214,22 @@ func runBytes(t *testing.T, spec *JobSpec, rc RunContext) []byte {
 	return out
 }
 
+// memoLookups reads every kind's memo hit and miss counts.
+func memoLookups(t *testing.T, reg *obs.Registry) (hits, misses []float64) {
+	t.Helper()
+	for _, kind := range memoKindLabels {
+		hits = append(hits, memoCount(t, reg, `sinet_memo_hits_total{kind="`+kind+`"}`))
+		misses = append(misses, memoCount(t, reg, `sinet_memo_misses_total{kind="`+kind+`"}`))
+	}
+	return hits, misses
+}
+
 // TestMemoKeyCompleteness changes every field of every section, FaultSpec
 // fields included, one at a time against a memo warmed with the kind's
 // base spec: the bytes must equal a memo-free run, so no field the memo
-// ignores reaches its entries. A field outside the keys must also hit,
-// so the memo serves the traffic it is for.
+// ignores reaches its entries. A field outside a kind's key must also
+// hit, so the memo serves the traffic it is for; a field in the key must
+// miss; and a run that misses nothing files nothing.
 func TestMemoKeyCompleteness(t *testing.T) {
 	for _, k := range kinds {
 		k := k
@@ -225,32 +264,48 @@ func TestMemoKeyCompleteness(t *testing.T) {
 			for _, row := range tc.rows {
 				spec := withField(t, tc.base, k.name, row)
 				want := runBytes(t, spec, RunContext{})
-				gridHits := memoCount(t, reg, `sinet_memo_hits_total{kind="grid"}`)
-				planHits := memoCount(t, reg, `sinet_memo_hits_total{kind="plan"}`)
+				hits, misses := memoLookups(t, reg)
+				held := memoCount(t, reg, "sinet_memo_bytes")
 				got := runBytes(t, spec, RunContext{Memo: memo})
 				if !bytes.Equal(got, want) {
 					t.Errorf("%s=%s: bytes through the memo differ from a memo-free run", row.field, row.value)
 				}
-				if row.grid && memoCount(t, reg, `sinet_memo_hits_total{kind="grid"}`) == gridHits {
-					t.Errorf("%s=%s: no grid hit, though the field is outside the grid key", row.field, row.value)
+				hits2, misses2 := memoLookups(t, reg)
+				missed := false
+				for i, kind := range memoKindLabels {
+					bit := memoKinds(1) << i
+					if hit := hits2[i] > hits[i]; hit != (row.hit&bit != 0) {
+						t.Errorf("%s=%s: %s hit = %v, want %v", row.field, row.value, kind, hit, !hit)
+					}
+					miss := misses2[i] > misses[i]
+					if miss != (row.miss&bit != 0) {
+						t.Errorf("%s=%s: %s miss = %v, want %v", row.field, row.value, kind, miss, !miss)
+					}
+					missed = missed || miss
 				}
-				if row.plan && memoCount(t, reg, `sinet_memo_hits_total{kind="plan"}`) == planHits {
-					t.Errorf("%s=%s: no plan hit, though the field is outside the plan key", row.field, row.value)
+				if !missed && memoCount(t, reg, "sinet_memo_bytes") != held {
+					t.Errorf("%s=%s: a run that missed nothing filed an entry", row.field, row.value)
 				}
 			}
 		})
 	}
 }
 
-// TestMemoSharedAcrossConcurrentRuns runs active and routing campaigns of
-// one geometry concurrently against one memo: they share its grid, and
-// every result equals its memo-free run. Run it under -race -count=10.
+// TestMemoSharedAcrossConcurrentRuns runs active, routing and passive
+// campaigns of one geometry concurrently against one memo, twice: they
+// share its entries, so the first round files every entry the second
+// reads — every run of the second round hits its grid, every kind hits
+// and none misses — and every result equals its memo-free run. Run it
+// under -race -count=10.
 func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
 	bodies := []string{
 		`{"kind":"active","active":{"seed":1,"start":"2024-09-01T00:00:00Z","constellation":"FOSSA"}}`,
 		`{"kind":"active","active":{"seed":2,"start":"2024-09-01T00:00:00Z","constellation":"FOSSA","nodes":2}}`,
 		`{"kind":"routing","routing":{"seed":1,"constellation":"FOSSA"}}`,
 		`{"kind":"routing","routing":{"seed":3,"constellation":"FOSSA","policy":"relay"}}`,
+		`{"kind":"routing","routing":{"seed":4,"constellation":"FOSSA","policy":"store"}}`,
+		`{"kind":"passive","passive":{"seed":1,"sites":["HK"],"constellations":["FOSSA"]}}`,
+		`{"kind":"passive","passive":{"seed":2,"sites":["HK"],"constellations":["FOSSA"],"weather":"rainy"}}`,
 	}
 	specs := make([]*JobSpec, len(bodies))
 	want := make([][]byte, len(bodies))
@@ -265,7 +320,11 @@ func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
 	reg := obs.New()
 	memo := core.NewMemo(64<<20, reg)
 	var wg sync.WaitGroup
+	var firstHits, firstMisses []float64
 	for round := 0; round < 2; round++ {
+		if round == 1 {
+			firstHits, firstMisses = memoLookups(t, reg)
+		}
 		for i := range specs {
 			wg.Add(1)
 			go func(i int) {
@@ -287,36 +346,55 @@ func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	if hits := memoCount(t, reg, `sinet_memo_hits_total{kind="grid"}`); hits < 4 {
-		t.Fatalf("%v grid hits over 8 runs of one geometry, want at least 4", hits)
+	hits, misses := memoLookups(t, reg)
+	if got := hits[0] - firstHits[0]; got < float64(len(specs)) {
+		t.Errorf("%v grid hits in the second round of %d runs over one geometry, want at least %d", got, len(specs), len(specs))
+	}
+	for i, kind := range memoKindLabels {
+		if hits[i] == firstHits[i] {
+			t.Errorf("no %s hit in the second round over one geometry", kind)
+		}
+		if got := misses[i] - firstMisses[i]; got != 0 {
+			t.Errorf("%v %s misses in the second round, after the first filed every entry", got, kind)
+		}
 	}
 }
 
 // TestMemoMetrics: a fresh server exports every memo series at zero, and
-// a submission repeating a geometry shows as a grid hit.
+// a submission repeating a geometry shows as a hit of each entry kind it
+// reads.
 func TestMemoMetrics(t *testing.T) {
 	reg := obs.New()
 	t.Cleanup(func() { orbit.SetMetrics(nil); sim.SetMetrics(nil); netgraph.SetMetrics(nil) })
 	env := newTestEnv(t, Config{Workers: 1, QueueDepth: 4, Metrics: reg})
 	scrape := env.scrape(t)
-	for _, series := range []string{
-		`sinet_memo_hits_total{kind="grid"} 0`, `sinet_memo_hits_total{kind="plan"} 0`,
-		`sinet_memo_misses_total{kind="grid"} 0`, `sinet_memo_misses_total{kind="plan"} 0`,
-		`sinet_memo_evictions_total 0`, `sinet_memo_bytes 0`,
-	} {
+	fresh := []string{`sinet_memo_evictions_total 0`, `sinet_memo_bytes 0`}
+	for _, kind := range memoKindLabels {
+		fresh = append(fresh, `sinet_memo_hits_total{kind="`+kind+`"} 0`, `sinet_memo_misses_total{kind="`+kind+`"} 0`)
+	}
+	for _, series := range fresh {
 		if !strings.Contains(scrape, series+"\n") {
 			t.Errorf("fresh server's scrape lacks %q:\n%s", series, grepMetric(scrape, "sinet_memo"))
 		}
 	}
-	for _, lats := range []string{"[0]", "[10,20]"} {
-		r, code := env.submit(t, `{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":`+lats+`}}`)
+	for _, body := range []string{
+		`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[0]}}`,
+		`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[10,20]}}`,
+		`{"kind":"routing","routing":{"seed":1,"constellation":"FOSSA"}}`,
+		`{"kind":"routing","routing":{"seed":2,"constellation":"FOSSA"}}`,
+	} {
+		r, code := env.submit(t, body)
 		if code != http.StatusAccepted {
 			t.Fatalf("submit: %d", code)
 		}
 		env.awaitState(t, r.ID, StateDone)
 	}
 	scrape = env.scrape(t)
-	for _, series := range []string{`sinet_memo_hits_total{kind="grid"} 1`, `sinet_memo_misses_total{kind="grid"} 1`} {
+	for _, series := range []string{
+		`sinet_memo_hits_total{kind="grid"} 2`, `sinet_memo_misses_total{kind="grid"} 2`,
+		`sinet_memo_hits_total{kind="topology"} 1`, `sinet_memo_misses_total{kind="topology"} 1`,
+		`sinet_memo_hits_total{kind="packets"} 1`, `sinet_memo_misses_total{kind="packets"} 1`,
+	} {
 		if !strings.Contains(scrape, series+"\n") {
 			t.Errorf("scrape after a repeated geometry lacks %q:\n%s", series, grepMetric(scrape, "sinet_memo"))
 		}
@@ -343,4 +421,64 @@ func TestFinishedJobDropsItsCheckpoint(t *testing.T) {
 	if cp := j.resumePoint(); cp != nil {
 		t.Fatalf("finished job keeps a %d-unit resume point", cp.Len())
 	}
+}
+
+// coldMixJob is the spec body of job i of servebench's cold-mix workload
+// at base seed 1: the thirteen campaign shapes in turn, seeded kinds at
+// seed 1+i, and coverage and backhaul, which have no seed, starting i
+// minutes later.
+func coldMixJob(i int) string {
+	seed := 1 + i
+	at := time.Date(2024, 9, 1, 1, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Minute).Format(time.RFC3339)
+	fig5a := func(days int) string {
+		return fmt.Sprintf(`{"kind":"active","active":{"seed":%d,"max_retx":5,"days":%d,"nodes":%d}}`, seed, days, 1+(i/12)%6)
+	}
+	routing := func(cons, policy string) string {
+		return fmt.Sprintf(`{"kind":"routing","routing":{"seed":%d,"constellation":%q,"policy":%q}}`, seed, cons, policy)
+	}
+	shapes := []string{
+		fig5a(1), fig5a(2), fig5a(1), fig5a(3),
+		fmt.Sprintf(`{"kind":"active","active":{"seed":%d,"days":1,"nodes":3,"constellation":"PICO"}}`, seed),
+		routing("Tianqi", "compare"), routing("Tianqi", "relay"), routing("PICO", "compare"),
+		fmt.Sprintf(`{"kind":"passive","passive":{"seed":%d,"sites":["HK","SYD","LDN","PGH"],"constellations":["Tianqi","FOSSA","PICO","CSTP"]}}`, seed),
+		fmt.Sprintf(`{"kind":"passive","passive":{"seed":%d,"sites":["HK","SYD"],"constellations":["Tianqi"]}}`, seed),
+		fmt.Sprintf(`{"kind":"coverage","coverage":{"latitudes_deg":[-75,-56.25,-37.5,-18.75,0,18.75,37.5,56.25,75],"start":%q}}`, at),
+		fmt.Sprintf(`{"kind":"coverage","coverage":{"latitudes_deg":[-75,0,75],"start":%q}}`, at),
+		fmt.Sprintf(`{"kind":"backhaul","backhaul":{"constellation":"Tianqi","start":%q}}`, at),
+	}
+	return shapes[i%len(shapes)]
+}
+
+// TestMemoColdMixSecondCycleHits guards the memo's footprint: two cycles
+// of the cold-mix shapes run through one memo at the server's budget, and
+// in the second every lookup of an active plan, routing packets and a
+// routing topology summary hits. An entry the budget cannot keep for a
+// cycle misses here.
+func TestMemoColdMixSecondCycleHits(t *testing.T) {
+	reg := obs.New()
+	memo := core.NewMemo(memoBudget, reg)
+	cycle := func(c int) {
+		for i := 13 * c; i < 13*(c+1); i++ {
+			spec, err := decodeStrict([]byte(coldMixJob(i)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(context.Background(), spec, RunContext{Memo: memo}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle(0)
+	hits, misses := memoLookups(t, reg)
+	cycle(1)
+	hits2, misses2 := memoLookups(t, reg)
+	for i, kind := range memoKindLabels {
+		if kind == "grid" {
+			continue // coverage and backhaul grids never repeat
+		}
+		if hits2[i] == hits[i] || misses2[i] != misses[i] {
+			t.Errorf("second cycle: %v %s hits and %v misses, want hits only", hits2[i]-hits[i], kind, misses2[i]-misses[i])
+		}
+	}
+	t.Logf("memo after two cycles: %.0f bytes, %.0f evictions", memoCount(t, reg, "sinet_memo_bytes"), memoCount(t, reg, "sinet_memo_evictions_total"))
 }
