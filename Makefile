@@ -56,9 +56,10 @@ bench:
 # coverage kind's nine-latitude revisit analysis, the journal's durable and
 # write-behind appends, the event engine, the earliest-delivery search,
 # the active plan phase's compute, memo and resume paths, and the cold,
-# memo-warm and shard runs of a routing and a passive geometry as a
-# compile-and-run check; real measurements use
-# `go test -bench . -benchtime 5s`.
+# memo-warm and shard runs of a routing, a passive, a coverage and a
+# backhaul geometry (the last two warm at a new start, so their grids
+# rotate held TEME samples) as a compile-and-run check; real measurements
+# use `go test -bench . -benchtime 5s`.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPassPrediction(Serial|Parallel)$$|BenchmarkMegaConstellation/1k|BenchmarkEphemerisQuery|BenchmarkPassesAppend$$|BenchmarkDownlinkWindows$$|BenchmarkTopologyBuild/16sats|BenchmarkRevisitAnalysis$$' -benchtime 1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkJournalAppend' -benchtime 1x -benchmem ./internal/journal/

@@ -51,9 +51,9 @@ type SatBackhaul struct {
 
 // RunBackhaulCtx sweeps the operator ground segment for each satellite's
 // downlink opportunities, with cooperative cancellation checked per
-// satellite. The shared ephemeris grid always rebuilds (its samples are
-// inputs, not outputs); the per-satellite results checkpoint under the
-// "satellites" phase.
+// satellite. The per-satellite results checkpoint under the "satellites"
+// phase; the shared ephemeris grid is an input, not an output, built only
+// when some satellite is left to compute.
 func RunBackhaulCtx(ctx context.Context, cfg BackhaulConfig) (*BackhaulResult, error) {
 	props, err := cfg.Constellation.Propagators()
 	if err != nil {
@@ -63,16 +63,21 @@ func RunBackhaulCtx(ctx context.Context, cfg BackhaulConfig) (*BackhaulResult, e
 	end := cfg.Start.Add(time.Duration(cfg.Days) * 24 * time.Hour)
 
 	// One shared struct-of-arrays grid: the 12-station window sweep of
-	// every satellite reads the shared samples. A resumed sweep still
-	// propagates every row, so a restored satellite's neighbors find theirs.
-	grids, err := propagate(ctx, cfg.RunContext, cfg.Start, end, orbit.EphemerisConfig{ScanStep: cfg.Step}, props)
-	if err != nil {
-		return nil, err
+	// every satellite reads the shared samples. A sweep with any satellite
+	// left to compute propagates every row; one that restores every
+	// satellite, as a merge does, propagates none.
+	var grid *orbit.EphemerisGrid
+	setup := func() error {
+		grids, err := propagate(ctx, cfg.RunContext, cfg.Start, end, orbit.EphemerisConfig{ScanStep: cfg.Step}, props)
+		if err != nil {
+			return err
+		}
+		grid = grids[0]
+		return nil
 	}
-	grid := grids[0]
 	res := &BackhaulResult{Constellation: cfg.Constellation.Name, Start: cfg.Start, Days: cfg.Days}
 	res.Satellites = make([]SatBackhaul, len(props))
-	if err := forEachCheckpointed(ctx, cfg.RunContext, "satellites", res.Satellites, nil, nil, func(i int) (SatBackhaul, error) {
+	if err := forEachCheckpointed(ctx, cfg.RunContext, "satellites", res.Satellites, nil, setup, func(i int) (SatBackhaul, error) {
 		if err := ctx.Err(); err != nil {
 			return SatBackhaul{}, err
 		}

@@ -63,10 +63,14 @@ func (w *ShardWindow) contains(i int) bool {
 // "packets" (routing) and "satellites" (backhaul). Shared
 // setup phases ("ephemeris", "topology") rebuild from the config on
 // resume — their outputs are large in-memory structures that every
-// computed unit reads anyway — unless the run's memo holds what they
-// would build: a memo-held grid is not propagated again, and a routing
-// run that finds its topology summary in the memo builds the topology
-// only for packet units left to compute that need relay search.
+// computed unit reads anyway — unless nothing reads them or the run's
+// memo holds what they would build. Coverage and backhaul propagate
+// their grid only when a unit is left to compute, so a full restore (a
+// merge) propagates nothing; a memo-held grid is not propagated again,
+// and one whose trajectory the memo holds rotates those samples instead
+// of running SGP4; and a routing run that finds its topology summary in
+// the memo builds the topology only for packet units left to compute
+// that need relay search.
 type CheckpointFunc func(phase string, index, total int, unit []byte)
 
 // Checkpoint is a campaign resume point: for each checkpointable phase,
@@ -164,7 +168,7 @@ func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
 // when sharded, the window. setup, when non-nil, runs once before the
 // fan-out and only when some window unit is left to compute: it builds
 // what computing a unit reads and restoring one does not (routing's
-// topology).
+// topology, the coverage and backhaul grids).
 func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, in *keyInputs, setup func() error, fn func(i int) (T, error)) error {
 	n := len(out)
 	shard, progress, save := rc.Shard, rc.Progress, rc.Checkpoint

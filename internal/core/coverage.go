@@ -43,8 +43,9 @@ func RevisitAnalysis(cons constellation.Constellation, latitudesDeg []float64, s
 // "ephemeris" and "latitudes" phases, and checkpoint, resume and shard
 // over "latitudes", whose units (one RevisitStats each) are pure
 // serializable values. A resumed analysis restores completed latitudes and
-// is byte-identical to an uninterrupted one; a shard run leaves
-// out-of-window slots zero and returns a shard fragment.
+// is byte-identical to an uninterrupted one; one that restores every
+// latitude propagates nothing. A shard run leaves out-of-window slots zero
+// and returns a shard fragment.
 func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, latitudesDeg []float64, start time.Time, days int, rc RunContext) ([]RevisitStats, error) {
 	props, err := cons.Propagators()
 	if err != nil {
@@ -53,16 +54,20 @@ func RevisitAnalysisCtx(ctx context.Context, cons constellation.Constellation, l
 	end := start.Add(time.Duration(days) * 24 * time.Hour)
 
 	// Sample the whole constellation once into a shared struct-of-arrays
-	// grid; every latitude's pass search then reads the grid instead of
-	// re-propagating.
-	grids, err := propagate(ctx, rc, start, end, orbit.EphemerisConfig{ScanStep: time.Minute}, props)
-	if err != nil {
-		return nil, err
+	// grid, before the first latitude left to compute; every latitude's
+	// pass search then reads the grid instead of re-propagating.
+	var grid *orbit.EphemerisGrid
+	setup := func() error {
+		grids, err := propagate(ctx, rc, start, end, orbit.EphemerisConfig{ScanStep: time.Minute}, props)
+		if err != nil {
+			return err
+		}
+		grid = grids[0]
+		return nil
 	}
-	grid := grids[0]
 
 	out := make([]RevisitStats, len(latitudesDeg))
-	if err := forEachCheckpointed(ctx, rc, "latitudes", out, nil, nil, func(li int) (RevisitStats, error) {
+	if err := forEachCheckpointed(ctx, rc, "latitudes", out, nil, setup, func(li int) (RevisitStats, error) {
 		if err := ctx.Err(); err != nil {
 			return RevisitStats{}, err
 		}

@@ -8,21 +8,31 @@ import (
 	"github.com/sinet-io/sinet/internal/constellation"
 )
 
-// BenchmarkSeedIndependentPhases measures one job of a geometry on two
-// servebench shapes, routing Tianqi-compare and passive tianqi (HK and
-// SYD over Tianqi), each for one day from 2024-09-01. Every run hands its
-// units to a Checkpoint hook, as a server's attempt does:
+// BenchmarkSeedIndependentPhases measures one job of a geometry on four
+// servebench shapes, each for one day from 2024-09-01: routing
+// Tianqi-compare, passive tianqi (HK and SYD over Tianqi), coverage over
+// 9 latitudes and backhaul over Tianqi. Coverage and backhaul have no
+// seed; where the others take seed i, they start i minutes later, with
+// the fleet epoched at that start, as servebench's cold-mix jobs do.
+// Every run hands its units to a Checkpoint hook, as a server's attempt
+// does:
 //
 //   - cold: through an empty memo, so every phase computes;
-//   - warm: another seed of the geometry through a memo one run filled;
+//   - warm: another seed of the geometry (for coverage and backhaul,
+//     another start of the trajectory, so its grid rotates held samples)
+//     through a memo two runs, at seeds 0 and -1, filled;
 //   - shard-warm: that run as a shard over every unit, which returns
 //     right after its checkpointed phase, as a worker's shard run does.
+//     For coverage and backhaul it repeats warm's starts, whose rotated
+//     grids the memo did not file, so it rotates again.
 func BenchmarkSeedIndependentPhases(b *testing.B) {
 	ctx := context.Background()
 	start := time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
 	hk, _ := SiteByCode("HK")
 	syd, _ := SiteByCode("SYD")
 	tianqi := constellation.Tianqi(start)
+	lats := []float64{-75, -56.25, -37.5, -18.75, 0, 18.75, 37.5, 56.25, 75}
+	at := func(minutes int64) time.Time { return start.Add(time.Duration(minutes) * time.Minute) }
 	shapes := []struct {
 		name  string
 		units int
@@ -37,6 +47,15 @@ func BenchmarkSeedIndependentPhases(b *testing.B) {
 				Constellations: []constellation.Constellation{tianqi}, RunContext: rc})
 			return err
 		}},
+		{"coverage-9lat", len(lats), func(seed int64, rc RunContext) error {
+			_, err := RevisitAnalysisCtx(ctx, constellation.Tianqi(at(seed)), lats, at(seed), 1, rc)
+			return err
+		}},
+		{"backhaul-Tianqi", len(tianqi.Sats), func(seed int64, rc RunContext) error {
+			_, err := RunBackhaulCtx(ctx, BackhaulConfig{Constellation: constellation.Tianqi(at(seed)), Start: at(seed), Days: 1,
+				Step: time.Minute, MinDrainGap: 150 * time.Minute, RunContext: rc})
+			return err
+		}},
 	}
 	discard := func(string, int, int, []byte) {}
 	for _, sh := range shapes {
@@ -47,7 +66,9 @@ func BenchmarkSeedIndependentPhases(b *testing.B) {
 				}
 			}
 			warm := NewMemo(64<<20, nil)
-			run(b, 0, RunContext{Memo: warm, Checkpoint: discard})
+			for _, seed := range []int64{0, -1} {
+				run(b, seed, RunContext{Memo: warm, Checkpoint: discard})
+			}
 			b.Run("cold", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					run(b, int64(i+1), RunContext{Memo: NewMemo(64<<20, nil), Checkpoint: discard})

@@ -13,18 +13,21 @@ import (
 )
 
 // Memo holds the seed-independent geometry of finished campaign phases
-// for later runs to reuse: propagated ephemeris grids, a routing
-// topology's summary, and the units of a keyed checkpointable phase
-// (forEachCheckpointed): the active plan and fault-free routing packets.
-// Each entry is keyed by a hash of exactly the inputs it was computed
-// from, so a hit returns the value a recomputation would produce, and
-// results stay byte-identical by construction. Entries are immutable and
-// shared by every run that hits them; they are evicted least-recently-used
-// against a byte budget. A Memo is safe for concurrent use; a nil *Memo
-// holds nothing and every campaign computes as it would without one.
+// for later runs to reuse: propagated ephemeris grids, the TEME samples of
+// trajectories seen at more than one start (orbit.Trajectory, which a grid
+// of the trajectory at any start rotates instead of running SGP4), a
+// routing topology's summary, and the units of a keyed checkpointable
+// phase (forEachCheckpointed): the active plan and fault-free routing
+// packets. Each entry is keyed by a hash of exactly the inputs it was
+// computed from, so a hit returns the value a recomputation would
+// produce, and results stay byte-identical by construction. Entries are
+// immutable and shared by every run that hits them; they are evicted
+// least-recently-used against a byte budget. A Memo is safe for
+// concurrent use; a nil *Memo holds nothing and every campaign computes
+// as it would without one.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, topologySummary or *unitEntry[T]
+	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, *orbit.Trajectory, orbitNote, topologySummary or *unitEntry[T]
 
 	hits, misses [len(memoKindNames)]*obs.Counter // by memoKind
 	evictions    *obs.Counter
@@ -38,15 +41,26 @@ const (
 	kindPlan              // active plan units
 	kindTopology          // routing topology summary
 	kindPackets           // routing packet units
+	kindOrbit             // a trajectory's TEME samples, or its note
 )
 
-var memoKindNames = [...]string{"grid", "plan", "topology", "packets"}
+var memoKindNames = [...]string{"grid", "plan", "topology", "packets", "orbit"}
+
+// orbitNote marks a trajectory propagated at one start: the next grid
+// miss of the trajectory keeps its TEME samples and files them in the
+// note's place. A trajectory seen at only one start so costs a note, not
+// a second grid-sized entry.
+type orbitNote struct{}
+
+// orbitNoteBytes is a note's nominal size, so notes count against the
+// budget.
+const orbitNoteBytes = 64
 
 // NewMemo returns an empty memo bounded to budget bytes. With a non-nil
 // registry it exports
 //
-//	sinet_memo_hits_total{kind}    lookups answered from the memo ("grid", "plan", "topology", "packets")
-//	sinet_memo_misses_total{kind}  lookups that found no entry
+//	sinet_memo_hits_total{kind}    lookups answered from the memo ("grid", "plan", "topology", "packets", "orbit")
+//	sinet_memo_misses_total{kind}  lookups that found no entry; an orbit lookup that finds a note is a miss
 //	sinet_memo_evictions_total     entries evicted against the budget
 //	sinet_memo_bytes               bytes of memoized geometry
 //
@@ -70,12 +84,13 @@ func NewMemo(budget int64, r *obs.Registry) *Memo {
 	return m
 }
 
-// get returns the entry under k, counting the lookup under kind.
+// get returns the entry under k, counting the lookup under kind. A note
+// counts as a miss: the run that finds it still propagates.
 func (m *Memo) get(k memoKey, kind memoKind) (any, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v, ok := m.lru.Get(k)
-	if ok {
+	if _, note := v.(orbitNote); ok && !note {
 		m.hits[kind].Inc()
 	} else {
 		m.misses[kind].Inc()
@@ -88,6 +103,16 @@ func (m *Memo) put(k memoKey, v any, size int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.evictions.Add(uint64(m.lru.Put(k, v, size)))
+}
+
+// note files a note under k unless k holds an entry: samples a run of the
+// trajectory filed meanwhile stay.
+func (m *Memo) note(k memoKey) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.lru.Get(k); !ok {
+		m.evictions.Add(uint64(m.lru.Put(k, orbitNote{}, orbitNoteBytes)))
+	}
 }
 
 // memoKey is the SHA-256 of a memo entry's kind and inputs.
@@ -166,6 +191,36 @@ func gridKey(props []*orbit.Propagator, start, end time.Time, cfg orbit.Ephemeri
 	k := newKeyInputs(kindGrid)
 	k.grid(props, start, end, cfg)
 	return k.sum()
+}
+
+// orbitKey keys the TEME samples of a grid of props from start with a
+// calibrated step and steps samples per row: exactly what SGP4 reads
+// (see orbit.Trajectory). Each element set encodes every field but its
+// epoch, which enters as the offset of start from it, in whole seconds
+// and nanoseconds, so offsets beyond a Duration's range stay exact. The
+// grid's start, end and config enter only through the step and the
+// count, and the key is keyable whatever the times' location.
+func orbitKey(props []*orbit.Propagator, start time.Time, step time.Duration, steps int) memoKey {
+	k := newKeyInputs(kindOrbit)
+	k.int(int64(step))
+	k.int(int64(steps))
+	k.int(int64(len(props)))
+	for _, p := range props {
+		e := p.Elements()
+		k.int(int64(e.NoradID))
+		k.str(e.Name)
+		sec, nsec := start.Unix()-e.Epoch.Unix(), start.Nanosecond()-e.Epoch.Nanosecond()
+		if nsec < 0 {
+			sec, nsec = sec-1, nsec+1e9
+		}
+		k.int(sec)
+		k.int(int64(nsec))
+		for _, f := range [...]float64{e.BStar, e.Inclination, e.RAAN, e.Eccentricity, e.ArgPerigee, e.MeanAnomaly, e.MeanMotion} {
+			k.float(f)
+		}
+	}
+	key, _ := k.sum()
+	return key
 }
 
 // unitEntry is a memoized checkpointable phase: the value of each unit a

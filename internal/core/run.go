@@ -34,11 +34,12 @@ type RunContext struct {
 	// not a full campaign (see ShardWindow).
 	Shard *ShardWindow
 	// Memo, when non-nil, serves seed-independent geometry computed by
-	// earlier runs — propagated ephemeris grids, active plan units, and
-	// fault-free routing packet units and topology summaries — and files
-	// what this run built, decoded or computed of it (see Memo). A run
-	// that finds what a setup phase would build skips that phase. Like
-	// Resume it never changes results.
+	// earlier runs — propagated ephemeris grids, the TEME samples of
+	// trajectories, active plan units, and fault-free routing packet
+	// units and topology summaries — and files what this run built,
+	// decoded or computed of it (see Memo). A run that finds what a setup
+	// phase would build skips that phase. Like Resume it never changes
+	// results.
 	Memo *Memo
 }
 
@@ -55,17 +56,30 @@ type ProgressFunc func(phase string, completed, total int)
 // propagate runs a campaign's "ephemeris" phase: it returns one
 // propagated grid per propagator set, each over [start, end] under cfg.
 // Grids rc.Memo holds are reused as they are; the rest are built and
-// their rows sampled across the worker pool, then finished and filed in
-// the memo once the phase returned nil, so a canceled or failed
-// propagation never enters it. Each worker fills only its own row, so the
-// fan-out never races. Grid rows are inputs, not outputs — they rebuild
-// on resume and never checkpoint. The context is checked per satellite.
+// their rows sampled across the worker pool. A grid the memo misses is
+// looked up again by its trajectory (orbitKey), which reaches past the
+// start, and the phase files by one rule once it returned nil, so a
+// canceled or failed propagation files nothing:
+//
+//   - samples held: the rows rotate them, SGP4 does not run, and the grid
+//     is not filed (rebuilding it costs a rotation, and a start-shifted
+//     grid is seldom read again);
+//   - a note held: SGP4 runs, keeping its TEME samples, which replace the
+//     note unless a row failed to propagate, and the grid is filed;
+//   - nothing held: SGP4 runs, and the grid and a note are filed.
+//
+// So while the memo holds a trajectory SGP4 runs for it at most twice,
+// and a trajectory seen at one start costs a note. Each worker fills only
+// its own row, so the fan-out never races. Grid rows are inputs, not
+// outputs — they rebuild on resume and never checkpoint. The context is
+// checked per satellite.
 func propagate(ctx context.Context, rc RunContext, start, end time.Time, cfg orbit.EphemerisConfig, props ...[]*orbit.Propagator) ([]*orbit.EphemerisGrid, error) {
 	grids := make([]*orbit.EphemerisGrid, len(props))
 	type built struct {
-		grid  int
-		key   memoKey
-		keyed bool
+		grid           int
+		key, orbit     memoKey
+		keyed, tracked bool // grid keyed; trajectory looked up
+		held           any  // what the orbit lookup found
 	}
 	var fresh []built
 	type row struct{ grid, sat int }
@@ -80,9 +94,20 @@ func propagate(ctx context.Context, rc RunContext, start, end time.Time, cfg orb
 				}
 			}
 		}
-		grids[gi] = orbit.NewEphemerisGrid(ps, start, end, cfg)
+		g := orbit.NewEphemerisGrid(ps, start, end, cfg)
+		if rc.Memo != nil && g.Sats() > 0 {
+			b.orbit, b.tracked = orbitKey(ps, start, g.Step(), g.Steps()), true
+			b.held, _ = rc.Memo.get(b.orbit, kindOrbit)
+			switch held := b.held.(type) {
+			case *orbit.Trajectory:
+				g.Rotate(held)
+			case orbitNote:
+				g.Record()
+			}
+		}
+		grids[gi] = g
 		fresh = append(fresh, b)
-		for si := 0; si < grids[gi].Sats(); si++ {
+		for si := 0; si < g.Sats(); si++ {
 			rows = append(rows, row{gi, si})
 		}
 	}
@@ -98,7 +123,20 @@ func propagate(ctx context.Context, rc RunContext, start, end time.Time, cfg orb
 	}
 	for _, b := range fresh {
 		g := grids[b.grid]
+		tr := g.Trajectory()
 		g.Finish()
+		switch b.held.(type) {
+		case *orbit.Trajectory:
+			continue
+		case orbitNote:
+			if tr != nil {
+				rc.Memo.put(b.orbit, tr, tr.Bytes())
+			}
+		default:
+			if b.tracked {
+				rc.Memo.note(b.orbit)
+			}
+		}
 		if b.keyed {
 			rc.Memo.put(b.key, g, g.Bytes())
 		}

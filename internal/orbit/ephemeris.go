@@ -150,25 +150,34 @@ func newEphemerisShell(els Elements, prop *Propagator, start, end time.Time, sam
 	}
 }
 
-// attach points the ephemeris at row-sized windows of a shared component
-// buffer laid out [px | py | pz | vx | vy | vz], each component n*rows
-// long, this row starting at offset row*n.
-func (e *Ephemeris) attach(buf []float64, row, rows int) {
-	stride := rows * e.n
-	off := row * e.n
-	e.px = buf[off : off+e.n : off+e.n]
-	e.py = buf[stride+off : stride+off+e.n : stride+off+e.n]
-	e.pz = buf[2*stride+off : 2*stride+off+e.n : 2*stride+off+e.n]
-	e.vx = buf[3*stride+off : 3*stride+off+e.n : 3*stride+off+e.n]
-	e.vy = buf[4*stride+off : 4*stride+off+e.n : 4*stride+off+e.n]
-	e.vz = buf[5*stride+off : 5*stride+off+e.n : 5*stride+off+e.n]
+// stateRow is one row's window of a shared component buffer laid out
+// [x | y | z | vx | vy | vz], each component n*rows long, the row starting
+// at offset row*n.
+type stateRow [6][]float64
+
+func newStateRow(buf []float64, row, rows, n int) stateRow {
+	var w stateRow
+	stride, off := rows*n, row*n
+	for c := range w {
+		lo := c*stride + off
+		w[c] = buf[lo : lo+n : lo+n]
+	}
+	return w
 }
 
-// propagateRow fills the sample arrays by exact SGP4 propagation. The TEME
+// attach points the ephemeris at its row of a shared component buffer (see
+// stateRow).
+func (e *Ephemeris) attach(buf []float64, row, rows int) {
+	w := newStateRow(buf, row, rows, e.n)
+	e.px, e.py, e.pz, e.vx, e.vy, e.vz = w[0], w[1], w[2], w[3], w[4], w[5]
+}
+
+// propagateRow fills the sample arrays by exact SGP4 propagation, keeping
+// each TEME state in teme when teme is not the zero stateRow. The TEME
 // state is rotated with the precomputed per-step sidereal angle — the same
 // value GMSTAt would return, so samples stay bit-identical to the direct
 // PositionECEF path.
-func (e *Ephemeris) propagateRow(thetas []float64) {
+func (e *Ephemeris) propagateRow(thetas []float64, teme stateRow) {
 	for k := 0; k < e.n; k++ {
 		t := e.start.Add(time.Duration(k) * e.step)
 		s, err := e.prop.PropagateTo(t)
@@ -179,7 +188,24 @@ func (e *Ephemeris) propagateRow(thetas []float64) {
 			e.errs[k] = err
 			continue
 		}
+		if teme[0] != nil {
+			r, v := s.Position, s.Velocity
+			teme[0][k], teme[1][k], teme[2][k] = r.X, r.Y, r.Z
+			teme[3][k], teme[4][k], teme[5][k] = v.X, v.Y, v.Z
+		}
 		r, v := TEMEToECEFVelGMST(s.Position, s.Velocity, thetas[k])
+		e.px[k], e.py[k], e.pz[k] = r.X, r.Y, r.Z
+		e.vx[k], e.vy[k], e.vz[k] = v.X, v.Y, v.Z
+	}
+}
+
+// rotateRow fills the sample arrays from held TEME states instead of SGP4,
+// rotating them as propagateRow rotates SGP4's output: the same states and
+// angles give the same bits.
+func (e *Ephemeris) rotateRow(thetas []float64, teme stateRow) {
+	px, py, pz, vx, vy, vz := teme[0], teme[1], teme[2], teme[3], teme[4], teme[5]
+	for k := 0; k < e.n; k++ {
+		r, v := TEMEToECEFVelGMST(Vec3{px[k], py[k], pz[k]}, Vec3{vx[k], vy[k], vz[k]}, thetas[k])
 		e.px[k], e.py[k], e.pz[k] = r.X, r.Y, r.Z
 		e.vx[k], e.vy[k], e.vz[k] = v.X, v.Y, v.Z
 	}

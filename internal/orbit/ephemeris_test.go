@@ -1,6 +1,7 @@
 package orbit
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -258,4 +259,119 @@ func TestConcurrentEphemerisAndCloneUse(t *testing.T) {
 			t.Errorf("worker %d clone state differs: %v vs %v", w, states[w], states[0])
 		}
 	}
+}
+
+// rotationFleet is three LEO element sets epoched at start, and with
+// decaying, a fourth that decays 324 minutes past it.
+func rotationFleet(t *testing.T, start time.Time, decaying bool) []*Propagator {
+	t.Helper()
+	var els []Elements
+	for i := 0; i < 3; i++ {
+		e := leoElements()
+		e.NoradID += i
+		e.RAAN, e.MeanAnomaly = float64(i), float64(2*i)
+		els = append(els, e)
+	}
+	if decaying {
+		e := leoElements()
+		e.NoradID, e.MeanMotion, e.BStar = 90200, MeanMotionFromAltitude(200), 0.05
+		els = append(els, e)
+	}
+	props := make([]*Propagator, len(els))
+	for i, e := range els {
+		e.Epoch = start
+		p, err := NewPropagator(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		props[i] = p
+	}
+	return props
+}
+
+// recordGrid propagates a grid that keeps its TEME samples and returns
+// them.
+func recordGrid(props []*Propagator, start, end time.Time, cfg EphemerisConfig) (*EphemerisGrid, *Trajectory) {
+	g := NewEphemerisGrid(props, start, end, cfg)
+	g.Record()
+	for i := 0; i < g.Sats(); i++ {
+		g.Propagate(i)
+	}
+	tr := g.Trajectory()
+	g.Finish()
+	return g, tr
+}
+
+// TestGridRotateMatchesSGP4: a grid at a new start, its element sets
+// epoched at that start, that rotates the TEME samples a grid recorded at
+// another start equals an SGP4-propagated grid bit for bit: samples,
+// exact-mode demotions and motion bounds, interpolated and exact alike.
+// Its rows run SGP4 only to validate (two probes a row, none in exact
+// mode), and it keeps no trajectory of its own.
+func TestGridRotateMatchesSGP4(t *testing.T) {
+	r := obs.New()
+	SetMetrics(r)
+	defer SetMetrics(nil)
+	sgp4 := r.Counter("sinet_sgp4_calls_total", "")
+	a := time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)
+	b := a.Add(26*time.Hour + 7*time.Minute + 3*time.Second + 11)
+	for _, cfg := range []EphemerisConfig{{ScanStep: time.Minute}, {ScanStep: time.Minute, Exact: true}} {
+		rec, tr := recordGrid(rotationFleet(t, a, false), a, a.Add(6*time.Hour), cfg)
+		if tr == nil {
+			t.Fatalf("exact=%v: a recorded grid without propagation errors returned no trajectory", cfg.Exact)
+		}
+		if tr.Bytes() != rec.Bytes() {
+			t.Errorf("exact=%v: trajectory holds %d bytes, its grid %d", cfg.Exact, tr.Bytes(), rec.Bytes())
+		}
+		want := NewEphemerisGrid(rotationFleet(t, b, false), b, b.Add(6*time.Hour), cfg)
+		want.PropagateAll()
+		got := NewEphemerisGrid(rotationFleet(t, b, false), b, b.Add(6*time.Hour), cfg)
+		got.Rotate(tr)
+		before := sgp4.Value()
+		for i := 0; i < got.Sats(); i++ {
+			got.Propagate(i)
+		}
+		validation := uint64(2 * got.Sats())
+		if cfg.Exact {
+			validation = 0
+		}
+		if n := sgp4.Value() - before; n != validation {
+			t.Errorf("exact=%v: rotated rows made %d SGP4 calls, want %d for validation", cfg.Exact, n, validation)
+		}
+		if got.Trajectory() != nil {
+			t.Errorf("exact=%v: a rotated grid returned a trajectory", cfg.Exact)
+		}
+		got.Finish()
+		if len(got.buf) != len(want.buf) {
+			t.Fatalf("exact=%v: %d samples, want %d", cfg.Exact, len(got.buf), len(want.buf))
+		}
+		for i := range want.buf {
+			if math.Float64bits(got.buf[i]) != math.Float64bits(want.buf[i]) {
+				t.Fatalf("exact=%v: sample component %d is %v, SGP4 gives %v", cfg.Exact, i, got.buf[i], want.buf[i])
+			}
+		}
+		for i := range want.views {
+			g, w := &got.views[i], &want.views[i]
+			if g.exact != w.exact || g.rhoMax != w.rhoMax || g.omegaMax != w.omegaMax || g.errs != nil {
+				t.Errorf("exact=%v: row %d validates or bounds unlike SGP4's", cfg.Exact, i)
+			}
+		}
+	}
+}
+
+// TestGridRecordWithErrorRowKeepsNoTrajectory: a row that fails to
+// propagate leaves the grid no trajectory to file, and a trajectory of
+// another shape does not fit a grid.
+func TestGridRecordWithErrorRowKeepsNoTrajectory(t *testing.T) {
+	a := time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)
+	if _, tr := recordGrid(rotationFleet(t, a, true), a, a.Add(12*time.Hour), EphemerisConfig{ScanStep: time.Minute}); tr != nil {
+		t.Fatal("a grid with a decayed row returned a trajectory")
+	}
+	_, tr := recordGrid(rotationFleet(t, a, false), a, a.Add(6*time.Hour), EphemerisConfig{ScanStep: time.Minute})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a grid of another span rotated the trajectory")
+		}
+	}()
+	NewEphemerisGrid(rotationFleet(t, a, false), a, a.Add(7*time.Hour), EphemerisConfig{ScanStep: time.Minute}).Rotate(tr)
 }

@@ -28,10 +28,11 @@ const (
 	hitPlan
 	hitTopology
 	hitPackets
+	hitOrbit
 )
 
 // memoKindLabels are the memo series' kind labels, in memoKinds bit order.
-var memoKindLabels = []string{"grid", "plan", "topology", "packets"}
+var memoKindLabels = []string{"grid", "plan", "topology", "packets", "orbit"}
 
 // memoRow changes one field of a kind's base spec.
 type memoRow struct {
@@ -64,27 +65,33 @@ func faultRows(hit func(pair string) memoKinds) []memoRow {
 }
 
 // memoKeyTable holds, per kind, a small base spec and one row per field
-// of its section.
+// of its section. A row whose grid misses looks its trajectory up: the
+// orbit kind hits when the grid rotates held samples and misses when SGP4
+// runs. Rows run in order through one memo, which the base spec filled
+// with its grids and their trajectories' notes; the start row runs the
+// base's trajectories at another start, so it runs SGP4 and files their
+// samples. The later rows that change only the scan step, to one that
+// calibrates to the same sample step and count, then rotate.
 var memoKeyTable = map[string]struct {
 	base string
 	rows []memoRow
 }{
 	KindPassive: {`{"kind":"passive","passive":{"seed":1,"sites":["HK"],"constellations":["FOSSA","CSTP"]}}`, append([]memoRow{
 		{"seed", `2`, hitGrid, 0},
-		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid},
-		{"days", `2`, 0, hitGrid},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitOrbit},
+		{"days", `2`, 0, hitGrid | hitOrbit},
 		{"sites", `["SYD"]`, hitGrid, 0},
-		{"constellations", `["PICO"]`, 0, hitGrid},
+		{"constellations", `["PICO"]`, 0, hitGrid | hitOrbit},
 		{"scheduler", `"roundrobin"`, hitGrid, 0},
 		{"min_elevation_deg", `20`, hitGrid, 0},
-		{"coarse_step", `"2m"`, 0, hitGrid},
+		{"coarse_step", `"2m"`, hitOrbit, hitGrid},
 		{"honor_site_start", `true`, hitGrid, 0},
 		{"weather", `"rainy"`, hitGrid, 0},
 	}, faultRows(func(string) memoKinds { return hitGrid })...)},
 	KindActive: {`{"kind":"active","active":{"seed":1,"start":"2024-09-01T00:00:00Z","constellation":"FOSSA"}}`, append([]memoRow{
 		{"seed", `2`, hitGrid | hitPlan, 0},
-		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitPlan},
-		{"days", `2`, 0, hitGrid | hitPlan},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitPlan | hitOrbit},
+		{"days", `2`, 0, hitGrid | hitPlan | hitOrbit},
 		{"nodes", `5`, hitGrid | hitPlan, 0},
 		{"payload_bytes", `40`, hitGrid | hitPlan, 0},
 		{"sense_period", `"20m"`, hitGrid | hitPlan, 0},
@@ -95,7 +102,7 @@ var memoKeyTable = map[string]struct {
 		{"schedule_aware_min_elevation_deg", `20`, hitGrid, hitPlan},
 		{"tx_gate_margin_db", `3`, hitGrid | hitPlan, 0},
 		{"antenna", `"quarter"`, hitGrid | hitPlan, 0},
-		{"constellation", `"CSTP"`, 0, hitGrid | hitPlan},
+		{"constellation", `"CSTP"`, 0, hitGrid | hitPlan | hitOrbit},
 		{"weather", `"rainy"`, hitGrid | hitPlan, 0},
 	}, faultRows(func(pair string) memoKinds {
 		if pair == "drain" {
@@ -104,24 +111,24 @@ var memoKeyTable = map[string]struct {
 		return hitGrid | hitPlan
 	})...)},
 	KindCoverage: {`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[0,30]}}`, []memoRow{
-		{"constellation", `"CSTP"`, 0, hitGrid},
+		{"constellation", `"CSTP"`, 0, hitGrid | hitOrbit},
 		{"latitudes_deg", `[-45,45,60]`, hitGrid, 0},
-		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid},
-		{"days", `2`, 0, hitGrid},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitOrbit},
+		{"days", `2`, 0, hitGrid | hitOrbit},
 	}},
 	KindBackhaul: {`{"kind":"backhaul","backhaul":{"constellation":"FOSSA"}}`, []memoRow{
-		{"constellation", `"CSTP"`, 0, hitGrid},
-		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid},
-		{"days", `2`, 0, hitGrid},
-		{"step", `"2m"`, 0, hitGrid},
+		{"constellation", `"CSTP"`, 0, hitGrid | hitOrbit},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitOrbit},
+		{"days", `2`, 0, hitGrid | hitOrbit},
+		{"step", `"2m"`, hitOrbit, hitGrid},
 		{"min_drain_gap", `"100m"`, hitGrid, 0},
 	}},
 	KindRouting: {`{"kind":"routing","routing":{"seed":1,"constellation":"FOSSA"}}`, append([]memoRow{
 		{"seed", `2`, hitGrid | hitTopology | hitPackets, 0},
-		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitTopology | hitPackets},
-		{"days", `2`, 0, hitGrid | hitTopology | hitPackets},
-		{"constellation", `"CSTP"`, 0, hitGrid | hitTopology | hitPackets},
-		{"snapshot_step", `"2m"`, 0, hitGrid | hitTopology | hitPackets},
+		{"start", `"2024-09-01T01:00:00Z"`, 0, hitGrid | hitTopology | hitPackets | hitOrbit},
+		{"days", `2`, 0, hitGrid | hitTopology | hitPackets | hitOrbit},
+		{"constellation", `"CSTP"`, 0, hitGrid | hitTopology | hitPackets | hitOrbit},
+		{"snapshot_step", `"2m"`, hitOrbit, hitGrid | hitTopology | hitPackets},
 		{"max_isl_range_km", `3000`, hitGrid, hitTopology | hitPackets},
 		{"hop_processing", `"50ms"`, hitGrid, hitTopology | hitPackets},
 		{"packet_interval", `"1h"`, hitGrid | hitTopology, hitPackets},
@@ -292,12 +299,19 @@ func TestMemoKeyCompleteness(t *testing.T) {
 }
 
 // TestMemoSharedAcrossConcurrentRuns runs active, routing and passive
-// campaigns of one geometry concurrently against one memo, twice: they
-// share its entries, so the first round files every entry the second
-// reads — every run of the second round hits its grid, every kind hits
-// and none misses — and every result equals its memo-free run. Run it
-// under -race -count=10.
+// campaigns of one geometry, and coverage and backhaul over one
+// trajectory at three starts, concurrently against one memo, twice. Two
+// coverage runs at two other starts first file the trajectory's samples,
+// so every coverage and backhaul run, in either round, misses its grid
+// and rotates those shared samples (a rotated grid is not filed). The
+// other runs share the memo's entries, so the first round files every
+// entry the second reads: in the second round every other run hits its
+// grid, every kind hits and nothing else misses. Every result equals its
+// memo-free run. Run it under -race -count=10.
 func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
+	coverage := func(start, lats string) string {
+		return `{"kind":"coverage","coverage":{"constellation":"FOSSA","days":2,"start":"` + start + `","latitudes_deg":` + lats + `}}`
+	}
 	bodies := []string{
 		`{"kind":"active","active":{"seed":1,"start":"2024-09-01T00:00:00Z","constellation":"FOSSA"}}`,
 		`{"kind":"active","active":{"seed":2,"start":"2024-09-01T00:00:00Z","constellation":"FOSSA","nodes":2}}`,
@@ -306,7 +320,11 @@ func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
 		`{"kind":"routing","routing":{"seed":4,"constellation":"FOSSA","policy":"store"}}`,
 		`{"kind":"passive","passive":{"seed":1,"sites":["HK"],"constellations":["FOSSA"]}}`,
 		`{"kind":"passive","passive":{"seed":2,"sites":["HK"],"constellations":["FOSSA"],"weather":"rainy"}}`,
+		coverage("2024-09-05T00:00:00Z", `[0,30]`),
+		coverage("2024-09-06T06:00:00Z", `[-30]`),
+		`{"kind":"backhaul","backhaul":{"constellation":"FOSSA","days":2,"start":"2024-09-07T01:00:00Z"}}`,
 	}
+	const rotating = 3 // the coverage and backhaul runs, last in bodies
 	specs := make([]*JobSpec, len(bodies))
 	want := make([][]byte, len(bodies))
 	for i, b := range bodies {
@@ -319,12 +337,18 @@ func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
 	}
 	reg := obs.New()
 	memo := core.NewMemo(64<<20, reg)
-	var wg sync.WaitGroup
-	var firstHits, firstMisses []float64
-	for round := 0; round < 2; round++ {
-		if round == 1 {
-			firstHits, firstMisses = memoLookups(t, reg)
+	for _, start := range []string{"2024-09-03T00:00:00Z", "2024-09-04T00:00:00Z"} {
+		spec, err := decodeStrict([]byte(coverage(start, `[0]`)))
+		if err != nil {
+			t.Fatal(err)
 		}
+		runBytes(t, spec, RunContext{Memo: memo})
+	}
+	// hits[r], misses[r]: the lookups before round r; r = 2 is the end.
+	var hits, misses [3][]float64
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		hits[round], misses[round] = memoLookups(t, reg)
 		for i := range specs {
 			wg.Add(1)
 			go func(i int) {
@@ -346,23 +370,35 @@ func TestMemoSharedAcrossConcurrentRuns(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	hits, misses := memoLookups(t, reg)
-	if got := hits[0] - firstHits[0]; got < float64(len(specs)) {
-		t.Errorf("%v grid hits in the second round of %d runs over one geometry, want at least %d", got, len(specs), len(specs))
+	hits[2], misses[2] = memoLookups(t, reg)
+	const orbitIdx = 4
+	if got := hits[1][orbitIdx] - hits[0][orbitIdx]; got < rotating {
+		t.Errorf("%v orbit hits in the first round, want at least the %d coverage and backhaul runs", got, rotating)
 	}
 	for i, kind := range memoKindLabels {
-		if hits[i] == firstHits[i] {
-			t.Errorf("no %s hit in the second round over one geometry", kind)
-		}
-		if got := misses[i] - firstMisses[i]; got != 0 {
-			t.Errorf("%v %s misses in the second round, after the first filed every entry", got, kind)
+		h, m := hits[2][i]-hits[1][i], misses[2][i]-misses[1][i]
+		switch kind {
+		case "grid":
+			if h != float64(len(specs)-rotating) || m != rotating {
+				t.Errorf("second round: %v grid hits and %v misses of %d runs, want a miss for each of the %d rotating runs and hits for the rest", h, m, len(specs), rotating)
+			}
+		case "orbit":
+			if h != rotating || m != 0 {
+				t.Errorf("second round: %v orbit hits and %v misses, want %d hits only", h, m, rotating)
+			}
+		default:
+			if h == 0 || m != 0 {
+				t.Errorf("second round: %v %s hits and %v misses, want hits only", h, kind, m)
+			}
 		}
 	}
 }
 
 // TestMemoMetrics: a fresh server exports every memo series at zero, and
 // a submission repeating a geometry shows as a hit of each entry kind it
-// reads.
+// reads. Coverage at two more starts runs the first coverage job's
+// trajectory again: the first of them runs SGP4 (an orbit miss) and files
+// its samples, the second rotates them (an orbit hit).
 func TestMemoMetrics(t *testing.T) {
 	reg := obs.New()
 	t.Cleanup(func() { orbit.SetMetrics(nil); sim.SetMetrics(nil); netgraph.SetMetrics(nil) })
@@ -380,6 +416,8 @@ func TestMemoMetrics(t *testing.T) {
 	for _, body := range []string{
 		`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[0]}}`,
 		`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[10,20]}}`,
+		`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[0],"start":"2024-09-02T00:00:00Z"}}`,
+		`{"kind":"coverage","coverage":{"constellation":"FOSSA","latitudes_deg":[0],"start":"2024-09-03T00:00:00Z"}}`,
 		`{"kind":"routing","routing":{"seed":1,"constellation":"FOSSA"}}`,
 		`{"kind":"routing","routing":{"seed":2,"constellation":"FOSSA"}}`,
 	} {
@@ -391,9 +429,10 @@ func TestMemoMetrics(t *testing.T) {
 	}
 	scrape = env.scrape(t)
 	for _, series := range []string{
-		`sinet_memo_hits_total{kind="grid"} 2`, `sinet_memo_misses_total{kind="grid"} 2`,
+		`sinet_memo_hits_total{kind="grid"} 2`, `sinet_memo_misses_total{kind="grid"} 4`,
 		`sinet_memo_hits_total{kind="topology"} 1`, `sinet_memo_misses_total{kind="topology"} 1`,
 		`sinet_memo_hits_total{kind="packets"} 1`, `sinet_memo_misses_total{kind="packets"} 1`,
+		`sinet_memo_hits_total{kind="orbit"} 1`, `sinet_memo_misses_total{kind="orbit"} 3`,
 	} {
 		if !strings.Contains(scrape, series+"\n") {
 			t.Errorf("scrape after a repeated geometry lacks %q:\n%s", series, grepMetric(scrape, "sinet_memo"))
@@ -453,7 +492,10 @@ func coldMixJob(i int) string {
 // of the cold-mix shapes run through one memo at the server's budget, and
 // in the second every lookup of an active plan, routing packets and a
 // routing topology summary hits. An entry the budget cannot keep for a
-// cycle misses here.
+// cycle misses here. The coverage and backhaul grids never repeat, as
+// their start moves per job, but their trajectory does: every one of
+// their three grid misses in the second cycle is an orbit hit, and every
+// other grid lookup hits.
 func TestMemoColdMixSecondCycleHits(t *testing.T) {
 	reg := obs.New()
 	memo := core.NewMemo(memoBudget, reg)
@@ -479,6 +521,10 @@ func TestMemoColdMixSecondCycleHits(t *testing.T) {
 		if hits2[i] == hits[i] || misses2[i] != misses[i] {
 			t.Errorf("second cycle: %v %s hits and %v misses, want hits only", hits2[i]-hits[i], kind, misses2[i]-misses[i])
 		}
+	}
+	const gridIdx, orbitIdx = 0, 4
+	if rotated, missed := hits2[orbitIdx]-hits[orbitIdx], misses2[gridIdx]-misses[gridIdx]; rotated != 3 || missed != 3 {
+		t.Errorf("second cycle: %v grid misses and %v orbit hits, want the 3 coverage and backhaul grids rotated", missed, rotated)
 	}
 	t.Logf("memo after two cycles: %.0f bytes, %.0f evictions", memoCount(t, reg, "sinet_memo_bytes"), memoCount(t, reg, "sinet_memo_evictions_total"))
 }
