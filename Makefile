@@ -78,9 +78,10 @@ fuzz-smoke:
 # serve-smoke proves the daemon end to end: start sinetd on a random port
 # with the cache disabled, submit a small passive job over HTTP, poll it to
 # completion, and require the served bytes to be identical to the same
-# campaign run directly through the sinet library.
+# campaign run directly through the sinet library (see
+# cmd/sinetd/main_test.go).
 serve-smoke:
-	$(GO) run ./cmd/sinetd -smoke
+	$(GO) test ./cmd/sinetd/ -run TestSmokeEndToEnd -count=1 -v
 
 # crash-smoke is the crash drill: SIGKILL a real sinetd mid-campaign, restart
 # it on the same journal, and require the resumed job to serve bytes identical
@@ -124,17 +125,23 @@ govulncheck:
 		&& govulncheck ./... \
 		|| echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"
 
+# ci runs each check once. Its race step is the whole suite, so it also
+# runs the serve, crash and cluster drills (TestSmokeEndToEnd,
+# TestCrashKillResumeServesByteIdenticalResult,
+# TestClusterKillWorkerServesByteIdenticalResult) and the internal/obs
+# concurrent-scrape tests; it writes the coverage profile (coverage.out)
+# and the cluster drill's stitched trace, which the CI workflow uploads.
+# The serve-smoke, crash-smoke and cluster-smoke targets stay for running
+# one drill alone.
 ci:
 	$(MAKE) fmt-check
 	$(GO) vet ./...
 	$(GO) build ./...
-	$(GO) test -race -shuffle=on ./...   # includes the internal/obs concurrent-scrape tests
+	SINET_TRACE_OUT=$(CURDIR)/stitched-trace.json \
+		$(GO) test -race -shuffle=on -coverprofile=coverage.out ./...
 	$(MAKE) figures-check
 	$(MAKE) fuzz-smoke
 	$(MAKE) staticcheck
 	$(MAKE) govulncheck
 	$(MAKE) bench-smoke
-	$(MAKE) serve-smoke
-	$(MAKE) crash-smoke
-	$(MAKE) cluster-smoke
 	$(MAKE) servebench-check

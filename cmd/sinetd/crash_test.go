@@ -24,7 +24,7 @@ import (
 // process rather than simulate one.
 func TestMain(m *testing.M) {
 	if os.Getenv("SINETD_E2E_CHILD") == "1" {
-		if err := run(strings.Fields(os.Getenv("SINETD_E2E_ARGS")), os.Stdout); err != nil {
+		if err := run(strings.Fields(os.Getenv("SINETD_E2E_ARGS"))); err != nil {
 			fmt.Fprintln(os.Stderr, "child:", err)
 			os.Exit(1)
 		}

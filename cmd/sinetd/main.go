@@ -13,8 +13,6 @@
 //	       [-peers URL,URL,... -advertise URL]   # worker: peer-filled cache
 //	sinetd -coordinator -peers URL,URL,...       # cluster front door
 //	       [-shard-threshold 16] [-max-shards 0]
-//	sinetd -smoke   # self-check: serve on a random port, submit a small
-//	                # job over HTTP, diff against the direct library call
 //
 // The API (see DESIGN.md "Serving architecture", "Observability" and
 // "Cluster architecture"):
@@ -54,7 +52,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		slog.New(slog.NewTextHandler(os.Stderr, nil)).Error("sinetd exiting", "error", err)
 		os.Exit(1)
 	}
@@ -93,10 +91,9 @@ func parsePeers(s string) ([]string, error) {
 	return peers, nil
 }
 
-// run parses arguments and serves (or self-checks) until shutdown. It is
-// the single exit path: every failure returns an error instead of exiting
-// mid-flight.
-func run(args []string, stdout io.Writer) error {
+// run parses arguments and serves until shutdown. It is the single exit
+// path: every failure returns an error instead of exiting mid-flight.
+func run(args []string) error {
 	fs := flag.NewFlagSet("sinetd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8470", "listen address")
 	workers := fs.Int("workers", 0, "simulation worker count (0 = GOMAXPROCS)")
@@ -105,7 +102,6 @@ func run(args []string, stdout io.Writer) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	pprofOn := fs.Bool("pprof", false, "expose /debug/pprof/* profiling endpoints")
-	smoke := fs.Bool("smoke", false, "run the serve-smoke self check and exit")
 	journalDir := fs.String("journal-dir", "", "directory for the durable job journal (empty disables crash recovery)")
 	jobDeadline := fs.Duration("job-deadline", 0, "per-attempt wall-clock deadline (0 disables)")
 	maxRetries := fs.Int("max-retries", 0, "retry budget for retryable job failures")
@@ -168,9 +164,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	if *smoke {
-		return runSmoke(stdout)
-	}
 	cfg := service.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,

@@ -14,8 +14,10 @@ import (
 // contiguous unit-index range [Lo, Hi). Units outside the window are
 // neither computed nor restored — their output slots stay zero — and the
 // campaign returns right after the sharded phase instead of assembling a
-// full result. A shard run therefore only produces unit snapshots (via
-// the RunContext's CheckpointFunc); folding every shard's snapshots into
+// full result, reading no slot of the phase. A shard run therefore only
+// produces unit snapshots (via the RunContext's CheckpointFunc), and a
+// shard whose window the memo holds fills no slot at all: it hands the
+// held bytes to the CheckpointFunc. Folding every shard's snapshots into
 // one Checkpoint and re-running the campaign with it as Resume reassembles
 // the exact bytes an unsharded run would have produced, because restored
 // units are byte-exact by the resume contract above. This is the
@@ -40,12 +42,6 @@ func (w *ShardWindow) validate(n int) error {
 		return fmt.Errorf("%w: shard window [%d,%d) out of range for %d units", ErrInvalidConfig, w.Lo, w.Hi, n)
 	}
 	return nil
-}
-
-// contains reports whether unit index i falls inside the window; a nil
-// window contains every index.
-func (w *ShardWindow) contains(i int) bool {
-	return w == nil || (i >= w.Lo && i < w.Hi)
 }
 
 // CheckpointFunc receives one completed work unit's snapshot: the campaign
@@ -104,8 +100,9 @@ func NewCheckpoint() *Checkpoint {
 	return &Checkpoint{Phases: map[string]*PhaseSnapshot{}}
 }
 
-// Add records one completed unit. It is not safe for concurrent use; the
-// CheckpointFunc serialization contract means callers feeding a
+// Add records one completed unit. It keeps unit, not a copy: the caller
+// hands over bytes it will not modify. It is not safe for concurrent use;
+// the CheckpointFunc serialization contract means callers feeding a
 // checkpoint from a running campaign need no extra locking, but callers
 // folding journal records must do so from one goroutine.
 func (c *Checkpoint) Add(phase string, index, total int, unit []byte) {
@@ -119,7 +116,7 @@ func (c *Checkpoint) Add(phase string, index, total int, unit []byte) {
 		ps = &PhaseSnapshot{Total: total, Units: map[int]json.RawMessage{}}
 		c.Phases[phase] = ps
 	}
-	ps.Units[index] = append(json.RawMessage(nil), unit...)
+	ps.Units[index] = unit
 }
 
 // Len reports the total number of snapshotted units across phases.
@@ -134,94 +131,94 @@ func (c *Checkpoint) Len() int {
 	return n
 }
 
-// snapshot returns the named phase's snapshot if it matches the phase's
-// current unit count, else nil. Nil-receiver safe.
-func (c *Checkpoint) snapshot(phase string, total int) *PhaseSnapshot {
-	if c == nil || c.Phases == nil {
+// units returns the named phase's snapshotted units if the snapshot
+// matches the phase's current unit count, else nil. Nil-receiver safe.
+func (c *Checkpoint) units(phase string, total int) map[int]json.RawMessage {
+	if c == nil {
 		return nil
 	}
-	ps := c.Phases[phase]
-	if ps == nil || ps.Total != total {
-		return nil
+	if ps := c.Phases[phase]; ps != nil && ps.Total == total {
+		return ps.Units
 	}
-	return ps
+	return nil
 }
 
 // forEachCheckpointed runs one checkpointable phase as one sim.Phase over
 // the units it does not restore; it is the one way a unit enters its slot.
 // out's length is the unit count, fn(i) computes unit i, and in holds the
-// phase's memo key inputs (nil where it is not memoized). Units rc.Memo
-// holds under in go into their slots as shared values, others present in
-// rc.Resume are decoded, and the rest are computed, serialized and handed
-// to rc.Checkpoint, each before its progress report. Restored units are
-// not checkpointed, but a shard run, whose units are its result, first
-// hands rc.Checkpoint the held bytes of window units rc.Resume lacks, in
-// index order. Once the phase returned nil having decoded or computed a
-// unit, the memo's units plus every unit the run ends with are filed as a
-// new entry, so a merge files the units its shards computed. Progress
-// spans the whole phase (restored units count as already complete),
-// preserving the strictly-increasing contract. A non-nil rc.Shard narrows
-// the phase to its window: only in-window units restore or compute (saves
-// still report the full phase size, so shard snapshots fold directly into
-// a full-phase resume point), and progress totals cover the window. The
-// phase span is annotated with the restored/computed unit counts and,
-// when sharded, the window. setup, when non-nil, runs once before the
-// fan-out and only when some window unit is left to compute: it builds
-// what computing a unit reads and restoring one does not (routing's
-// topology, the coverage and backhaul grids).
+// phase's memo key inputs (nil where it is not memoized), to which the
+// run's window is appended. A memo hit restores the window in the one
+// form its reader reads: a full run's entry is its values, which go into
+// their slots, shared; a shard's is its units' checkpoint bytes, which go
+// to rc.Checkpoint for the units rc.Resume lacks, in index order, filling
+// no slot (a shard run reads none after its phase). On a miss, units in
+// rc.Resume are decoded and the rest computed, each serialized only for
+// rc.Checkpoint, before its progress report, or for a shard's entry.
+// Restored units are not checkpointed. A miss whose phase returned nil
+// files its window with one put: a copy of the values, or every window
+// unit's bytes (none if one failed to serialize), so a merge files the
+// units its shards computed. Progress spans the whole phase (restored
+// units count as already complete), preserving the strictly-increasing
+// contract. A non-nil rc.Shard narrows the phase to its window: only
+// in-window units restore or compute (saves still report the full phase
+// size, so shard snapshots fold directly into a full-phase resume point),
+// and progress totals cover the window. The phase span is annotated with
+// the restored/computed unit counts and, when sharded, the window. setup,
+// when non-nil, runs once before the fan-out and only when some window
+// unit is left to compute: it builds what computing a unit reads and
+// restoring one does not (routing's topology, the coverage and backhaul
+// grids).
 func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string, out []T, in *keyInputs, setup func() error, fn func(i int) (T, error)) error {
 	n := len(out)
 	shard, progress, save := rc.Shard, rc.Progress, rc.Checkpoint
 	if err := shard.validate(n); err != nil {
 		return err
 	}
-	span := n
+	window := ShardWindow{Lo: -1, Hi: -1} // the full phase, in a memo key
+	lo, hi := 0, n
 	if shard != nil {
-		span = shard.Hi - shard.Lo
+		window, lo, hi = *shard, shard.Lo, shard.Hi
 	}
+	span, resumed := hi-lo, rc.Resume.units(phase, n)
 	var key memoKey
-	keyed, held := rc.Memo != nil && in != nil, &unitEntry[T]{}
+	var entry any
+	keyed, held := rc.Memo != nil && in != nil, false
 	if keyed {
+		in.int(int64(window.Lo))
+		in.int(int64(window.Hi))
 		if key, keyed = in.sum(); keyed {
-			if v, ok := rc.Memo.get(key, in.kind); ok {
-				held = v.(*unitEntry[T])
+			entry, held = rc.Memo.get(key, in.kind)
+		}
+	}
+	switch e := entry.(type) {
+	case []T:
+		copy(out, e)
+	case [][]byte:
+		for k, raw := range e {
+			if i := lo + k; save != nil && resumed[i] == nil {
+				save(phase, i, n, raw)
 			}
 		}
 	}
-	resume := rc.Resume.snapshot(phase, n)
-	restored := make([]bool, n)
-	fresh := make([][]byte, n) // checkpoint bytes of the units decoded or computed
-	nRestored := 0
-	for i, raw := range held.raw {
-		if raw == nil || !shard.contains(i) {
+	raws, fileRaws := make([][]byte, span), keyed && !held && shard != nil
+	restored := make([]bool, span)
+	for i, raw := range resumed {
+		if held || i < lo || i >= hi {
 			continue
 		}
-		out[i], restored[i] = held.vals[i], true
-		nRestored++
-		if shard != nil && save != nil && (resume == nil || resume.Units[i] == nil) {
-			save(phase, i, n, raw)
+		var v T
+		if err := json.Unmarshal(raw, &v); err != nil {
+			continue // corrupt unit: recompute it
 		}
+		out[i], restored[i-lo], raws[i-lo] = v, true, raw
 	}
-	file := keyed && nRestored < span // a full memo hit files nothing
-	if resume != nil {
-		for idx, raw := range resume.Units {
-			if idx < 0 || idx >= n || restored[idx] || !shard.contains(idx) {
-				continue
-			}
-			var v T
-			if err := json.Unmarshal(raw, &v); err != nil {
-				continue // corrupt unit: recompute it
-			}
-			out[idx], restored[idx], fresh[idx] = v, true, raw
-			nRestored++
-		}
-	}
-	pending := make([]int, 0, span-nRestored)
-	for i := 0; i < n; i++ {
-		if !restored[i] && shard.contains(i) {
+	var pending []int
+	for i := lo; i < hi && !held; i++ {
+		if !restored[i-lo] {
 			pending = append(pending, i)
 		}
 	}
+	nRestored := span - len(pending)
 	if setup != nil && len(pending) > 0 {
 		if err := setup(); err != nil {
 			return err
@@ -250,9 +247,9 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 			return err
 		}
 		out[i] = v
-		if save != nil || keyed {
+		if save != nil || fileRaws {
 			if raw, err := json.Marshal(v); err == nil {
-				fresh[i] = raw
+				raws[i-lo] = raw
 				if save != nil {
 					mu.Lock()
 					save(phase, i, n, raw)
@@ -262,17 +259,21 @@ func forEachCheckpointed[T any](ctx context.Context, rc RunContext, phase string
 		}
 		return nil
 	}, report, attrs...)
-	if err != nil || !file {
+	if err != nil || !keyed || held {
 		return err
 	}
-	e := &unitEntry[T]{vals: make([]T, n), raw: make([][]byte, n)}
-	copy(e.vals, held.vals)
-	copy(e.raw, held.raw)
-	for i, raw := range fresh {
-		if raw != nil {
-			e.vals[i], e.raw[i] = out[i], raw
-		}
+	if shard == nil {
+		vals := append([]T(nil), out...)
+		rc.Memo.put(key, vals, valuesBytes(vals))
+		return nil
 	}
-	rc.Memo.put(key, e, e.bytes())
+	var size int64
+	for _, raw := range raws {
+		if raw == nil {
+			return nil // a unit failed to serialize
+		}
+		size += int64(len(raw))
+	}
+	rc.Memo.put(key, raws, size)
 	return nil
 }

@@ -57,6 +57,17 @@ func partial(cp *Checkpoint) *Checkpoint {
 	return out
 }
 
+// TestCheckpointAddKeepsTheCallersSlice: Add keeps the unit it is handed,
+// not a copy.
+func TestCheckpointAddKeepsTheCallersSlice(t *testing.T) {
+	unit := []byte(`{"LatitudeDeg":0}`)
+	cp := NewCheckpoint()
+	cp.Add("latitudes", 0, 1, unit)
+	if got := cp.Phases["latitudes"].Units[0]; len(got) != len(unit) || &got[0] != &unit[0] {
+		t.Fatal("Add kept a copy of the unit, not the caller's slice")
+	}
+}
+
 func TestPassiveKillAndResumeByteIdentical(t *testing.T) {
 	hk, _ := SiteByCode("HK")
 	cfg := PassiveConfig{

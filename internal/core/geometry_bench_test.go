@@ -22,7 +22,8 @@ import (
 //     another start of the trajectory, so its grid rotates held samples)
 //     through a memo two runs, at seeds 0 and -1, filled;
 //   - shard-warm: that run as a shard over every unit, which returns
-//     right after its checkpointed phase, as a worker's shard run does.
+//     right after its checkpointed phase, as a worker's shard run does,
+//     through a memo shard runs of the window at seeds 0 and -1 filled.
 //     For coverage and backhaul it repeats warm's starts, whose rotated
 //     grids the memo did not file, so it rotates again.
 func BenchmarkSeedIndependentPhases(b *testing.B) {
@@ -65,9 +66,11 @@ func BenchmarkSeedIndependentPhases(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			warm := NewMemo(64<<20, nil)
+			window := &ShardWindow{Lo: 0, Hi: sh.units}
+			warm, shardWarm := NewMemo(64<<20, nil), NewMemo(64<<20, nil)
 			for _, seed := range []int64{0, -1} {
 				run(b, seed, RunContext{Memo: warm, Checkpoint: discard})
+				run(b, seed, RunContext{Memo: shardWarm, Checkpoint: discard, Shard: window})
 			}
 			b.Run("cold", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -81,7 +84,7 @@ func BenchmarkSeedIndependentPhases(b *testing.B) {
 			})
 			b.Run("shard-warm", func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					run(b, int64(i+1), RunContext{Memo: warm, Checkpoint: discard, Shard: &ShardWindow{Lo: 0, Hi: sh.units}})
+					run(b, int64(i+1), RunContext{Memo: shardWarm, Checkpoint: discard, Shard: window})
 				}
 			})
 		})

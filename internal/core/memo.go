@@ -16,9 +16,10 @@ import (
 // for later runs to reuse: propagated ephemeris grids, the TEME samples of
 // trajectories seen at more than one start (orbit.Trajectory, which a grid
 // of the trajectory at any start rotates instead of running SGP4), a
-// routing topology's summary, and the units of a keyed checkpointable
-// phase (forEachCheckpointed): the active plan and fault-free routing
-// packets. Each entry is keyed by a hash of exactly the inputs it was
+// routing topology's summary, and one window of a keyed checkpointable
+// phase (forEachCheckpointed), the active plan or fault-free routing
+// packets: a full phase's unit values, or a shard window's checkpoint
+// bytes. Each entry is keyed by a hash of exactly the inputs it was
 // computed from, so a hit returns the value a recomputation would
 // produce, and results stay byte-identical by construction. Entries are
 // immutable and shared by every run that hits them; they are evicted
@@ -27,7 +28,7 @@ import (
 // as it would without one.
 type Memo struct {
 	mu  sync.Mutex
-	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, *orbit.Trajectory, orbitNote, topologySummary or *unitEntry[T]
+	lru *lru.LRU[memoKey, any] // *orbit.EphemerisGrid, *orbit.Trajectory, orbitNote, topologySummary, []T or [][]byte
 
 	hits, misses [len(memoKindNames)]*obs.Counter // by memoKind
 	evictions    *obs.Counter
@@ -223,25 +224,15 @@ func orbitKey(props []*orbit.Propagator, start time.Time, step time.Duration, st
 	return key
 }
 
-// unitEntry is a memoized checkpointable phase: the value of each unit a
-// run ended with, with the checkpoint bytes it marshals to. raw[i] is nil
-// for a unit the entry lacks. An entry is read-only once filed: every run
-// that hits it shares its values.
-type unitEntry[T any] struct {
-	vals []T
-	raw  [][]byte
-}
-
 // timeBytes is the size of a time.Time value.
 const timeBytes = 24
 
-// bytes approximates the memory e holds: its checkpoint bytes plus what
-// the values hold, for values that count it with a valueBytes method.
-func (e *unitEntry[T]) bytes() int64 {
+// valuesBytes approximates the memory a full phase's units hold, for
+// units that count it with a valueBytes method.
+func valuesBytes[T any](vals []T) int64 {
 	var n int64
-	for i, raw := range e.raw {
-		n += int64(len(raw))
-		if v, ok := any(&e.vals[i]).(interface{ valueBytes() int64 }); ok && raw != nil {
+	for i := range vals {
+		if v, ok := any(&vals[i]).(interface{ valueBytes() int64 }); ok {
 			n += v.valueBytes()
 		}
 	}

@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -244,16 +246,15 @@ func TestMemoEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// TestMemoPlanHitRestoresTheComputedValues: a plan hit puts the values
-// the miss computed into their slots, shared, not copied or decoded, and
-// counts them restored; a unit the entry lacks stays to compute.
+// TestMemoPlanHitRestoresTheComputedValues: a full plan hit puts the
+// values a full miss computed into their slots, shared, not copied or
+// decoded, and computes no unit.
 func TestMemoPlanHitRestoresTheComputedValues(t *testing.T) {
 	rc := RunContext{Memo: NewMemo(64<<20, nil)}
-	in := newKeyInputs(kindPlan)
-	run := func(rc RunContext, plans []satPlan) (computed []bool) {
+	run := func(plans []satPlan) (computed []bool) {
 		t.Helper()
 		computed = make([]bool, len(plans))
-		err := forEachCheckpointed(context.Background(), rc, "plan", plans, in, nil, func(i int) (satPlan, error) {
+		err := forEachCheckpointed(context.Background(), rc, "plan", plans, newKeyInputs(kindPlan), nil, func(i int) (satPlan, error) {
 			computed[i] = true
 			return satPlan{Drains: []time.Time{memoStart}}, nil
 		})
@@ -263,18 +264,116 @@ func TestMemoPlanHitRestoresTheComputedValues(t *testing.T) {
 		return computed
 	}
 	plans := make([]satPlan, 2)
-	cold := rc
-	cold.Shard = &ShardWindow{Lo: 0, Hi: 1}
-	if c := run(cold, plans); !c[0] || c[1] {
-		t.Fatalf("a cold memo computed %v, want only the window's unit 0", c)
+	if c := run(plans); !c[0] || !c[1] {
+		t.Fatalf("a cold memo computed %v, want every unit", c)
 	}
-
 	again := make([]satPlan, 2)
-	if c := run(rc, again); c[0] || !c[1] {
-		t.Fatalf("computed = %v, want only unit 1, which the entry lacks", c)
+	if c := run(again); c[0] || c[1] {
+		t.Fatalf("a hit computed %v, want no unit", c)
 	}
-	if &again[0].Drains[0] != &plans[0].Drains[0] {
-		t.Fatal("a hit restored a copy, not the values the miss computed")
+	for i := range again {
+		if &again[i].Drains[0] != &plans[i].Drains[0] {
+			t.Fatalf("a hit restored a copy of unit %d, not the values the miss computed", i)
+		}
+	}
+}
+
+// countedUnit is a unit that counts its serializations.
+type countedUnit struct {
+	V        int
+	marshals *atomic.Int64
+}
+
+func (u countedUnit) MarshalJSON() ([]byte, error) {
+	u.marshals.Add(1)
+	return strconv.AppendInt(nil, int64(u.V), 10), nil
+}
+
+// TestMemoSerializesOnlyForAReaderOfBytes: a computed unit is serialized
+// only when something reads its bytes. A keyed full run serializes none
+// without a Checkpoint hook and each unit once with one; a keyed shard
+// run serializes each window unit once, for its entry, hook or not. Every
+// run files its window, and a hit serializes nothing: a shard hit hands
+// the hook the held bytes.
+func TestMemoSerializesOnlyForAReaderOfBytes(t *testing.T) {
+	var marshals atomic.Int64
+	var saved [][]byte
+	save := func(_ string, _, _ int, unit []byte) { saved = append(saved, unit) }
+	half := &ShardWindow{Lo: 1, Hi: 3}
+	for _, tc := range []struct {
+		name string
+		rc   RunContext
+		want int64
+	}{
+		{"full", RunContext{}, 0},
+		{"full with a hook", RunContext{Checkpoint: save}, 4},
+		{"shard", RunContext{Shard: half}, 2},
+		{"shard with a hook", RunContext{Checkpoint: save, Shard: half}, 2},
+	} {
+		tc.rc.Memo = NewMemo(64<<20, nil)
+		for _, pass := range []struct {
+			name string
+			want int64
+		}{{"miss", tc.want}, {"hit", 0}} {
+			marshals.Store(0)
+			saved = nil
+			units := make([]countedUnit, 4)
+			err := forEachCheckpointed(context.Background(), tc.rc, "plan", units, newKeyInputs(kindPlan), nil, func(i int) (countedUnit, error) {
+				return countedUnit{V: i, marshals: &marshals}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := marshals.Load(); got != pass.want {
+				t.Errorf("%s, %s: %d units serialized, want %d", tc.name, pass.name, got, pass.want)
+			}
+			if tc.rc.Memo.lru.Len() != 1 {
+				t.Errorf("%s, %s: memo holds %d entries, want the run's window", tc.name, pass.name, tc.rc.Memo.lru.Len())
+			}
+			if tc.rc.Checkpoint != nil && tc.rc.Shard != nil && !reflect.DeepEqual(saved, [][]byte{[]byte("1"), []byte("2")}) {
+				t.Errorf("%s, %s: the hook got %q, want the window's units 1 and 2", tc.name, pass.name, saved)
+			}
+		}
+	}
+}
+
+// TestMemoWindowsKeyApart: each entry holds one window. A full phase's
+// entry serves no shard window, a shard window's entry serves no full run
+// and no other window: each misses and computes its units, and only a
+// repeat of a window hits.
+func TestMemoWindowsKeyApart(t *testing.T) {
+	m := NewMemo(64<<20, obs.New())
+	run := func(shard *ShardWindow) int64 {
+		t.Helper()
+		var computed atomic.Int64
+		plans := make([]satPlan, 4)
+		err := forEachCheckpointed(context.Background(), RunContext{Memo: m, Shard: shard}, "plan", plans, newKeyInputs(kindPlan), nil, func(i int) (satPlan, error) {
+			computed.Add(1)
+			return satPlan{Drains: []time.Time{memoStart}}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return computed.Load()
+	}
+	for _, step := range []struct {
+		name  string
+		shard *ShardWindow
+		want  int64
+	}{
+		{"full", nil, 4},
+		{"shard [0,4) after the full entry", &ShardWindow{Lo: 0, Hi: 4}, 4},
+		{"shard [0,2)", &ShardWindow{Lo: 0, Hi: 2}, 2},
+		{"shard [2,4)", &ShardWindow{Lo: 2, Hi: 4}, 2},
+		{"shard [0,4) again", &ShardWindow{Lo: 0, Hi: 4}, 0},
+		{"full again", nil, 0},
+	} {
+		if got := run(step.shard); got != step.want {
+			t.Errorf("%s: computed %d units, want %d", step.name, got, step.want)
+		}
+	}
+	if h, mi := m.hits[kindPlan].Value(), m.misses[kindPlan].Value(); h != 2 || mi != 4 {
+		t.Errorf("plan hits/misses = %d/%d, want 2/4", h, mi)
 	}
 }
 
@@ -384,6 +483,43 @@ func TestMemoPlanEntrySizeDecodedOrComputed(t *testing.T) {
 	}
 }
 
+// TestMemoPacketsEntryCountsItsValues: a full packets entry counts
+// exactly what its values hold, Σ valueBytes over its units, and none of
+// the units' JSON. The units are a FOSSA routing run's, relay paths
+// included.
+func TestMemoPacketsEntryCountsItsValues(t *testing.T) {
+	cp, save := captureCheckpoint()
+	cfg := fossaRouting(1)
+	cfg.Checkpoint = save
+	routingBytes(t, cfg)
+	ps := cp.Phases["packets"]
+	units := make([]satPackets, ps.Total)
+	var want, hops int64
+	for i := range units {
+		if err := json.Unmarshal(ps.Units[i], &units[i]); err != nil {
+			t.Fatal(err)
+		}
+		want += units[i].valueBytes()
+		for _, p := range units[i] {
+			hops += int64(len(p.RelayPath))
+		}
+	}
+	if hops == 0 {
+		t.Fatal("no packet has a relay path")
+	}
+	m := NewMemo(64<<20, nil)
+	out := make([]satPackets, len(units))
+	err := forEachCheckpointed(context.Background(), RunContext{Memo: m}, "packets", out, newKeyInputs(kindPackets), nil, func(i int) (satPackets, error) {
+		return units[i], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.lru.Len() != 1 || m.lru.Bytes() != want {
+		t.Fatalf("memo holds %d entries of %d bytes, want one of Σ valueBytes = %d", m.lru.Len(), m.lru.Bytes(), want)
+	}
+}
+
 // fossaRouting is a fault-free one-day routing campaign over FOSSA.
 func fossaRouting(seed int64) RoutingConfig {
 	return RoutingConfig{Seed: seed, Start: memoStart, Days: 1, Constellation: ptr(constellation.FOSSA(memoStart))}
@@ -435,27 +571,25 @@ func TestMemoRoutingHitBuildsNoTopology(t *testing.T) {
 	}
 }
 
-// TestMemoRoutingShardHeldBuildsNoTopology: a shard run whose window the
-// memo holds builds no topology, and it hands Checkpoint the units a
-// memo-free shard run computes.
+// TestMemoRoutingShardHeldBuildsNoTopology: a shard run whose window a
+// shard of another seed filed builds no topology, and it hands Checkpoint
+// the units a memo-free shard run computes.
 func TestMemoRoutingShardHeldBuildsNoTopology(t *testing.T) {
-	m := NewMemo(64<<20, nil)
-	warm := fossaRouting(1)
-	warm.Memo = m
-	routingBytes(t, warm)
-	shard := func(memo *Memo) (*Checkpoint, bool) {
+	shard := func(seed int64, memo *Memo) (*Checkpoint, bool) {
 		cp, save := captureCheckpoint()
-		cfg := fossaRouting(2)
+		cfg := fossaRouting(seed)
 		cfg.Memo, cfg.Checkpoint, cfg.Shard = memo, save, &ShardWindow{Lo: 0, Hi: 2}
 		built := watchTopology(&cfg)
 		routingBytes(t, cfg)
 		return cp, *built
 	}
-	want, builtCold := shard(nil)
+	m := NewMemo(64<<20, nil)
+	shard(1, m)
+	want, builtCold := shard(2, nil)
 	if !builtCold {
 		t.Fatal("a memo-free relay shard built no topology")
 	}
-	got, built := shard(m)
+	got, built := shard(2, m)
 	if built {
 		t.Fatal("a shard run whose window the memo holds built its topology")
 	}

@@ -11,15 +11,18 @@ import (
 
 // BenchmarkActivePlanPhase measures the active campaign's checkpointed
 // plan phase on the fig5a-1d shape (Tianqi, one day, three nodes,
-// max_retx 5). Each iteration is a shard run over every unit, which
-// returns right after the plan phase, through a memo that already holds
-// the grid, so the ephemeris phase is one lookup:
+// max_retx 5). Each iteration is a shard run, which returns right after
+// the plan phase, over every unit unless said otherwise, through a memo
+// that already holds the grid, so the ephemeris phase is one lookup:
 //
 //   - compute: every unit computed and marshaled for the Checkpoint hook;
 //   - memo: every unit a memo hit;
 //   - resume: every unit decoded from a resume point, as a merge does;
 //   - resume+memo: that resume point through a memo warmed by one
-//     resume-only merge.
+//     resume-only merge;
+//   - shard+memo: a shard over the first half of the units, as a
+//     worker's shard of a two-way split runs, through a memo a shard of
+//     that window filled, handing the held bytes to the Checkpoint hook.
 func BenchmarkActivePlanPhase(b *testing.B) {
 	ctx := context.Background()
 	cfg := ActiveConfig{Seed: 1, Start: memoStart, Days: 1, Nodes: 3}
@@ -40,10 +43,13 @@ func BenchmarkActivePlanPhase(b *testing.B) {
 		m.put(gk, grids[0], grids[0].Bytes())
 		return m
 	}
+	all, half := &ShardWindow{Lo: 0, Hi: len(props)}, &ShardWindow{Lo: 0, Hi: len(props) / 2}
 	run := func(b *testing.B, rc RunContext) {
 		c := cfg
 		c.RunContext = rc
-		c.Shard = &ShardWindow{Lo: 0, Hi: len(props)}
+		if c.Shard == nil {
+			c.Shard = all
+		}
 		if _, err := RunActiveCtx(ctx, c); err != nil {
 			b.Fatal(err)
 		}
@@ -57,6 +63,8 @@ func BenchmarkActivePlanPhase(b *testing.B) {
 	}
 	merged := gridMemo()
 	run(b, RunContext{Memo: merged, Resume: resume})
+	halved := gridMemo()
+	run(b, RunContext{Memo: halved, Shard: half})
 	discard := func(string, int, int, []byte) {}
 
 	b.Run("compute", func(b *testing.B) {
@@ -77,6 +85,11 @@ func BenchmarkActivePlanPhase(b *testing.B) {
 	b.Run("resume+memo", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			run(b, RunContext{Memo: merged, Resume: resume})
+		}
+	})
+	b.Run("shard+memo", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			run(b, RunContext{Memo: halved, Checkpoint: discard, Shard: half})
 		}
 	})
 }

@@ -162,27 +162,30 @@ func mustSpec(t *testing.T, body string) *JobSpec {
 }
 
 // TestProgressKeepsAttemptAlive pins progress as the watchdog's one sign
-// of life: an attempt reporting every 10 ms for 200 ms under a 40 ms
-// heartbeat timeout runs once and is never shot down.
+// of life: an attempt reporting every 10 ms for 500 ms, over twice the
+// 200 ms heartbeat timeout, runs once and is never shot down. The
+// timeout is 20 progress periods, so only a scheduling stall of that
+// length, not a loaded host's usual jitter, could let the watchdog fire.
 func TestProgressKeepsAttemptAlive(t *testing.T) {
 	reg := obs.New()
 	t.Cleanup(func() { orbit.SetMetrics(nil); sim.SetMetrics(nil); netgraph.SetMetrics(nil) })
+	const ticks = 50
 	runner := func(ctx context.Context, _ *JobSpec, rc RunContext) (any, error) {
 		tick := time.NewTicker(10 * time.Millisecond)
 		defer tick.Stop()
-		for k := 1; k <= 20; k++ {
+		for k := 1; k <= ticks; k++ {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			case <-tick.C:
 			}
-			rc.Progress("work", k, 20)
+			rc.Progress("work", k, ticks)
 		}
 		return "alive", nil
 	}
 	env := newTestEnv(t, Config{
 		Workers: 1, QueueDepth: 4,
-		HeartbeatTimeout: 40 * time.Millisecond,
+		HeartbeatTimeout: 200 * time.Millisecond,
 		MaxRetries:       2, RetryBackoff: time.Millisecond,
 		Runner: runner, Metrics: reg,
 	})

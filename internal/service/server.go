@@ -117,12 +117,12 @@ type Config struct {
 	CacheFill func(ctx context.Context, key Key) ([]byte, bool)
 }
 
-// memoBudget bounds the server's geometry memo (core.Memo): about 1.6
-// times the working set of servebench's 13-shape cold-mix cycle, whose
+// memoBudget bounds the server's geometry memo (core.Memo): about twice
+// the working set of servebench's 13-shape cold-mix cycle, whose
 // repeating geometry is ten grids, four plan entries, three routing
-// packet entries and two topology summaries (~7.8 MB). The coverage and
-// backhaul grids a cycle files once are the least recently used, so they
-// are evicted first.
+// packet entries and two topology summaries (~6.4 MB). With the samples
+// of the trajectories its coverage and backhaul grids rotate, a cycle
+// files 8.2 MB and evicts nothing.
 const memoBudget = 12 << 20
 
 // maxFinishedJobs bounds the terminal jobs a server keeps answering

@@ -98,8 +98,9 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 			}
 
 			// Through a memo warmed by the unsharded run, every shard and
-			// the merge serve the memo-free bytes: a shard restoring its
-			// units from the memo still returns all of them.
+			// the merge serve the memo-free bytes: the shards compute (a
+			// full phase's entry serves no window) and the merge places
+			// the full entry's values.
 			memo := core.NewMemo(64<<20, nil)
 			if got := runBytes(t, &parent, RunContext{Memo: memo}); !bytes.Equal(got, golden) {
 				t.Fatal("unsharded bytes differ through a cold memo")
@@ -127,7 +128,8 @@ func TestShardedMergeByteIdentical(t *testing.T) {
 			}
 
 			// Shards filing into a cold memo one window at a time leave
-			// entries an unsharded run of the same geometry restores from.
+			// window entries only later shards of those windows read, so
+			// an unsharded run of the same geometry misses and computes.
 			memo = core.NewMemo(64<<20, nil)
 			for i, sub := range shards {
 				if got := runBytes(t, sub, RunContext{Memo: memo}); !bytes.Equal(got, blobs[i]) {

@@ -117,7 +117,6 @@ const (
 	maxDays      = 370
 	maxLatitudes = 181
 	maxNodes     = 256
-	maxSweepLen  = 64
 )
 
 // Duration is a time.Duration that marshals as a Go duration string
